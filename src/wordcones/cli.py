@@ -2,16 +2,13 @@
 
 Exit status: 0 on success, 1 on a domain error (bad word, malformed quiver,
 out-of-range rank), 2 on a verification failure.  Output is deterministic;
-diagnostics go to stderr.  The environment variable WORDCONES_THREADS is
-accepted as an upper bound on worker parallelism (the current implementation
-is sequential, which trivially keeps output independent of the setting).
+diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -46,19 +43,6 @@ def _frac_str(value) -> str:
 
 def _parse_word_arg(args) -> ReducedWord:
     return parse_word(args.word, getattr(args, "rank", None))
-
-
-def _threads() -> int:
-    raw = os.environ.get("WORDCONES_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"WORDCONES_THREADS={raw!r} is not an integer")
-    if n < 1:
-        raise ValueError("WORDCONES_THREADS must be >= 1")
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +188,6 @@ def cmd_rectangles(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_regions(args) -> int:
-    _threads()
     atlas = standard_atlas(args.rank)
     payload = {
         "rank": args.rank,

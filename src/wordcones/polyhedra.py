@@ -284,10 +284,6 @@ def interior_point(ineqs: Sequence[Vector], dim: int) -> Optional[Vector]:
     return _scaled_integer_point(sol)
 
 
-def is_full_dimensional(ineqs: Sequence[Vector], dim: int) -> bool:
-    return interior_point(ineqs, dim) is not None
-
-
 def implies(ineqs: Sequence[Vector], a: Vector, dim: int) -> bool:
     """Does a . x >= 0 hold on all of {x : ineqs}?  (One exact LP.)"""
     rows = list(ineqs) + [vneg(a)]
@@ -422,13 +418,31 @@ def _as_hcone(c) -> HCone:
     raise TypeError(f"expected HCone or VCone, got {type(c).__name__}")
 
 
+def _contained(a, b) -> bool:
+    """Is cone a a subset of cone b?
+
+    A V-form ``a`` is inside ``b`` when each of its rays satisfies b's
+    inequalities.  For an H-form ``a``, a normal of ``b`` that already appears
+    among a's normals holds trivially; only the others cost an LP.
+    """
+    hb = _as_hcone(b)
+    if isinstance(a, VCone):
+        return all(dot(g, r) >= 0 for g in hb.ineqs for r in a.rays)
+    ha = _as_hcone(a)
+    known = {primitive(g) for g in ha.ineqs}
+    return all(primitive(g) in known or implies(ha.ineqs, g, ha.dim)
+               for g in hb.ineqs)
+
+
 def cone_equal(a, b) -> bool:
-    """Set equality of two cones (H or V form) via mutual containment."""
-    ha, hb = _as_hcone(a), _as_hcone(b)
-    if ha.dim != hb.dim:
+    """Set equality of two cones (H or V form) via mutual containment.
+
+    Equal cones given by their facets, or by rays on one side, compare
+    without any LP.
+    """
+    if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    return (all(implies(hb.ineqs, g, ha.dim) for g in ha.ineqs)
-            and all(implies(ha.ineqs, g, hb.dim) for g in hb.ineqs))
+    return _contained(a, b) and _contained(b, a)
 
 
 def subtract_full_dim(pieces: list[tuple[Vector, ...]],

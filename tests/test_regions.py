@@ -1,13 +1,17 @@
 import random
+from itertools import combinations
 
 import pytest
 
-from wordcones.polyhedra import (cone_equal, hcone, interior_point,
-                                 irredundant_h, nonneg_orthant)
-from wordcones.regions import (apply_braid_triple, braid_move_map,
+from wordcones import polyhedra, regions
+from wordcones.polyhedra import (HCone, cone_equal, hcone, implies,
+                                 irredundant_h, nonneg_orthant,
+                                 subtract_full_dim)
+from wordcones.regions import (RegionConvexityError, _merge_cells,
+                               apply_braid_triple, braid_move_map,
                                braid_move_count, class_region_isomorphism_report,
                                default_move_path, det, detour_move_path,
-                               evaluate, match_spanned_regions,
+                               enumerate_cells, evaluate, match_spanned_regions,
                                minimal_braid_path, orthant_restriction_analysis,
                                region_graph, simplicial_decomposition,
                                standard_atlas, transition_atlas)
@@ -56,6 +60,76 @@ def test_minimal_braid_path_lengths():
         j, jp = standard_words(rank)
         path = minimal_braid_path(j, jp)
         assert braid_move_count(path) == expected
+
+
+def _standard_cells(rank):
+    j, jp = standard_words(rank)
+    return enumerate_cells(j, default_move_path(j, jp)), len(j.letters)
+
+
+def _subtraction_merge(cells, k):
+    """Reference certificate: the candidate cone minus every member cell has
+    no full-dimensional part."""
+    normals = dict.fromkeys(g for c in cells for g in c.guards)
+    valid = tuple(g for g in normals
+                  if all(implies(c.guards, g, k) for c in cells))
+    pieces = [valid]
+    for cell in cells:
+        pieces = subtract_full_dim(pieces, cell.guards, k)
+    if pieces:
+        raise RegionConvexityError("candidate cone exceeds the union")
+    return irredundant_h(HCone(k, valid))
+
+
+def _merge_verdict(merge, cells, k):
+    try:
+        return merge(cells, k)
+    except RegionConvexityError:
+        return None
+
+
+def test_merge_certificate_agrees_with_subtraction_on_rank3_pairs():
+    cells, k = _standard_cells(3)
+    accepted = 0
+    for pair in combinations(cells, 2):
+        expected = _merge_verdict(_subtraction_merge, list(pair), k)
+        got = _merge_verdict(_merge_cells, list(pair), k)
+        if expected is None:
+            assert got is None
+        else:
+            assert got is not None and got[0] == expected
+            accepted += 1
+    assert len(cells) == 11 and accepted == 13
+
+
+def test_merge_certificate_accepts_every_rank4_group(atlas4):
+    cells, k = _standard_cells(4)
+    groups = {}
+    for cell in cells:
+        groups.setdefault(cell.rows, []).append(cell)
+    cones = {r.matrix: r.cone for r in atlas4.regions}
+    merged = [g for g in groups.values() if len(g) > 1]
+    assert len(groups) == 144 and len(merged) == 48
+    for group in merged:
+        cone = _merge_cells(group, k)[0]
+        assert cone == cones[group[0].rows] == _subtraction_merge(group, k)
+
+
+def test_lp_counts(monkeypatch, atlas4):
+    calls = []
+    real = polyhedra.solve_inequalities
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(polyhedra, "solve_inequalities", counting)
+    monkeypatch.setattr(regions, "solve_inequalities", counting)
+    standard_atlas(4)
+    assert 0 < len(calls) <= 2600
+    calls.clear()
+    assert match_spanned_regions(atlas4).ok
+    assert calls == []
 
 
 def test_region_maps_are_unimodular(atlas2, atlas3, atlas4):
