@@ -17,10 +17,9 @@ from .rectangles import (Component, Configuration, Rectangle,
                          configuration_for_quiver, diagonal_counts,
                          generator_vector, phi_plus, quiver_vector,
                          rectangle_for_component, spanning_vectors)
-from .regions import (RegionAtlas, braid_move_map, evaluate, facet_histogram,
-                      match_spanned_regions, minimal_braid_path,
-                      orthant_restriction_analysis, region_graph,
-                      simplicial_decomposition, standard_atlas,
+from .regions import (RegionAtlas, braid_move_map, evaluate,
+                      match_spanned_regions, orthant_restriction_analysis,
+                      region_graph, simplicial_decomposition, standard_atlas,
                       transition_atlas)
 from .words import (CommutationClass, Move, ReducedWord, apply_move,
                     class_graph, commutation_classes, enumerate_reduced_words,

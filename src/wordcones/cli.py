@@ -290,12 +290,13 @@ def _verify_a3(checks):
     lc = lusztig_cone(parse_word("132132"))
     expected = {(-1, 0, 1, -1, 0, 0), (0, -1, 1, 0, -1, 0), (0, 0, -1, 1, 1, -1)}
     _check(checks, "a3.lusztig_cone_132132", expected, set(lc.cone.ineqs))
+    restrictions = orthant_restriction_analysis(atlas)
     restricted = sorted((r.region_facets, r.restricted_facets)
-                        for r in orthant_restriction_analysis(atlas))
+                        for r in restrictions)
     _check(checks, "a3.orthant_counts",
            [(3, 6)] * 8 + [(4, 8), (4, 9)], restricted)
     sizes = []
-    for r in orthant_restriction_analysis(atlas):
+    for r in restrictions:
         if r.region_facets == 4:
             region = atlas.regions[r.region_index]
             cone = irredundant_h(hcone(

@@ -14,7 +14,7 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Optional, Sequence
@@ -69,7 +69,6 @@ class HCone:
 
     dim: int
     ineqs: tuple[Vector, ...]
-    irredundant: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         for a in self.ineqs:
@@ -108,7 +107,7 @@ class VCone:
         return {"dim": self.dim, "rays": [[str(c) for c in r] for r in self.rays]}
 
 
-def hcone(ineqs: Iterable[Sequence], dim: int, irredundant: bool = False) -> HCone:
+def hcone(ineqs: Iterable[Sequence], dim: int) -> HCone:
     """Build an HCone, normalising and deduplicating the normals."""
     out, seen = [], set()
     for a in ineqs:
@@ -118,7 +117,7 @@ def hcone(ineqs: Iterable[Sequence], dim: int, irredundant: bool = False) -> HCo
         if p not in seen:
             seen.add(p)
             out.append(p)
-    return HCone(dim, tuple(out), irredundant)
+    return HCone(dim, tuple(out))
 
 
 def vcone(rays: Iterable[Sequence], dim: int) -> VCone:
@@ -136,7 +135,7 @@ def vcone(rays: Iterable[Sequence], dim: int) -> VCone:
 
 def nonneg_orthant(dim: int) -> HCone:
     eye = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
-    return HCone(dim, tuple(eye), irredundant=True)
+    return HCone(dim, tuple(eye))
 
 
 def intersect(a: HCone, b: HCone) -> HCone:
@@ -144,6 +143,46 @@ def intersect(a: HCone, b: HCone) -> HCone:
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
     return hcone(a.ineqs + b.ineqs, a.dim)
+
+
+# ---------------------------------------------------------------------------
+# Determinant and rank (fraction-free elimination)
+# ---------------------------------------------------------------------------
+
+def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """Fraction-free (Bareiss) row echelon form: (rank, signed last pivot).
+
+    Rows are swapped to bring up a pivot and columns without one are
+    skipped.  Each entry below the pivots is a minor of the input, so every
+    division is exact.  For a square matrix of full rank the signed last
+    pivot is the determinant.
+    """
+    m = [list(map(int, row)) for row in rows]
+    rank, sign, prev = 0, 1, 1
+    for col in range(len(m[0]) if m else 0):
+        p = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if p is None:
+            continue
+        if p != rank:
+            m[rank], m[p] = m[p], m[rank]
+            sign = -sign
+        piv, prow = m[rank][col], m[rank]
+        for r in range(rank + 1, len(m)):
+            f = m[r][col]
+            m[r] = [(piv * x - f * y) // prev for x, y in zip(m[r], prow)]
+        prev = piv
+        rank += 1
+    return rank, sign * prev
+
+
+def det(matrix: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix."""
+    rank, pivot = _bareiss(matrix)
+    return pivot if rank == len(matrix) else 0
+
+
+def matrix_rank(rows: Sequence[Sequence[int]]) -> int:
+    return _bareiss(rows)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +293,6 @@ def solve_inequalities(rows: Sequence[Vector], rhs: Sequence[int], dim: int
     return point
 
 
-def _scaled_integer_point(point: Sequence[Fraction]) -> Vector:
-    denom = 1
-    for f in point:
-        fr = Fraction(f)
-        denom = denom * fr.denominator // gcd(denom, fr.denominator)
-    return tuple(int(Fraction(f) * denom) for f in point)
-
-
 def lp_feasible(cone: HCone, strict: Iterable[int] = ()) -> bool:
     """Is there a point satisfying the cone, strictly on the flagged normals?
 
@@ -281,7 +312,7 @@ def interior_point(ineqs: Sequence[Vector], dim: int) -> Optional[Vector]:
         return None
     if len(ineqs) == 0:
         return tuple([1] + [0] * (dim - 1)) if dim else ()
-    return _scaled_integer_point(sol)
+    return primitive(sol)
 
 
 def implies(ineqs: Sequence[Vector], a: Vector, dim: int) -> bool:
@@ -309,12 +340,7 @@ def irredundant_h(cone: HCone) -> HCone:
             keep.pop(i)
         else:
             i += 1
-    return HCone(cone.dim, tuple(sorted(keep)), irredundant=True)
-
-
-def facet_count(cone: HCone) -> int:
-    c = cone if cone.irredundant else irredundant_h(cone)
-    return len(c.ineqs)
+    return HCone(cone.dim, tuple(sorted(keep)))
 
 
 # ---------------------------------------------------------------------------

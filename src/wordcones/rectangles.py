@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .chambers import _fmt
 from .quivers import PartialQuiver
 from .words import Root, ReducedWord, positive_root_order, standard_words
 
@@ -476,10 +477,3 @@ def render_configuration_svg(quiver: PartialQuiver, rank: Optional[int] = None
                      f'V{idx}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def _fmt(value) -> str:
-    f = Fraction(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return str(f.numerator / f.denominator)

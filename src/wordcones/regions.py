@@ -15,14 +15,12 @@ coordinates of the source word; it is independent of the chosen move path.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .polyhedra import (HCone, Vector, VCone, cone_equal,
+from .polyhedra import (HCone, Vector, VCone, cone_equal, det,
                         dot, extreme_rays, hcone, interior_point,
-                        irredundant_h, nonneg_orthant, primitive,
+                        irredundant_h, matrix_rank, nonneg_orthant, primitive,
                         solve_inequalities, subtract_full_dim, vcone, vneg)
 from .words import (BRAID, COMMUTATION, Letters, Move, ReducedWord,
                     apply_move_letters, class_graph, commutation_classes,
@@ -62,81 +60,41 @@ def braid_move_map():
     return ((+1, BRAID_LOW), (-1, BRAID_HIGH))
 
 
-def evaluate_along(point: Sequence, letters: Letters, moves: Iterable[Move]) -> tuple:
-    """Branch-free exact evaluation: apply every move numerically.
+def _walk(point: Sequence, moves: Iterable[Move]) -> tuple[tuple, str]:
+    """Apply every move numerically: (image, branch bits of the braids).
 
-    The moves are also replayed against the word, so an illegal path raises
-    instead of silently mangling coordinates.
+    A braid's bit is '1' on the a <= c branch, so ties go to that branch.
     """
     y = list(point)
-    cur = letters
+    bits = []
     for mv in moves:
         t = mv.position - 1
         if mv.kind == COMMUTATION:
             y[t], y[t + 1] = y[t + 1], y[t]
         else:
+            bits.append("1" if y[t] <= y[t + 2] else "0")
             y[t], y[t + 1], y[t + 2] = apply_braid_triple(y[t], y[t + 1], y[t + 2])
-        cur = apply_move_letters(cur, mv)
-    return tuple(y)
+    return tuple(y), "".join(bits)
+
+
+def evaluate_along(point: Sequence, letters: Letters, moves: Iterable[Move]) -> tuple:
+    """Branch-free exact evaluation: apply every move numerically.
+
+    The moves are first replayed against the word, so an illegal path raises
+    instead of silently mangling coordinates.
+    """
+    moves = list(moves)
+    for mv in moves:
+        letters = apply_move_letters(letters, mv)
+    return _walk(point, moves)[0]
 
 
 # ---------------------------------------------------------------------------
 # Move paths
 # ---------------------------------------------------------------------------
 
-def minimal_braid_path(src: ReducedWord, dst: ReducedWord) -> list[Move]:
-    """A move path from src to dst with the fewest braid moves (0-1 BFS).
-
-    Explores the reduced-word graph lazily; commutation edges cost 0, braid
-    edges cost 1.  Intended for small ranks where the word graph fits in
-    memory (rank <= 5).
-    """
-    if src.rank != dst.rank:
-        raise ValueError("words have different ranks")
-    if src.rank > 5:
-        raise ValueError("minimal_braid_path is limited to rank <= 5")
-    start, goal = src.letters, dst.letters
-    dist: dict[Letters, int] = {start: 0}
-    parent: dict[Letters, tuple[Letters, Move]] = {}
-    dq: deque[tuple[int, Letters]] = deque([(0, start)])
-    while dq:
-        d, w = dq.popleft()
-        if d != dist.get(w):
-            continue  # stale queue entry
-        if w == goal:
-            break
-        neighbours = []
-        for t in range(len(w) - 1):
-            if abs(w[t] - w[t + 1]) >= 2:
-                neighbours.append((Move(COMMUTATION, t + 1), 0))
-        for t in range(len(w) - 2):
-            if w[t] == w[t + 2] and abs(w[t] - w[t + 1]) == 1:
-                neighbours.append((Move(BRAID, t + 1), 1))
-        for mv, cost in neighbours:
-            w2 = apply_move_letters(w, mv)
-            if dist.get(w2, d + cost + 1) > d + cost:
-                dist[w2] = d + cost
-                parent[w2] = (w, mv)
-                if cost == 0:
-                    dq.appendleft((d, w2))
-                else:
-                    dq.append((d + 1, w2))
-    if goal not in dist:
-        raise ValueError("words are not connected by moves; different elements?")
-    path: list[Move] = []
-    w = goal
-    while w != start:
-        w, mv = parent[w]
-        path.append(mv)
-    path.reverse()
-    return path
-
-
-def default_move_path(src: ReducedWord, dst: ReducedWord) -> list[Move]:
-    """Braid-minimal path at small rank, peel path otherwise."""
-    if src.rank <= 4:
-        return minimal_braid_path(src, dst)
-    return find_move_path(src, dst)
+#: The move path every atlas and evaluation uses by default.
+default_move_path = find_move_path
 
 
 def braid_move_count(moves: Iterable[Move]) -> int:
@@ -180,7 +138,6 @@ class Region:
     matrix: tuple[Vector, ...]
     cone: HCone
     witness: Vector
-    cell_count: int
 
     @property
     def facet_count(self) -> int:
@@ -213,22 +170,8 @@ class RegionAtlas:
     def evaluate(self, point: Sequence) -> tuple:
         return evaluate_along(point, self.src.letters, self.moves)
 
-    def _bits_at(self, point: Sequence) -> str:
-        """Branch bits of the numeric walk (ties go to the a <= c branch)."""
-        y = list(point)
-        bits = []
-        for mv in self.moves:
-            t = mv.position - 1
-            if mv.kind == COMMUTATION:
-                y[t], y[t + 1] = y[t + 1], y[t]
-            else:
-                bits.append("1" if y[t] <= y[t + 2] else "0")
-                y[t], y[t + 1], y[t + 2] = apply_braid_triple(
-                    y[t], y[t + 1], y[t + 2])
-        return "".join(bits)
-
     def region_containing(self, point: Sequence) -> Region:
-        idx = self.bits_index.get(self._bits_at(point))
+        idx = self.bits_index.get(_walk(point, self.moves)[1])
         if idx is not None:
             return self.regions[idx]
         # a tie at a guard boundary can walk into a pruned branch; any region
@@ -395,14 +338,14 @@ def transition_atlas(src: ReducedWord, dst: ReducedWord,
                      moves: Optional[Sequence[Move]] = None) -> RegionAtlas:
     """Atlas of the regions of linearity of the src-to-dst transition map.
 
-    The 144-region standard-word atlas of rank 4 takes 2,592 LPs, about
+    The 144-region standard-word atlas of rank 4 takes 2,580 LPs, about
     1.4 s under CPython 3.11 on one Xeon core; rank 5 is supported but the
     branch tree grows steeply with the braid count of the path.
     """
     if src.rank != dst.rank:
         raise ValueError("words have different ranks")
     if moves is None:
-        moves = default_move_path(src, dst)
+        moves = find_move_path(src, dst)
     else:
         moves = list(moves)
     k = len(src.letters)
@@ -416,7 +359,7 @@ def transition_atlas(src: ReducedWord, dst: ReducedWord,
         cone, witness = _merge_cells(groups[matrix], k)
         for cell in groups[matrix]:
             bits_index[cell.bits] = len(regions)
-        regions.append(Region(matrix, cone, witness, len(groups[matrix])))
+        regions.append(Region(matrix, cone, witness))
     return RegionAtlas(src, dst, tuple(moves), tuple(regions), bits_index)
 
 
@@ -427,58 +370,12 @@ def standard_atlas(rank: int, moves: Optional[Sequence[Move]] = None) -> RegionA
     return transition_atlas(j, jp, moves)
 
 
-def facet_histogram(atlas: RegionAtlas) -> dict[int, int]:
-    return atlas.histogram()
-
-
 def evaluate(src: ReducedWord, dst: ReducedWord, point: Sequence,
              moves: Optional[Sequence[Move]] = None) -> tuple:
     """Exact image of one point under the transition map (branch-free)."""
     if moves is None:
-        moves = default_move_path(src, dst)
+        moves = find_move_path(src, dst)
     return evaluate_along(point, src.letters, moves)
-
-
-# ---------------------------------------------------------------------------
-# Determinants / rank (fraction-free Gaussian elimination)
-# ---------------------------------------------------------------------------
-
-def det(matrix: Sequence[Sequence[int]]) -> int:
-    n = len(matrix)
-    m = [list(map(int, row)) for row in matrix]
-    sign, prev = 1, 1
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot_row is None:
-            return 0
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            sign = -sign
-        for r in range(col + 1, n):
-            for c in range(col + 1, n):
-                m[r][c] = (m[col][col] * m[r][c] - m[r][col] * m[col][c]) // prev
-            m[r][col] = 0
-        prev = m[col][col]
-    return sign * m[n - 1][n - 1]
-
-
-def matrix_rank(rows: Sequence[Sequence[int]]) -> int:
-    m = [list(map(Fraction, row)) for row in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +417,6 @@ def match_spanned_regions(atlas: RegionAtlas) -> MatchReport:
     k = atlas.dim
     orth = nonneg_orthant(k)
     minimal = min(r.facet_count for r in atlas.regions)
-    minimal_total = sum(1 for r in atlas.regions if r.facet_count == minimal)
     matches = []
     used: set[int] = set()
     for cls in commutation_classes(rank):

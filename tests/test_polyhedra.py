@@ -1,19 +1,19 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from wordcones.polyhedra import (DegenerateConeError, NonPointedError,
-                                 cone_equal, cone_from_rays, dot,
+                                 cone_equal, cone_from_rays, det, dot,
                                  extreme_rays, hcone, implies, intersect,
                                  interior_point, irredundant_h, lp_feasible,
-                                 nonneg_orthant, primitive,
+                                 matrix_rank, nonneg_orthant, primitive,
                                  solve_inequalities, subtract_full_dim, vcone)
 
 
 def test_primitive_normalisation():
     assert primitive((4, -6, 0)) == (2, -3, 0)
     assert primitive((0, 0)) == (0, 0)
-    from fractions import Fraction
     assert primitive((Fraction(1, 2), Fraction(-3, 4))) == (2, -3)
 
 
@@ -46,7 +46,6 @@ def test_irredundant_drops_implied():
     c = hcone([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)], 3)
     red = irredundant_h(c)
     assert set(red.ineqs) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
-    assert red.irredundant
 
 
 def test_irredundant_each_facet_necessary():
@@ -227,3 +226,80 @@ def test_subtract_full_dim_covers():
     assert interior_point(remainder[0], 2) is not None
     gone = subtract_full_dim(remainder, ((-1, 1),), 2)
     assert gone == []
+
+
+def _fraction_rank(rows):
+    """Reference rank: Gauss-Jordan elimination over Fractions."""
+    m = [list(map(Fraction, row)) for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        m[rank] = [x / m[rank][col] for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def _fraction_det(matrix):
+    """Reference determinant: triangulation over Fractions."""
+    m = [list(map(Fraction, row)) for row in matrix]
+    out = Fraction(1)
+    for col in range(len(m)):
+        pivot = next((r for r in range(col, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            out = -out
+        out *= m[col][col]
+        for r in range(col + 1, len(m)):
+            f = m[r][col] / m[col][col]
+            m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return out
+
+
+def test_matrix_rank_edge_cases():
+    assert matrix_rank([]) == _fraction_rank([]) == 0
+    assert matrix_rank([[]]) == 0
+    assert matrix_rank([[0, 0, 0], [0, 0, 0]]) == 0
+    assert matrix_rank([[0, 0, 3]]) == 1
+    assert matrix_rank([[0, 1, 2, 3], [0, 2, 4, 7]]) == 2  # wide, skips col 0
+    assert matrix_rank([[1], [2], [0], [-5]]) == 1  # tall
+    assert det([]) == 1
+    assert det([[0, 1], [1, 0]]) == -1
+    assert det([[1, 2], [2, 4]]) == 0
+
+
+def test_matrix_rank_against_fraction_elimination():
+    rng = random.Random(17)
+    for _ in range(60):
+        nrows, ncols = rng.randrange(1, 7), rng.randrange(1, 7)
+        rows = [[rng.randrange(-3, 4) for _ in range(ncols)]
+                for _ in range(nrows)]
+        assert matrix_rank(rows) == _fraction_rank(rows)
+
+
+def test_matrix_rank_of_low_rank_products():
+    rng = random.Random(23)
+    for _ in range(40):
+        n, m, r = rng.randrange(2, 7), rng.randrange(2, 7), rng.randrange(0, 4)
+        a = [[rng.randrange(-4, 5) for _ in range(r)] for _ in range(n)]
+        b = [[rng.randrange(-4, 5) for _ in range(m)] for _ in range(r)]
+        prod = [[sum(a[i][t] * b[t][j] for t in range(r)) for j in range(m)]
+                for i in range(n)]
+        assert matrix_rank(prod) == _fraction_rank(prod) <= min(r, n, m)
+
+
+def test_det_against_fraction_elimination():
+    rng = random.Random(31)
+    for _ in range(100):
+        mat = [[rng.randrange(-5, 6) for _ in range(4)] for _ in range(4)]
+        assert det(mat) == _fraction_det(mat)
+    singular = [[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 1], [5, 0, 5, 0]]
+    assert det(singular) == _fraction_det(singular) == 0

@@ -12,10 +12,10 @@ from wordcones.regions import (RegionConvexityError, _merge_cells,
                                braid_move_count, class_region_isomorphism_report,
                                default_move_path, det, detour_move_path,
                                enumerate_cells, evaluate, match_spanned_regions,
-                               minimal_braid_path, orthant_restriction_analysis,
-                               region_graph, simplicial_decomposition,
-                               standard_atlas, transition_atlas)
-from wordcones.words import (is_connected, random_reduced_word,
+                               orthant_restriction_analysis, region_graph,
+                               simplicial_decomposition, standard_atlas,
+                               transition_atlas)
+from wordcones.words import (find_move_path, is_connected, random_reduced_word,
                              standard_words)
 
 
@@ -55,11 +55,10 @@ def test_rank1_atlas_is_trivial():
     assert atlas.regions[0].matrix == ((1,),)
 
 
-def test_minimal_braid_path_lengths():
-    for rank, expected in ((2, 1), (3, 4), (4, 10)):
+def test_default_path_braid_counts():
+    for rank, expected in ((2, 1), (3, 4), (4, 10), (5, 20)):
         j, jp = standard_words(rank)
-        path = minimal_braid_path(j, jp)
-        assert braid_move_count(path) == expected
+        assert braid_move_count(default_move_path(j, jp)) == expected
 
 
 def _standard_cells(rank):
@@ -265,6 +264,16 @@ def test_path_independence(atlas2, atlas3):
         other = transition_atlas(j, jp, alt)
         assert {(r.matrix, r.cone.ineqs) for r in atlas.regions} == \
             {(r.matrix, r.cone.ineqs) for r in other.regions}
+
+
+@pytest.mark.parametrize("rank, seed", [(3, 1), (3, 2), (3, 3), (4, 1)])
+def test_atlas_via_random_intermediate_word(rank, seed):
+    j, jp = standard_words(rank)
+    mid = random_reduced_word(rank, random.Random(seed))
+    moves = find_move_path(j, mid) + find_move_path(mid, jp)
+    other = transition_atlas(j, jp, moves)
+    assert {(r.matrix, r.cone.ineqs) for r in standard_atlas(rank).regions} == \
+        {(r.matrix, r.cone.ineqs) for r in other.regions}
 
 
 def test_transition_atlas_rejects_rank_mismatch():
