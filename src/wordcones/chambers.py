@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .words import ReducedWord
+from .words import ReducedWord, format_letters
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,7 @@ def _check_not_initial_terminal(members: frozenset[int], rank: int):
 
 
 def members_str(members: frozenset[int], rank: int) -> str:
-    if rank + 1 <= 9:
-        return "".join(str(x) for x in sorted(members))
-    return ",".join(str(x) for x in sorted(members))
+    return format_letters(tuple(sorted(members)), rank + 1)
 
 
 # ---------------------------------------------------------------------------

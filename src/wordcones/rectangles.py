@@ -196,9 +196,8 @@ def mirror_configuration(config: Configuration) -> Configuration:
     return _configuration_from_placed(config.rank, mirrored)
 
 
-def configuration_for_quiver(quiver: PartialQuiver, rank: Optional[int] = None
-                             ) -> Configuration:
-    return place_configuration(components(quiver), rank or quiver.rank)
+def configuration_for_quiver(quiver: PartialQuiver) -> Configuration:
+    return place_configuration(components(quiver), quiver.rank)
 
 
 def diagonal_counts(config: Configuration) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -342,11 +341,7 @@ def roots_of_box(box: tuple[int, int, int, int]) -> list[tuple[int, Root]]:
     return out
 
 
-def roots_of_rectangle(placed: PlacedRectangle) -> list[tuple[int, Root]]:
-    return roots_of_box((placed.u_lo, placed.u_hi, placed.w_lo, placed.w_hi))
-
-
-def corner_root_sets(quiver: PartialQuiver, rank: Optional[int] = None
+def corner_root_sets(quiver: PartialQuiver
                      ) -> list[tuple[CornerPoint, tuple[Root, ...]]]:
     """For each corner point V: the roots of its maximal rectangle strictly
     on V's side of the central line.
@@ -357,8 +352,7 @@ def corner_root_sets(quiver: PartialQuiver, rank: Optional[int] = None
     it would make the spanned cone degenerate); it is assigned to the left
     corner.
     """
-    rank = rank or quiver.rank
-    config = configuration_for_quiver(quiver, rank)
+    config = configuration_for_quiver(quiver)
     _, line_x = centre_and_central_line(config)
     line_2x = 2 * line_x
     lone_rectangle = len(config.placed) == 1
@@ -376,12 +370,12 @@ def corner_root_sets(quiver: PartialQuiver, rank: Optional[int] = None
     return out
 
 
-def phi_plus(quiver: PartialQuiver, rank: Optional[int] = None) -> frozenset[Root]:
+def phi_plus(quiver: PartialQuiver) -> frozenset[Root]:
     """Union of the corner root sets; asserted disjoint across corners."""
-    rank = rank or quiver.rank
+    rank = quiver.rank
     union: set[Root] = set()
     total = 0
-    for _, roots in corner_root_sets(quiver, rank):
+    for _, roots in corner_root_sets(quiver):
         for r in roots:
             if not (1 <= r[0] <= r[1] <= rank):
                 raise AssertionError(f"root {r} escapes rank {rank}")
@@ -394,12 +388,10 @@ def phi_plus(quiver: PartialQuiver, rank: Optional[int] = None) -> frozenset[Roo
     return frozenset(union)
 
 
-def quiver_vector(quiver: PartialQuiver, rank: Optional[int] = None
-                  ) -> tuple[int, ...]:
+def quiver_vector(quiver: PartialQuiver) -> tuple[int, ...]:
     """0/1 vector marking the roots of the quiver in the standard-word order."""
-    rank = rank or quiver.rank
-    j_word, _ = standard_words(rank)
-    roots = phi_plus(quiver, rank)
+    j_word, _ = standard_words(quiver.rank)
+    roots = phi_plus(quiver)
     return tuple(1 if r in roots else 0 for r in positive_root_order(j_word))
 
 
@@ -415,7 +407,7 @@ def spanning_vectors(word: ReducedWord) -> list[tuple[int, ...]]:
     """The k candidate spanning vectors of a word's linearity region:
     one per attached quiver plus one per generator."""
     from .quivers import quivers_for_word
-    vectors = [quiver_vector(q, word.rank) for q in quivers_for_word(word)]
+    vectors = [quiver_vector(q) for q in quivers_for_word(word)]
     vectors += [generator_vector(g, word.rank) for g in range(1, word.rank + 1)]
     return vectors
 
@@ -424,11 +416,9 @@ def spanning_vectors(word: ReducedWord) -> list[tuple[int, ...]]:
 # Rendering
 # ---------------------------------------------------------------------------
 
-def render_configuration_svg(quiver: PartialQuiver, rank: Optional[int] = None
-                             ) -> str:
+def render_configuration_svg(quiver: PartialQuiver) -> str:
     """Rectangle outlines with corner markers and the dashed central line."""
-    rank = rank or quiver.rank
-    config = configuration_for_quiver(quiver, rank)
+    config = configuration_for_quiver(quiver)
     (_, _), line_x = centre_and_central_line(config)
     corners = corner_points(config)
     scale, pad = 24, 30

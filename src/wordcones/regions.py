@@ -18,13 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .polyhedra import (HCone, Vector, VCone, cone_equal, det,
-                        dot, extreme_rays, hcone, interior_point,
+from .polyhedra import (HCone, Vector, VCone, cone_equal, cone_from_rays, det,
+                        dot, extreme_rays, hcone, implies, interior_point,
                         irredundant_h, matrix_rank, nonneg_orthant, primitive,
                         solve_inequalities, subtract_full_dim, vcone, vneg)
 from .words import (BRAID, COMMUTATION, Letters, Move, ReducedWord,
-                    apply_move_letters, class_graph, commutation_classes,
-                    find_move_path)
+                    apply_move_path, braids, class_graph, commutation_classes,
+                    commutes, find_move_path)
 
 
 class RegionConvexityError(AssertionError):
@@ -60,33 +60,37 @@ def braid_move_map():
     return ((+1, BRAID_LOW), (-1, BRAID_HIGH))
 
 
-def _walk(point: Sequence, moves: Iterable[Move]) -> tuple[tuple, str]:
+def _walk(point: Sequence, letters: Letters, moves: Iterable[Move]
+          ) -> tuple[tuple, str]:
     """Apply every move numerically: (image, branch bits of the braids).
 
-    A braid's bit is '1' on the a <= c branch, so ties go to that branch.
+    The letters travel with the point, so an illegal move raises ValueError
+    instead of mangling coordinates.  A braid's bit is '1' on the a <= c
+    branch, so ties go to that branch.
     """
     y = list(point)
+    w = list(letters)
     bits = []
     for mv in moves:
         t = mv.position - 1
-        if mv.kind == COMMUTATION:
+        if mv.kind == COMMUTATION and commutes(w, t):
             y[t], y[t + 1] = y[t + 1], y[t]
-        else:
+            w[t], w[t + 1] = w[t + 1], w[t]
+        elif mv.kind == BRAID and braids(w, t):
             bits.append("1" if y[t] <= y[t + 2] else "0")
             y[t], y[t + 1], y[t + 2] = apply_braid_triple(y[t], y[t + 1], y[t + 2])
+            w[t], w[t + 1], w[t + 2] = w[t + 1], w[t], w[t + 1]
+        else:
+            raise ValueError(f"{mv} is illegal on {tuple(w)}")
     return tuple(y), "".join(bits)
 
 
 def evaluate_along(point: Sequence, letters: Letters, moves: Iterable[Move]) -> tuple:
     """Branch-free exact evaluation: apply every move numerically.
 
-    The moves are first replayed against the word, so an illegal path raises
-    instead of silently mangling coordinates.
+    An illegal move for the word ``letters`` raises ValueError.
     """
-    moves = list(moves)
-    for mv in moves:
-        letters = apply_move_letters(letters, mv)
-    return _walk(point, moves)[0]
+    return _walk(point, letters, moves)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +175,7 @@ class RegionAtlas:
         return evaluate_along(point, self.src.letters, self.moves)
 
     def region_containing(self, point: Sequence) -> Region:
-        idx = self.bits_index.get(_walk(point, self.moves)[1])
+        idx = self.bits_index.get(_walk(point, self.src.letters, self.moves)[1])
         if idx is not None:
             return self.regions[idx]
         # a tie at a guard boundary can walk into a pruned branch; any region
@@ -196,17 +200,11 @@ def _swap_rows(rows: tuple[Vector, ...], t: int) -> tuple[Vector, ...]:
 
 
 def _braid_rows(rows: tuple[Vector, ...], t: int, low: bool) -> tuple[Vector, ...]:
-    a, b, c = rows[t], rows[t + 1], rows[t + 2]
-    out = list(rows)
-    if low:  # min(a, c) = a
-        out[t] = tuple(y + z - x for x, y, z in zip(a, b, c))
-        out[t + 1] = a
-        out[t + 2] = b
-    else:  # min(a, c) = c
-        out[t] = b
-        out[t + 1] = c
-        out[t + 2] = tuple(x + y - z for x, y, z in zip(a, b, c))
-    return tuple(out)
+    """Apply BRAID_LOW or BRAID_HIGH to the row triple at t."""
+    cols = tuple(zip(*rows[t:t + 3]))
+    triple = tuple(tuple(dot(coeffs, col) for col in cols)
+                   for coeffs in (BRAID_LOW if low else BRAID_HIGH))
+    return rows[:t] + triple + rows[t + 3:]
 
 
 def _generic_start(k: int) -> Vector:
@@ -219,25 +217,24 @@ def enumerate_cells(src: ReducedWord, moves: Sequence[Move]) -> list[Cell]:
 
     Each state carries an interior witness point, so the branch containing
     it is recognised for free and only the opposite branch costs one LP.
-    Duplicate guards short-circuit both directions without any LP.
+    Duplicate guards short-circuit both directions without any LP.  The
+    moves are taken to be legal for src; transition_atlas checks them.
     """
     k = len(src.letters)
     cells: list[Cell] = []
-    stack = [(0, src.letters, _identity(k), (), frozenset(), _generic_start(k), "")]
+    stack = [(0, _identity(k), (), frozenset(), _generic_start(k), "")]
     while stack:
-        idx, letters, rows, guards, gset, witness, bits = stack.pop()
+        idx, rows, guards, gset, witness, bits = stack.pop()
         while idx < len(moves):
             mv = moves[idx]
             t = mv.position - 1
             if mv.kind == COMMUTATION:
                 rows = _swap_rows(rows, t)
-                letters = apply_move_letters(letters, mv)
                 idx += 1
                 continue
             a, c = rows[t], rows[t + 2]
             g = primitive(tuple(z - x for x, z in zip(a, c)))
             assert any(g), "degenerate braid guard; matrix lost unimodularity"
-            letters = apply_move_letters(letters, mv)
             idx += 1
             if g in gset:
                 rows = _braid_rows(rows, t, low=True)
@@ -267,7 +264,7 @@ def enumerate_cells(src: ReducedWord, moves: Sequence[Move]) -> list[Cell]:
             assert take, "both branches of a braid move are infeasible"
             # continue along the first option; push the rest
             for low, gg, wit in take[1:]:
-                stack.append((idx, letters, _braid_rows(rows, t, low),
+                stack.append((idx, _braid_rows(rows, t, low),
                               guards + (gg,), gset | {gg}, wit,
                               bits + ("1" if low else "0")))
             low, gg, wit = take[0]
@@ -309,12 +306,7 @@ def _merge_cells(cells: list[Cell], k: int) -> tuple[HCone, Vector]:
         for cell, gset in zip(cells, gsets):
             if g in gset:
                 continue
-            if dot(g, cell.witness) < 0:
-                ok = False
-                break
-            counter = solve_inequalities(cell.guards + (vneg(g),),
-                                         [0] * len(cell.guards) + [1], k)
-            if counter is not None:
+            if dot(g, cell.witness) < 0 or not implies(cell.guards, g, k):
                 ok = False
                 break
         if ok:
@@ -334,6 +326,21 @@ def _merge_cells(cells: list[Cell], k: int) -> tuple[HCone, Vector]:
     return cone, cells[0].witness
 
 
+def _checked_path(src: ReducedWord, dst: ReducedWord,
+                  moves: Optional[Sequence[Move]]) -> list[Move]:
+    """The peel path when moves is None, else the given moves once they are
+    checked to transform src into dst; a path that does not raises."""
+    if src.rank != dst.rank:
+        raise ValueError("words have different ranks")
+    if moves is None:
+        return find_move_path(src, dst)
+    moves = list(moves)
+    end = apply_move_path(src, moves)
+    if end != dst:
+        raise ValueError(f"move path leads from {src} to {end}, not to {dst}")
+    return moves
+
+
 def transition_atlas(src: ReducedWord, dst: ReducedWord,
                      moves: Optional[Sequence[Move]] = None) -> RegionAtlas:
     """Atlas of the regions of linearity of the src-to-dst transition map.
@@ -342,12 +349,7 @@ def transition_atlas(src: ReducedWord, dst: ReducedWord,
     1.4 s under CPython 3.11 on one Xeon core; rank 5 is supported but the
     branch tree grows steeply with the braid count of the path.
     """
-    if src.rank != dst.rank:
-        raise ValueError("words have different ranks")
-    if moves is None:
-        moves = find_move_path(src, dst)
-    else:
-        moves = list(moves)
+    moves = _checked_path(src, dst, moves)
     k = len(src.letters)
     cells = enumerate_cells(src, moves)
     groups: dict[tuple[Vector, ...], list[Cell]] = {}
@@ -373,9 +375,7 @@ def standard_atlas(rank: int, moves: Optional[Sequence[Move]] = None) -> RegionA
 def evaluate(src: ReducedWord, dst: ReducedWord, point: Sequence,
              moves: Optional[Sequence[Move]] = None) -> tuple:
     """Exact image of one point under the transition map (branch-free)."""
-    if moves is None:
-        moves = find_move_path(src, dst)
-    return evaluate_along(point, src.letters, moves)
+    return evaluate_along(point, src.letters, _checked_path(src, dst, moves))
 
 
 # ---------------------------------------------------------------------------
@@ -481,25 +481,6 @@ class Decomposition:
     minimal: bool
 
 
-def _simplicial_hform(rays: Sequence[Vector], k: int) -> tuple[Vector, ...]:
-    """Facet normals of a simplicial cone: the cofactor-matrix rows, sign
-    fixed so that normal_a . ray_b = |det| . delta_ab."""
-    d = det(rays)
-    assert d != 0
-    n = len(rays)
-    sign = 1 if d > 0 else -1
-    normals = []
-    for a in range(n):
-        row = []
-        for i in range(n):
-            minor = [[rays[r][c] for c in range(n) if c != i]
-                     for r in range(n) if r != a]
-            entry = det(minor) if minor else 1
-            row.append(entry if (a + i) % 2 == 0 else -entry)
-        normals.append(primitive(tuple(sign * x for x in row)))
-    return tuple(normals)
-
-
 def simplicial_decomposition(cone: HCone, max_pieces: int = 8,
                              node_budget: int = 50_000) -> Decomposition:
     """Minimum-cardinality cover of a pointed full-dimensional cone by
@@ -520,12 +501,11 @@ def simplicial_decomposition(cone: HCone, max_pieces: int = 8,
     candidates = []
     for subset in combinations(rays, k):
         if det(subset) != 0:
-            candidates.append((subset, _simplicial_hform(subset, k)))
+            candidates.append((subset, cone_from_rays(VCone(k, subset)).ineqs))
     nodes = 0
 
     def overlap(h1, h2) -> bool:
-        rows = h1 + h2
-        return solve_inequalities(rows, [1] * len(rows), k) is not None
+        return interior_point(h1 + h2, k) is not None
 
     def search(remaining, chosen, budget, limit) -> Optional[list[int]]:
         nonlocal nodes

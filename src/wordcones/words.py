@@ -11,6 +11,7 @@ Words serialise as digit strings without separators while rank <= 9
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -149,23 +150,31 @@ class Move:
             raise ValueError("positions are 1-based")
 
 
+def commutes(w: Sequence[int], t: int) -> bool:
+    """Is a commutation move legal at site t >= 0 (0-based) of the word w?
+
+    >>> commutes((1, 3, 2), 0), commutes((1, 3, 2), 1)
+    (True, False)
+    """
+    return t + 1 < len(w) and abs(w[t] - w[t + 1]) >= 2
+
+
+def braids(w: Sequence[int], t: int) -> bool:
+    """Is a braid move legal at site t >= 0 (0-based) of the word w?
+
+    >>> braids((2, 1, 2), 0), braids((2, 3, 2), 0), braids((1, 3, 1), 0)
+    (True, True, False)
+    """
+    return t + 2 < len(w) and w[t] == w[t + 2] and abs(w[t] - w[t + 1]) == 1
+
+
 def apply_move_letters(letters: Letters, move: Move) -> Letters:
-    t = move.position - 1
-    if move.kind == COMMUTATION:
-        if t + 1 >= len(letters):
-            raise ValueError(f"commutation at {move.position} out of range")
-        a, b = letters[t], letters[t + 1]
-        if abs(a - b) < 2:
-            raise ValueError(
-                f"letters {a},{b} at position {move.position} do not commute")
-        return letters[:t] + (b, a) + letters[t + 2:]
-    if t + 2 >= len(letters):
-        raise ValueError(f"braid move at {move.position} out of range")
-    a, b, c = letters[t], letters[t + 1], letters[t + 2]
-    if a != c or abs(a - b) != 1:
-        raise ValueError(
-            f"letters {a},{b},{c} at position {move.position} admit no braid move")
-    return letters[:t] + (b, a, b) + letters[t + 3:]
+    w, t = letters, move.position - 1
+    if move.kind == COMMUTATION and commutes(w, t):
+        return w[:t] + (w[t + 1], w[t]) + w[t + 2:]
+    if move.kind == BRAID and braids(w, t):
+        return w[:t] + (w[t + 1], w[t], w[t + 1]) + w[t + 3:]
+    raise ValueError(f"{move} is illegal on {tuple(w)}")
 
 
 def apply_move(word: ReducedWord, move: Move) -> ReducedWord:
@@ -174,15 +183,9 @@ def apply_move(word: ReducedWord, move: Move) -> ReducedWord:
 
 
 def legal_moves(word: ReducedWord) -> list[Move]:
-    out = []
-    letters = word.letters
-    for t in range(len(letters) - 1):
-        if abs(letters[t] - letters[t + 1]) >= 2:
-            out.append(Move(COMMUTATION, t + 1))
-    for t in range(len(letters) - 2):
-        if letters[t] == letters[t + 2] and abs(letters[t] - letters[t + 1]) == 1:
-            out.append(Move(BRAID, t + 1))
-    return out
+    w = word.letters
+    return ([Move(COMMUTATION, t + 1) for t in range(len(w) - 1) if commutes(w, t)]
+            + [Move(BRAID, t + 1) for t in range(len(w) - 2) if braids(w, t)])
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +246,7 @@ def commutation_orbit(letters: Letters) -> frozenset[Letters]:
     while stack:
         w = stack.pop()
         for t in range(len(w) - 1):
-            if abs(w[t] - w[t + 1]) >= 2:
+            if commutes(w, t):
                 w2 = w[:t] + (w[t + 1], w[t]) + w[t + 2:]
                 if w2 not in seen:
                     seen.add(w2)
@@ -256,31 +259,31 @@ def class_canonical(word: ReducedWord) -> Letters:
     return min(commutation_orbit(word.letters))
 
 
+def _class_keys(rank: int) -> dict[Letters, Letters]:
+    """Every reduced word for w0 mapped to its class canonical (rank <= 5)."""
+    _check_enumeration_rank(rank)
+    key: dict[Letters, Letters] = {}
+    for w in iter_reduced_words(rank):
+        if w not in key:
+            orbit = commutation_orbit(w)
+            key.update(dict.fromkeys(orbit, min(orbit)))
+    return key
+
+
 def commutation_classes(rank: int) -> list[CommutationClass]:
     """Partition of all reduced words into commutation classes (rank <= 5)."""
-    _check_enumeration_rank(rank)
-    remaining = set(iter_reduced_words(rank))
-    classes = []
-    while remaining:
-        orbit = commutation_orbit(min(remaining))
-        remaining -= orbit
-        classes.append(CommutationClass(rank, min(orbit), len(orbit)))
-    return sorted(classes, key=lambda c: c.canonical)
+    sizes = Counter(_class_keys(rank).values())
+    return [CommutationClass(rank, c, n) for c, n in sorted(sizes.items())]
 
 
 def class_graph(rank: int) -> dict[Letters, frozenset[Letters]]:
     """Graph on commutation classes: edge = single braid move between members."""
-    _check_enumeration_rank(rank)
-    key: dict[Letters, Letters] = {}
-    for cls in commutation_classes(rank):
-        for member in commutation_orbit(cls.canonical):
-            key[member] = cls.canonical
+    key = _class_keys(rank)
     adj: dict[Letters, set[Letters]] = {c: set() for c in set(key.values())}
     for w, canon in key.items():
         for t in range(len(w) - 2):
-            if w[t] == w[t + 2] and abs(w[t] - w[t + 1]) == 1:
-                w2 = w[:t] + (w[t + 1], w[t], w[t + 1]) + w[t + 3:]
-                other = key[w2]
+            if braids(w, t):
+                other = key[apply_move_letters(w, Move(BRAID, t + 1))]
                 if other != canon:
                     adj[canon].add(other)
                     adj[other].add(canon)
@@ -331,7 +334,7 @@ def _surface(letters: Letters, rank: int, g: int) -> tuple[list[Move], Letters]:
     moves_tail, tail = _surface(letters[1:], rank, g)
     moves = _shift(moves_tail, 1)
     current = (h,) + tail
-    if abs(h - g) >= 2:
+    if commutes(current, 0):
         mv = Move(COMMUTATION, 1)
     else:
         moves_rest, rest = _surface(tail[1:], rank, h)
@@ -392,11 +395,6 @@ def positive_root_order(word: ReducedWord) -> tuple[Root, ...]:
         perm[g - 1], perm[g] = perm[g], perm[g - 1]
     assert len(set(roots)) == len(roots)
     return tuple(roots)
-
-
-def root_str(root: Root) -> str:
-    p, q = root
-    return "+".join(f"a{i}" for i in range(p, q + 1))
 
 
 def standard_words(rank: int) -> tuple[ReducedWord, ReducedWord]:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -15,8 +16,8 @@ from wordcones.regions import (RegionConvexityError, _merge_cells,
                                orthant_restriction_analysis, region_graph,
                                simplicial_decomposition, standard_atlas,
                                transition_atlas)
-from wordcones.words import (find_move_path, is_connected, random_reduced_word,
-                             standard_words)
+from wordcones.words import (BRAID, COMMUTATION, Move, find_move_path,
+                             is_connected, random_reduced_word, standard_words)
 
 
 def test_braid_triple_examples():
@@ -281,6 +282,25 @@ def test_transition_atlas_rejects_rank_mismatch():
     j3, _ = standard_words(3)
     with pytest.raises(ValueError):
         transition_atlas(j2, j3)
+
+
+@pytest.mark.parametrize("moves", [[Move(COMMUTATION, 1)], []])
+def test_path_must_end_at_destination(moves):
+    j, jp = standard_words(3)
+    with pytest.raises(ValueError):
+        transition_atlas(j, jp, moves)
+    with pytest.raises(ValueError):
+        evaluate(j, jp, (1, 2, 3, 4, 5, 6), moves)
+
+
+def test_walk_rejects_illegal_move(atlas3):
+    from wordcones.regions import evaluate_along
+    x = (1, 2, 3, 4, 5, 6)
+    with pytest.raises(ValueError):
+        evaluate_along(x, atlas3.src.letters, [Move(BRAID, 1)])  # 1,3,2
+    bad = replace(atlas3, moves=(Move(COMMUTATION, 2),) + atlas3.moves)  # 3,2
+    with pytest.raises(ValueError):
+        bad.region_containing(x)
 
 
 def test_atlas_between_random_words_is_consistent():

@@ -4,9 +4,9 @@ from math import factorial
 import pytest
 
 from wordcones.words import (BRAID, COMMUTATION, Move, ReducedWord,
-                             apply_move, apply_move_path, class_canonical,
-                             class_graph, commutation_classes,
-                             commutation_orbit, enumerate_reduced_words,
+                             apply_move, apply_move_path, braids,
+                             class_canonical, class_graph, commutation_classes,
+                             commutation_orbit, commutes, enumerate_reduced_words,
                              find_move_path, is_connected, is_reduced,
                              legal_moves, longest_word_length, parse_word,
                              positive_root_order, random_reduced_word,
@@ -112,6 +112,26 @@ def test_apply_move_rejects_illegal():
         apply_move(w, Move(BRAID, 2))  # letters 2,1,3
     with pytest.raises(ValueError):
         apply_move(w, Move(BRAID, 5))  # out of range
+
+
+def test_move_predicates_match_rewrite_oracle():
+    # a site admits a move exactly when the rewritten word is another
+    # reduced word for w0 (swap for commutations, aba -> bab for braids)
+    for rank in (2, 3, 4):
+        for word in enumerate_reduced_words(rank):
+            w = word.letters
+            for t in range(len(w) + 1):
+                swapped = w[:t] + w[t + 1:t + 2] + w[t:t + 1] + w[t + 2:]
+                assert commutes(w, t) == (
+                    t + 1 < len(w) and swapped != w
+                    and is_reduced(swapped, rank) == (True, True))
+                braided = w[:t] + w[t + 1:t + 2] + w[t:t + 2] + w[t + 3:]
+                assert braids(w, t) == (
+                    t + 2 < len(w) and w[t] == w[t + 2]
+                    and is_reduced(braided, rank) == (True, True))
+            assert legal_moves(word) == (
+                [Move(COMMUTATION, t + 1) for t in range(len(w)) if commutes(w, t)]
+                + [Move(BRAID, t + 1) for t in range(len(w)) if braids(w, t)])
 
 
 def test_find_move_path_trivial_and_braid():
