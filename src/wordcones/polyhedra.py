@@ -50,6 +50,10 @@ def primitive(vec: Iterable) -> Vector:
     >>> primitive((4, -6, 0))
     (2, -3, 0)
     """
+    vec = tuple(vec)
+    if all(type(x) is int for x in vec):
+        g = gcd(*vec)
+        return vec if g <= 1 else tuple(x // g for x in vec)
     fracs = [Fraction(x) for x in vec]
     denom = 1
     for f in fracs:
@@ -355,18 +359,19 @@ def double_description(ineqs: Sequence[Vector], dim: int
     lines).  While a constraint meets the lineality space it trades one line
     for a ray; afterwards the classic ray-pairing step with the combinatorial
     adjacency test keeps only extreme rays.
+
+    Zero sets are int bit masks (bit i: the i-th processed normal vanishes),
+    set as rays are made, never recomputed: lines vanish on every processed
+    normal, and a paired ray vanishes exactly where both parents do.  An
+    adjacent pair shares at least dim - len(lines) - 2 zeros (Fukuda-Prodon).
     """
     lines: list[Vector] = [tuple(1 if i == j else 0 for j in range(dim))
                            for i in range(dim)]
-    rays: list[Vector] = []
-    processed: list[Vector] = []
-
-    def zeroset(r: Vector) -> frozenset[int]:
-        return frozenset(i for i, a in enumerate(processed) if dot(a, r) == 0)
-
+    zeros: dict[Vector, int] = {}  # ray -> zero-set mask, in output order
+    bit = 1
     for a in ineqs:
         a = primitive(a)
-        if all(x == 0 for x in a):
+        if not any(a):
             continue
         dl = [dot(a, l) for l in lines]
         pivot = next((i for i, d in enumerate(dl) if d != 0), None)
@@ -380,35 +385,36 @@ def double_description(ineqs: Sequence[Vector], dim: int
                     continue
                 new_lines.append(primitive(
                     tuple(dz * x - dl[i] * y for x, y in zip(l, z))))
-            new_rays = []
-            for r in rays:
+            projected = []
+            for r, m in zeros.items():
                 dr = dot(a, r)
-                new_rays.append(primitive(
-                    tuple(dz * x - dr * y for x, y in zip(r, z))))
-            new_rays.append(z)
+                projected.append((primitive(dz * x - dr * y
+                                            for x, y in zip(r, z)), m | bit))
             lines = new_lines
-            rays = list(dict.fromkeys(new_rays))
+            zeros = dict(projected + [(z, bit - 1)])
         else:
-            pos = [r for r in rays if dot(a, r) > 0]
-            neg = [r for r in rays if dot(a, r) < 0]
+            ds = {r: dot(a, r) for r in zeros}
+            pos = [r for r, d in ds.items() if d > 0]
+            zero = [r for r, d in ds.items() if d == 0]
+            neg = [r for r, d in ds.items() if d < 0]
+            for r in zero:
+                zeros[r] |= bit
             if neg:
-                zero = [r for r in rays if dot(a, r) == 0]
-                keep = pos + zero
-                zsets = {r: zeroset(r) for r in rays}
+                need = dim - len(lines) - 2
                 new = []
                 for p in pos:
-                    dp = dot(a, p)
                     for n in neg:
-                        common = zsets[p] & zsets[n]
-                        if any(common <= zsets[r] for r in rays
-                               if r is not p and r is not n):
+                        common = zeros[p] & zeros[n]
+                        if common.bit_count() < need or any(
+                                common & m == common for r, m in zeros.items()
+                                if r is not p and r is not n):
                             continue
-                        dn = dot(a, n)
-                        new.append(primitive(
-                            tuple(dp * x - dn * y for x, y in zip(n, p))))
-                rays = list(dict.fromkeys(keep + new))
-        processed.append(a)
-    return lines, rays
+                        new.append((primitive(ds[p] * x - ds[n] * y
+                                              for x, y in zip(n, p)),
+                                    common | bit))
+                zeros = dict([(r, zeros[r]) for r in pos + zero] + new)
+        bit <<= 1
+    return lines, list(zeros)
 
 
 def extreme_rays(cone: HCone) -> VCone:

@@ -255,8 +255,26 @@ def commutation_orbit(letters: Letters) -> frozenset[Letters]:
 
 
 def class_canonical(word: ReducedWord) -> Letters:
-    """Reproducible class key: the lexicographic minimum over the orbit."""
-    return min(commutation_orbit(word.letters))
+    """Reproducible class key: the lexicographic minimum over the orbit.
+
+    The orbit is the set of linear extensions of the word's heap, so its
+    minimum is built greedily without the orbit: take out the smallest letter
+    that commutes with (differs by at least 2 from) every letter before it,
+    and repeat.  Equal letters never commute, so the choice is unique.
+
+    >>> class_canonical(ReducedWord(3, (2, 3, 1, 2, 3, 1)))
+    (2, 1, 3, 2, 1, 3)
+    """
+    rest, out = list(word.letters), []
+    while rest:
+        blocked: set[int] = set()
+        free = []
+        for i, g in enumerate(rest):
+            if g not in blocked:
+                free.append(i)
+            blocked.update((g - 1, g, g + 1))
+        out.append(rest.pop(min(free, key=rest.__getitem__)))
+    return tuple(out)
 
 
 def _class_keys(rank: int) -> dict[Letters, Letters]:

@@ -1,20 +1,58 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 
+from wordcones.lusztig import lusztig_cone
 from wordcones.polyhedra import (DegenerateConeError, NonPointedError,
                                  cone_equal, cone_from_rays, det, dot,
-                                 extreme_rays, hcone, implies, intersect,
-                                 interior_point, irredundant_h, lp_feasible,
-                                 matrix_rank, nonneg_orthant, primitive,
-                                 solve_inequalities, subtract_full_dim, vcone)
+                                 double_description, extreme_rays, hcone,
+                                 implies, intersect, interior_point,
+                                 irredundant_h, lp_feasible, matrix_rank,
+                                 nonneg_orthant, primitive, solve_inequalities,
+                                 subtract_full_dim, vcone, vneg)
+from wordcones.rectangles import spanning_vectors
+from wordcones.regions import orthant_restriction_analysis
+from wordcones.words import random_reduced_word
 
 
 def test_primitive_normalisation():
     assert primitive((4, -6, 0)) == (2, -3, 0)
     assert primitive((0, 0)) == (0, 0)
     assert primitive((Fraction(1, 2), Fraction(-3, 4))) == (2, -3)
+
+
+def _reference_primitive(vec):
+    """primitive without the integer fast path: every entry goes through
+    Fraction."""
+    fracs = [Fraction(x) for x in vec]
+    denom = 1
+    for f in fracs:
+        denom = denom * f.denominator // gcd(denom, f.denominator)
+    ints = [int(f * denom) for f in fracs]
+    g = 0
+    for x in ints:
+        g = gcd(g, x)
+    if g == 0:
+        return tuple(0 for _ in ints)
+    return tuple(x // g for x in ints)
+
+
+def test_primitive_matches_fraction_reference():
+    rng = random.Random(4)
+    cases = [(3, -5, 7), (1,), (4, -6, 0), (-8, -12), (-3, 0, -9), (0, 7, 0),
+             (2 ** 70, -2 ** 71), (0, 0, 0), (), [6, 9],
+             (Fraction(1, 2), Fraction(-3, 4)), (Fraction(4), Fraction(-6)),
+             (Fraction(2, 3), 4), (6, Fraction(-3), 0),
+             (True, False, True), (True, 2), (False,)]
+    cases += [tuple(rng.randrange(-9, 10) * rng.choice((1, 2, 6))
+                    for _ in range(rng.randrange(6))) for _ in range(200)]
+    for vec in cases:
+        got = primitive(vec)
+        assert got == _reference_primitive(vec), vec
+        assert type(got) is tuple and all(type(x) is int for x in got), vec
 
 
 def test_lp_feasible_examples():
@@ -119,6 +157,111 @@ def test_round_trip_random_cones():
             v2 = extreme_rays(h)
             assert cone_equal(cone_from_rays(v2), h)
             assert set(v2.rays) <= set(v.rays)
+
+
+def _reference_double_description(ineqs, dim):
+    """double_description before zero sets became bit masks, verbatim but
+    for the Fraction-only primitive; the oracle for rays, lines and order."""
+    lines = [tuple(1 if i == j else 0 for j in range(dim))
+             for i in range(dim)]
+    rays = []
+    processed = []
+
+    def zeroset(r):
+        return frozenset(i for i, a in enumerate(processed) if dot(a, r) == 0)
+
+    for a in ineqs:
+        a = _reference_primitive(a)
+        if all(x == 0 for x in a):
+            continue
+        dl = [dot(a, l) for l in lines]
+        pivot = next((i for i, d in enumerate(dl) if d != 0), None)
+        if pivot is not None:
+            z, dz = lines[pivot], dl[pivot]
+            if dz < 0:
+                z, dz = vneg(z), -dz
+            new_lines = []
+            for i, l in enumerate(lines):
+                if i == pivot:
+                    continue
+                new_lines.append(_reference_primitive(
+                    tuple(dz * x - dl[i] * y for x, y in zip(l, z))))
+            new_rays = []
+            for r in rays:
+                dr = dot(a, r)
+                new_rays.append(_reference_primitive(
+                    tuple(dz * x - dr * y for x, y in zip(r, z))))
+            new_rays.append(z)
+            lines = new_lines
+            rays = list(dict.fromkeys(new_rays))
+        else:
+            pos = [r for r in rays if dot(a, r) > 0]
+            neg = [r for r in rays if dot(a, r) < 0]
+            if neg:
+                zero = [r for r in rays if dot(a, r) == 0]
+                keep = pos + zero
+                zsets = {r: zeroset(r) for r in rays}
+                new = []
+                for p in pos:
+                    dp = dot(a, p)
+                    for n in neg:
+                        common = zsets[p] & zsets[n]
+                        if any(common <= zsets[r] for r in rays
+                               if r is not p and r is not n):
+                            continue
+                        dn = dot(a, n)
+                        new.append(_reference_primitive(
+                            tuple(dp * x - dn * y for x, y in zip(n, p))))
+                rays = list(dict.fromkeys(keep + new))
+        processed.append(a)
+    return lines, rays
+
+
+def _same_as_reference(ineqs, dim):
+    got = double_description(ineqs, dim)
+    assert got == _reference_double_description(ineqs, dim), (ineqs, dim)
+    return got
+
+
+def test_double_description_matches_reference_on_random_cones():
+    rng = random.Random(31)
+    shapes = set()
+    for dim in range(2, 8):
+        for _ in range(40):
+            rows = [tuple(rng.randrange(-3, 4) for _ in range(dim))
+                    for _ in range(rng.randrange(13))]
+            if rng.random() < 0.5:
+                rows += list(nonneg_orthant(dim).ineqs)
+                rng.shuffle(rows)
+            lines, rays = _same_as_reference(rows, dim)
+            shapes.add((bool(lines), bool(rays)))
+    # pointed, the origin alone, a linear subspace, a non-pointed wedge
+    assert shapes == {(False, True), (False, False), (True, False), (True, True)}
+
+
+def test_double_description_matches_reference_on_rank5_words():
+    rng = random.Random(5)
+    for _ in range(100):
+        w = random_reduced_word(5, rng)
+        h = lusztig_cone(w).with_nonneg()
+        _same_as_reference(h.ineqs, h.dim)
+        v = vcone(spanning_vectors(w), len(w.letters))
+        _same_as_reference(v.rays, v.dim)
+
+
+def test_double_description_matches_reference_on_simplicial_candidates(atlas3):
+    k, seen = atlas3.dim, 0
+    for r in orthant_restriction_analysis(atlas3):
+        if r.region_facets != 4:
+            continue
+        cone = irredundant_h(hcone(atlas3.regions[r.region_index].cone.ineqs
+                                   + nonneg_orthant(k).ineqs, k))
+        _same_as_reference(cone.ineqs, k)
+        for subset in combinations(extreme_rays(cone).rays, k):
+            if det(subset) != 0:
+                _same_as_reference(subset, k)
+                seen += 1
+    assert seen == 20
 
 
 def _kernel_direction(rows, dim):

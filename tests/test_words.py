@@ -3,12 +3,14 @@ from math import factorial
 
 import pytest
 
+from wordcones import words
 from wordcones.words import (BRAID, COMMUTATION, Move, ReducedWord,
                              apply_move, apply_move_path, braids,
                              class_canonical, class_graph, commutation_classes,
                              commutation_orbit, commutes, enumerate_reduced_words,
                              find_move_path, is_connected, is_reduced,
-                             legal_moves, longest_word_length, parse_word,
+                             iter_reduced_words, legal_moves,
+                             longest_word_length, parse_word,
                              positive_root_order, random_reduced_word,
                              standard_words)
 
@@ -234,6 +236,27 @@ def test_class_canonical_consistency():
         for _ in range(10):
             w = random_reduced_word(rank, rng)
             assert class_canonical(w) in canon
+
+
+def test_class_canonical_is_orbit_minimum():
+    for rank in (1, 2, 3, 4):
+        for w in iter_reduced_words(rank):
+            assert class_canonical(ReducedWord(rank, w)) == min(commutation_orbit(w))
+    rng = random.Random(11)
+    for _ in range(300):
+        w = random_reduced_word(5, rng)
+        assert class_canonical(w) == min(commutation_orbit(w.letters))
+
+
+def test_class_canonical_walks_no_orbit(monkeypatch):
+    w = random_reduced_word(5, random.Random(7))
+    want = min(commutation_orbit(w.letters))
+
+    def no_orbit(letters):
+        raise AssertionError("class_canonical walked the commutation orbit")
+
+    monkeypatch.setattr(words, "commutation_orbit", no_orbit)
+    assert class_canonical(w) == want
 
 
 def test_class_graph():
