@@ -216,17 +216,8 @@ def cmd_regions(args) -> int:
     if args.isomorphism:
         payload["isomorphism"] = class_region_isomorphism_report(atlas)
     if args.json_file:
-        artifact = {
-            "rank": args.rank,
-            "src": str(atlas.src),
-            "dst": str(atlas.dst),
-            "regions": [{"matrix": [[str(x) for x in row] for row in r.matrix],
-                         "ineqs": [[str(x) for x in a] for a in r.cone.ineqs],
-                         "facets": r.facet_count}
-                        for r in atlas.regions],
-        }
         with open(args.json_file, "w", encoding="utf-8") as fh:
-            json.dump(artifact, fh, indent=2, sort_keys=True)
+            json.dump(atlas.to_json(), fh, indent=2, sort_keys=True)
             fh.write("\n")
         payload["written"] = args.json_file
     _emit(payload)

@@ -26,6 +26,10 @@ class DegenerateConeError(ValueError):
     """Raised when an operation needs a full-dimensional cone and got less."""
 
 
+class InvariantError(RuntimeError):
+    """A proven invariant failed: a bug, not bad input (survives -O)."""
+
+
 class NonPointedError(ValueError):
     """Raised when an operation needs a pointed cone; carries a witness line."""
 
@@ -190,7 +194,7 @@ def matrix_rank(rows: Sequence[Sequence[int]]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Exact linear programming (phase-1 simplex with integer pivoting)
+# Exact linear programming: the test oracle (phase-1 simplex, integer pivots)
 # ---------------------------------------------------------------------------
 
 _MAX_PIVOTS = 100_000
@@ -199,6 +203,9 @@ _MAX_PIVOTS = 100_000
 def solve_inequalities(rows: Sequence[Vector], rhs: Sequence[int], dim: int
                        ) -> Optional[tuple[Fraction, ...]]:
     """Find x with rows[i] . x >= rhs[i] for all i, or None if infeasible.
+
+    The library answers cone questions from generators (below); the tests
+    check those answers against this independent simplex.
 
     Phase-1 simplex on the standard form with x = x+ - x-.  Bland's rule
     guarantees termination; the tableau is kept in scaled-integer form
@@ -297,58 +304,8 @@ def solve_inequalities(rows: Sequence[Vector], rhs: Sequence[int], dim: int
     return point
 
 
-def lp_feasible(cone: HCone, strict: Iterable[int] = ()) -> bool:
-    """Is there a point satisfying the cone, strictly on the flagged normals?
-
-    Indices in ``strict`` refer to positions in ``cone.ineqs`` (0-based).
-    Empty systems are feasible.  Strictness is scale-free: a . x > 0 has a
-    solution iff a . x >= 1 does.
-    """
-    strict = set(strict)
-    rhs = [1 if i in strict else 0 for i in range(len(cone.ineqs))]
-    return solve_inequalities(cone.ineqs, rhs, cone.dim) is not None
-
-
-def interior_point(ineqs: Sequence[Vector], dim: int) -> Optional[Vector]:
-    """An integer point satisfying every inequality strictly, or None."""
-    sol = solve_inequalities(ineqs, [1] * len(ineqs), dim)
-    if sol is None:
-        return None
-    if len(ineqs) == 0:
-        return tuple([1] + [0] * (dim - 1)) if dim else ()
-    return primitive(sol)
-
-
-def implies(ineqs: Sequence[Vector], a: Vector, dim: int) -> bool:
-    """Does a . x >= 0 hold on all of {x : ineqs}?  (One exact LP.)"""
-    rows = list(ineqs) + [vneg(a)]
-    rhs = [0] * len(ineqs) + [1]
-    return solve_inequalities(rows, rhs, dim) is None
-
-
-def irredundant_h(cone: HCone) -> HCone:
-    """Minimal inequality sub-list defining the same full-dimensional cone.
-
-    For a full-dimensional cone this is the facet list, unique up to positive
-    scaling.  Raises DegenerateConeError when the cone has empty interior.
-    """
-    if interior_point(cone.ineqs, cone.dim) is None:
-        raise DegenerateConeError(
-            f"cone is not full-dimensional ({len(cone.ineqs)} inequalities in "
-            f"dimension {cone.dim})")
-    keep = list(dict.fromkeys(primitive(a) for a in cone.ineqs))
-    i = 0
-    while i < len(keep):
-        rest = keep[:i] + keep[i + 1:]
-        if implies(rest, keep[i], cone.dim):
-            keep.pop(i)
-        else:
-            i += 1
-    return HCone(cone.dim, tuple(sorted(keep)))
-
-
 # ---------------------------------------------------------------------------
-# Double description
+# Double description, and the cone questions its generators answer
 # ---------------------------------------------------------------------------
 
 def double_description(ineqs: Sequence[Vector], dim: int
@@ -417,6 +374,64 @@ def double_description(ineqs: Sequence[Vector], dim: int
     return lines, list(zeros)
 
 
+def holds_on(a: Sequence, lines: Sequence, rays: Sequence) -> bool:
+    """Does a . x >= 0 hold on the cone with these generators?"""
+    return (all(dot(a, l) == 0 for l in lines)
+            and all(dot(a, r) >= 0 for r in rays))
+
+
+def lp_feasible(cone: HCone, strict: Iterable[int] = ()) -> bool:
+    """Is there a point satisfying the cone, strictly on the flagged normals?
+
+    Indices in ``strict`` refer to positions in ``cone.ineqs`` (0-based).
+    Yes iff each flagged normal is positive on some ray (then on their sum).
+    """
+    _, rays = double_description(cone.ineqs, cone.dim)
+    return all(any(dot(cone.ineqs[i], r) > 0 for r in rays)
+               for i in set(strict))
+
+
+def interior_point(ineqs: Sequence[Vector], dim: int) -> Optional[Vector]:
+    """An integer point satisfying every inequality strictly, or None.
+
+    None unless the generators span R^dim; otherwise the primitive sum of
+    the rays, which a non-zero normal can only vanish on if it vanishes on
+    the whole cone.
+    """
+    if not all(map(any, ineqs)):  # 0 . x > 0 has no solution
+        return None
+    lines, rays = double_description(ineqs, dim)
+    if matrix_rank(lines + rays) != dim:
+        return None
+    point = primitive(sum(r[i] for r in rays) for i in range(dim))
+    if not all(dot(a, point) > 0 for a in ineqs):
+        raise InvariantError(f"ray sum {point} is not interior to {ineqs}")
+    return point
+
+
+def implies(ineqs: Sequence[Vector], a: Vector, dim: int) -> bool:
+    """Does a . x >= 0 hold on all of {x : ineqs}?"""
+    return holds_on(a, *double_description(ineqs, dim))
+
+
+def irredundant_h(cone: HCone) -> HCone:
+    """Facet list of a full-dimensional cone, primitive and sorted.
+
+    A normal is a facet iff the lines and the rays it vanishes on span its
+    face, of rank dim - 1.  Raises DegenerateConeError when the cone has
+    empty interior (its generators do not span R^dim).
+    """
+    lines, rays = double_description(cone.ineqs, cone.dim)
+    if matrix_rank(lines + rays) != cone.dim:
+        raise DegenerateConeError(
+            f"cone is not full-dimensional ({len(cone.ineqs)} inequalities in "
+            f"dimension {cone.dim})")
+    keep = {a for a in map(primitive, cone.ineqs)
+            if matrix_rank(lines + [r for r in rays if dot(a, r) == 0])
+            == cone.dim - 1}
+    return HCone(cone.dim, tuple(sorted(keep)))
+
+
 def extreme_rays(cone: HCone) -> VCone:
     """Complete set of primitive extreme rays of a pointed cone."""
     lines, rays = double_description(cone.ineqs, cone.dim)
@@ -453,24 +468,25 @@ def _as_hcone(c) -> HCone:
 def _contained(a, b) -> bool:
     """Is cone a a subset of cone b?
 
-    A V-form ``a`` is inside ``b`` when each of its rays satisfies b's
-    inequalities.  For an H-form ``a``, a normal of ``b`` that already appears
-    among a's normals holds trivially; only the others cost an LP.
+    Yes iff every generator of ``a`` satisfies b's inequalities.  An H-form
+    ``a`` gets its generators by double description, unless every normal of
+    ``b`` already appears among a's normals and so holds trivially.
     """
     hb = _as_hcone(b)
     if isinstance(a, VCone):
         return all(dot(g, r) >= 0 for g in hb.ineqs for r in a.rays)
     ha = _as_hcone(a)
     known = {primitive(g) for g in ha.ineqs}
-    return all(primitive(g) in known or implies(ha.ineqs, g, ha.dim)
-               for g in hb.ineqs)
+    rest = [g for g in hb.ineqs if primitive(g) not in known]
+    gens = double_description(ha.ineqs, ha.dim) if rest else ((), ())
+    return all(holds_on(g, *gens) for g in rest)
 
 
 def cone_equal(a, b) -> bool:
     """Set equality of two cones (H or V form) via mutual containment.
 
     Equal cones given by their facets, or by rays on one side, compare
-    without any LP.
+    without double description of an H-form.
     """
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")

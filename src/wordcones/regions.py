@@ -7,7 +7,7 @@ coordinates, a braid move acts on the local triple by
     (a, b, c)  ->  (b + c - min(a, c), min(a, c), a + b - min(a, c)),
 
 an involution that is linear on each side of the guard a <= c.  Enumerating
-the branch choices with exact-LP pruning, then merging all full-dimensional
+the branch choices with exact pruning, then merging all full-dimensional
 leaf cells that share one matrix, yields the atlas of regions of linearity
 with certified-convex, irredundant cone descriptions.  The atlas lives in the
 coordinates of the source word; it is independent of the chosen move path.
@@ -18,10 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .polyhedra import (HCone, Vector, VCone, cone_equal, cone_from_rays, det,
-                        dot, extreme_rays, hcone, implies, interior_point,
-                        irredundant_h, matrix_rank, nonneg_orthant, primitive,
-                        solve_inequalities, subtract_full_dim, vcone, vneg)
+from .polyhedra import (DegenerateConeError, HCone, InvariantError, Vector,
+                        VCone, cone_equal, cone_from_rays, det, dot,
+                        double_description, extreme_rays, hcone, holds_on,
+                        interior_point, irredundant_h, matrix_rank,
+                        nonneg_orthant, primitive, subtract_full_dim, vcone,
+                        vneg)
 from .words import (BRAID, COMMUTATION, Letters, Move, ReducedWord,
                     apply_move_path, braids, class_graph, commutation_classes,
                     commutes, find_move_path)
@@ -188,6 +190,14 @@ class RegionAtlas:
     def regions_containing(self, point: Sequence) -> list[Region]:
         return [r for r in self.regions if r.cone.contains(point)]
 
+    def to_json(self) -> dict:
+        """The artifact `wordcones regions --json` writes."""
+        def strs(rows):
+            return [[str(x) for x in row] for row in rows]
+        return {"rank": self.src.rank, "src": str(self.src), "dst": str(self.dst),
+                "regions": [{"matrix": strs(r.matrix), "ineqs": strs(r.cone.ineqs),
+                             "facets": r.facet_count} for r in self.regions]}
+
 
 def _identity(k: int) -> tuple[Vector, ...]:
     return tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
@@ -213,11 +223,11 @@ def _generic_start(k: int) -> Vector:
 
 
 def enumerate_cells(src: ReducedWord, moves: Sequence[Move]) -> list[Cell]:
-    """Depth-first branch enumeration with exact-LP pruning.
+    """Depth-first branch enumeration, pruning branches with empty interior.
 
-    Each state carries an interior witness point, so the branch containing
-    it is recognised for free and only the opposite branch costs one LP.
-    Duplicate guards short-circuit both directions without any LP.  The
+    Each state carries an interior witness point; a side of a braid guard
+    keeps it when strictly on that side, else asks interior_point and is
+    pruned on None.  Duplicate guards decide the branch outright.  The
     moves are taken to be legal for src; transition_atlas checks them.
     """
     k = len(src.letters)
@@ -234,7 +244,8 @@ def enumerate_cells(src: ReducedWord, moves: Sequence[Move]) -> list[Cell]:
                 continue
             a, c = rows[t], rows[t + 2]
             g = primitive(tuple(z - x for x, z in zip(a, c)))
-            assert any(g), "degenerate braid guard; matrix lost unimodularity"
+            if not any(g):
+                raise InvariantError("degenerate braid guard")
             idx += 1
             if g in gset:
                 rows = _braid_rows(rows, t, low=True)
@@ -244,24 +255,14 @@ def enumerate_cells(src: ReducedWord, moves: Sequence[Move]) -> list[Cell]:
                 rows = _braid_rows(rows, t, low=False)
                 bits += "0"
                 continue
-            val = dot(g, witness)
             take: list[tuple[bool, Vector, Vector]] = []  # (low, guard, witness)
-            if val > 0:
-                take.append((True, g, witness))
-                other = interior_point(guards + (vneg(g),), k)
-                if other is not None:
-                    take.append((False, vneg(g), other))
-            elif val < 0:
-                take.append((False, vneg(g), witness))
-                other = interior_point(guards + (g,), k)
-                if other is not None:
-                    take.append((True, g, other))
-            else:
-                for low, gg in ((True, g), (False, vneg(g))):
-                    pt = interior_point(guards + (gg,), k)
-                    if pt is not None:
-                        take.append((low, gg, pt))
-            assert take, "both branches of a braid move are infeasible"
+            for low, gg in ((True, g), (False, vneg(g))):
+                wit = (witness if dot(gg, witness) > 0
+                       else interior_point(guards + (gg,), k))
+                if wit is not None:
+                    take.append((low, gg, wit))
+            if not take:
+                raise InvariantError("both braid branches are empty")
             # continue along the first option; push the rest
             for low, gg, wit in take[1:]:
                 stack.append((idx, _braid_rows(rows, t, low),
@@ -281,9 +282,9 @@ def _merge_cells(cells: list[Cell], k: int) -> tuple[HCone, Vector]:
     """Certified-convex union of same-matrix cells, as an irredundant cone.
 
     The candidate cone C is cut out by the member-cell inequalities valid on
-    every member (an LP per member, unless its witness already refutes the
-    inequality), so C contains the union.  If the union is convex, C is exactly the union,
-    since every facet of a convex union shows up among member inequalities.
+    every member's generators, so C contains the union.  If the union is
+    convex, C is exactly the union, since every facet of a convex union shows
+    up among member inequalities.
 
     Coverage comes from the branch tree.  Its leaves tile R^k with disjoint
     interiors, and the node with guard prefix p is the union of the leaves
@@ -292,25 +293,15 @@ def _merge_cells(cells: list[Cell], k: int) -> tuple[HCone, Vector]:
     outside the group lies below exactly one of them, and none of the
     members does.  So C equals the union iff C has no interior point in any
     off-path sibling.  A sibling with a guard h where -h is a valid normal
-    of C is ruled out for free; each remaining one costs one strict LP, and
-    a feasible one raises instead of emitting a non-convex region.
+    of C is ruled out for free; any other with an interior point raises
+    instead of emitting a non-convex region.
     """
     if len(cells) == 1:
         cone = irredundant_h(HCone(k, cells[0].guards))
         return cone, cells[0].witness
-    gsets = [frozenset(c.guards) for c in cells]
-    normals = list(dict.fromkeys(g for c in cells for g in c.guards))
-    valid: list[Vector] = []
-    for g in normals:
-        ok = True
-        for cell, gset in zip(cells, gsets):
-            if g in gset:
-                continue
-            if dot(g, cell.witness) < 0 or not implies(cell.guards, g, k):
-                ok = False
-                break
-        if ok:
-            valid.append(g)
+    gens = [double_description(c.guards, k) for c in cells]
+    normals = dict.fromkeys(g for c in cells for g in c.guards)
+    valid = [g for g in normals if all(holds_on(g, *gen) for gen in gens)]
     opposed = {vneg(g) for g in valid}
     prefixes = {c.guards[:j] for c in cells for j in range(len(c.guards) + 1)}
     siblings = dict.fromkeys(c.guards[:j] + (vneg(c.guards[j]),)
@@ -345,9 +336,9 @@ def transition_atlas(src: ReducedWord, dst: ReducedWord,
                      moves: Optional[Sequence[Move]] = None) -> RegionAtlas:
     """Atlas of the regions of linearity of the src-to-dst transition map.
 
-    The 144-region standard-word atlas of rank 4 takes 2,580 LPs, about
-    1.4 s under CPython 3.11 on one Xeon core; rank 5 is supported but the
-    branch tree grows steeply with the braid count of the path.
+    The 144-region standard-word atlas of rank 4 comes from 214 leaf cells;
+    rank 5 is supported but the branch tree grows steeply with the braid
+    count of the path.
     """
     moves = _checked_path(src, dst, moves)
     k = len(src.letters)
@@ -464,9 +455,10 @@ def orthant_restriction_analysis(atlas: RegionAtlas) -> list[OrthantRestriction]
     out = []
     for idx, region in enumerate(atlas.regions):
         restricted = hcone(region.cone.ineqs + orth.ineqs, atlas.dim)
-        if interior_point(restricted.ineqs, atlas.dim) is None:
+        try:
+            reduced = irredundant_h(restricted)
+        except DegenerateConeError:
             continue
-        reduced = irredundant_h(restricted)
         out.append(OrthantRestriction(idx, region.facet_count, len(reduced.ineqs)))
     return out
 
@@ -494,7 +486,7 @@ def simplicial_decomposition(cone: HCone, max_pieces: int = 8,
     from itertools import combinations
     k = cone.dim
     rays = extreme_rays(cone).rays
-    if interior_point(cone.ineqs, k) is None:
+    if matrix_rank(rays) != k:
         raise ValueError("cone is not full-dimensional")
     if len(rays) == k:
         return Decomposition((VCone(k, rays),), True)
@@ -517,7 +509,8 @@ def simplicial_decomposition(cone: HCone, max_pieces: int = 8,
         if budget is not None and len(chosen) >= budget:
             return None
         witness = interior_point(remaining[0], k)
-        assert witness is not None
+        if witness is None:
+            raise InvariantError("a remainder piece has no interior")
         for ci, (subset, hform) in enumerate(candidates):
             if any(dot(a, witness) < 0 for a in hform):
                 continue
@@ -552,7 +545,8 @@ def simplicial_decomposition(cone: HCone, max_pieces: int = 8,
 
 def region_graph(atlas: RegionAtlas, minimal_only: bool = False
                  ) -> dict[int, frozenset[int]]:
-    """Facet-adjacency graph: edge when two regions share a (k-1)-dim face."""
+    """Facet-adjacency graph: edge when two regions share a (k-1)-dim face,
+    i.e. they have facets g and -g and their intersection has rank k - 1."""
     k = atlas.dim
     minimal = min(r.facet_count for r in atlas.regions)
     idxs = [i for i, r in enumerate(atlas.regions)
@@ -567,12 +561,9 @@ def region_graph(atlas: RegionAtlas, minimal_only: bool = False
             for jdx in by_facet.get(vneg(g), ()):
                 if jdx <= i or jdx in adj[i]:
                     continue
-                others = [h for h in atlas.regions[i].cone.ineqs if h != g]
-                others += [h for h in atlas.regions[jdx].cone.ineqs
-                           if h != vneg(g)]
-                rows = [g, vneg(g)] + others
-                rhs = [0, 0] + [1] * len(others)
-                if solve_inequalities(rows, rhs, k) is not None:
+                lines, rays = double_description(
+                    atlas.regions[i].cone.ineqs + atlas.regions[jdx].cone.ineqs, k)
+                if matrix_rank(lines + rays) == k - 1:
                     adj[i].add(jdx)
                     adj[jdx].add(i)
     return {i: frozenset(nb) for i, nb in adj.items()}

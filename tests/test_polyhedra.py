@@ -5,6 +5,8 @@ from math import gcd
 
 import pytest
 
+from lp_oracles import (_lp_feasible, _lp_implies, _lp_interior_point,
+                        _lp_irredundant_h)
 from wordcones.lusztig import lusztig_cone
 from wordcones.polyhedra import (DegenerateConeError, NonPointedError,
                                  cone_equal, cone_from_rays, det, dot,
@@ -78,6 +80,52 @@ def test_solution_satisfies_system():
         sol = solve_inequalities(rows, rhs, dim)
         if sol is not None:
             assert all(dot(r, sol) >= b for r, b in zip(rows, rhs))
+
+
+def _random_system(rng, dim):
+    """Seeded normals: fewer than dim leave a lineality space, and a normal
+    next to its negation leaves no interior."""
+    rows = [tuple(rng.randrange(-3, 4) for _ in range(dim))
+            for _ in range(rng.randrange(1, dim + 5))]
+    rows = [r for r in rows if any(r)]
+    if rows and rng.random() < 0.3:
+        rows.append(vneg(rows[0]))
+    return rows
+
+
+def test_generator_predicates_match_lp_oracles_on_random_cones():
+    rng = random.Random(61)
+    shapes = set()
+    for _ in range(150):
+        dim = rng.randrange(2, 6)
+        rows = _random_system(rng, dim)
+        lines, rays = double_description(rows, dim)
+        shapes.add((matrix_rank(lines + rays) == dim, bool(lines)))
+        point = interior_point(rows, dim)
+        assert (point is None) == (_lp_interior_point(rows, dim) is None), rows
+        assert point is None or all(dot(a, point) > 0 for a in rows)
+        probes = rows + [vneg(a) for a in rows] + [
+            tuple(rng.randrange(-3, 4) for _ in range(dim)) for _ in range(4)]
+        for a in probes:
+            assert implies(rows, a, dim) == _lp_implies(rows, a, dim), (rows, a)
+        cone = hcone(rows, dim)
+        strict = [i for i in range(len(cone.ineqs)) if rng.random() < 0.5]
+        assert lp_feasible(cone, strict) == _lp_feasible(cone, strict)
+        try:
+            expected = _lp_irredundant_h(cone)
+        except DegenerateConeError:
+            with pytest.raises(DegenerateConeError):
+                irredundant_h(cone)
+        else:
+            assert irredundant_h(cone) == expected, rows
+    # full-dimensional and not, pointed and not: all four occur
+    assert shapes == {(True, False), (True, True), (False, False), (False, True)}
+
+
+def test_interior_point_rejects_zero_normals():
+    assert interior_point([(0, 0)], 2) is None
+    assert interior_point([(1, 0), (0, 0)], 2) is None
+    assert interior_point([], 2) is not None
 
 
 def test_irredundant_drops_implied():

@@ -1,13 +1,18 @@
+import hashlib
+import json
 import random
+import sys
 from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
-from wordcones import polyhedra, regions
-from wordcones.polyhedra import (HCone, cone_equal, hcone, implies,
-                                 irredundant_h, nonneg_orthant,
-                                 subtract_full_dim)
+from lp_oracles import (_lp_implies, _lp_interior_point, _lp_irredundant_h,
+                        _lp_subtract_full_dim)
+from wordcones import cli, regions
+from wordcones.polyhedra import (HCone, InvariantError, cone_equal, hcone,
+                                 implies, interior_point, irredundant_h,
+                                 nonneg_orthant, solve_inequalities, vneg)
 from wordcones.regions import (RegionConvexityError, _merge_cells,
                                apply_braid_triple, braid_move_map,
                                braid_move_count, class_region_isomorphism_report,
@@ -69,16 +74,17 @@ def _standard_cells(rank):
 
 def _subtraction_merge(cells, k):
     """Reference certificate: the candidate cone minus every member cell has
-    no full-dimensional part."""
+    no full-dimensional part.  Every decision is an LP, so the reference
+    shares no code with the double-description merge."""
     normals = dict.fromkeys(g for c in cells for g in c.guards)
     valid = tuple(g for g in normals
-                  if all(implies(c.guards, g, k) for c in cells))
+                  if all(_lp_implies(c.guards, g, k) for c in cells))
     pieces = [valid]
     for cell in cells:
-        pieces = subtract_full_dim(pieces, cell.guards, k)
+        pieces = _lp_subtract_full_dim(pieces, cell.guards, k)
     if pieces:
         raise RegionConvexityError("candidate cone exceeds the union")
-    return irredundant_h(HCone(k, valid))
+    return _lp_irredundant_h(HCone(k, valid))
 
 
 def _merge_verdict(merge, cells, k):
@@ -117,19 +123,102 @@ def test_merge_certificate_accepts_every_rank4_group(atlas4):
 
 def test_lp_counts(monkeypatch, atlas4):
     calls = []
-    real = polyhedra.solve_inequalities
+    real = solve_inequalities
 
     def counting(*args):
         calls.append(len(args[0]))
         return real(*args)
 
-    monkeypatch.setattr(polyhedra, "solve_inequalities", counting)
-    monkeypatch.setattr(regions, "solve_inequalities", counting)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("wordcones") and \
+                getattr(module, "solve_inequalities", None) is real:
+            monkeypatch.setattr(module, "solve_inequalities", counting)
     standard_atlas(4)
-    assert 0 < len(calls) <= 2600
-    calls.clear()
+    assert calls == []
     assert match_spanned_regions(atlas4).ok
     assert calls == []
+
+
+def test_cell_predicates_match_lp_oracles():
+    """The questions the build asks about every rank-3 and rank-4 cell: its
+    interior point, its facets, the merge validity of each other normal of
+    its same-matrix group, and whether the other side of its last guard has
+    an interior (the branch test)."""
+    for rank in (3, 4):
+        cells, k = _standard_cells(rank)
+        groups = {}
+        for cell in cells:
+            groups.setdefault(cell.rows, []).append(cell)
+        answers = set()
+        for cell in cells:
+            cone = HCone(k, cell.guards)
+            assert cone.contains_strictly(interior_point(cell.guards, k))
+            assert irredundant_h(cone) == _lp_irredundant_h(cone)
+            for g in dict.fromkeys(g for c in groups[cell.rows] for g in c.guards
+                                   if g not in cell.guards):
+                got = implies(cell.guards, g, k)
+                assert got == _lp_implies(cell.guards, g, k)
+                answers.add(("implies", got))
+            if cell.guards:
+                other = cell.guards[:-1] + (vneg(cell.guards[-1]),)
+                got = interior_point(other, k) is not None
+                assert got == (_lp_interior_point(other, k) is not None)
+                answers.add(("interior", got))
+        assert len(answers) == 4  # both answers occur for both questions
+
+
+def _lp_region_edges(atlas):
+    """Regions with facets g and -g are adjacent iff some x has g . x = 0
+    and lies strictly inside every other facet of both (one LP)."""
+    edges, candidates = set(), 0
+    for i, j in combinations(range(len(atlas.regions)), 2):
+        gi, gj = atlas.regions[i].cone.ineqs, atlas.regions[j].cone.ineqs
+        for g in gi:
+            if vneg(g) not in gj:
+                continue
+            candidates += 1
+            others = [h for h in gi if h != g] + [h for h in gj if h != vneg(g)]
+            rows = [g, vneg(g)] + others
+            if solve_inequalities(rows, [0, 0] + [1] * len(others),
+                                  atlas.dim) is not None:
+                edges.add(frozenset((i, j)))
+    return edges, candidates
+
+
+def test_region_graph_matches_lp_face_test(atlas3):
+    expected, candidates = _lp_region_edges(atlas3)
+    graph = region_graph(atlas3)
+    assert {frozenset((a, b)) for a, nbs in graph.items() for b in nbs} == expected
+    assert len(expected) < candidates  # some opposite facets share no face
+    minimal = region_graph(atlas3, minimal_only=True)
+    assert {frozenset((a, b)) for a, nbs in minimal.items() for b in nbs} == \
+        {e for e in expected if e <= set(minimal)}
+
+
+def test_both_branches_empty_raises_typed_error(monkeypatch):
+    # a witness on every guard and no interior points leave no branch
+    monkeypatch.setattr(regions, "interior_point", lambda ineqs, dim: None)
+    monkeypatch.setattr(regions, "_generic_start", lambda k: (0,) * k)
+    j, jp = standard_words(3)
+    with pytest.raises(InvariantError, match="both braid branches"):
+        enumerate_cells(j, default_move_path(j, jp))
+    assert not issubclass(InvariantError, AssertionError)
+
+
+ATLAS_SHA256 = {
+    3: "c8d76e4c4467b49d70b706b26cf7b33cb9ac64f7f9bfe5f14cfd5d3d1c87829d",
+    4: "95e8f38212e7fa9cc220aa143352d06f9d1a5b3ccc912a6fe4f66d7e76c46697",
+}
+
+
+def test_atlas_artifact_golden(atlas3, atlas4, tmp_path):
+    for atlas in (atlas3, atlas4):
+        text = json.dumps(atlas.to_json(), indent=2, sort_keys=True) + "\n"
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == ATLAS_SHA256[atlas.src.rank]
+    target = tmp_path / "atlas3.json"
+    assert cli.main(["regions", "--rank", "3", "--json", str(target)]) == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == ATLAS_SHA256[3]
 
 
 def test_region_maps_are_unimodular(atlas2, atlas3, atlas4):
