@@ -15,7 +15,6 @@ from fractions import Fraction
 from . import __version__
 from .chambers import chamber_sets, render_wiring
 from .lusztig import lusztig_cone, spanning_rays
-from .polyhedra import hcone, irredundant_h, nonneg_orthant
 from .quivers import (PartialQuiver, chamber_quiver_pairs,
                       enumerate_partial_quivers, quivers_for_word)
 from .rectangles import (centre_and_central_line, components,
@@ -26,9 +25,10 @@ from .regions import (braid_move_count, class_region_isomorphism_report,
                       detour_move_path, match_spanned_regions,
                       orthant_restriction_analysis, simplicial_decomposition,
                       standard_atlas, transition_atlas)
-from .words import (ReducedWord, commutation_classes, enumerate_reduced_words,
-                    format_letters, is_reduced, longest_word_length,
-                    parse_letters, parse_word, standard_words)
+from .words import (ReducedWord, _check_enumeration_rank, commutation_classes,
+                    enumerate_reduced_words, format_letters, is_reduced,
+                    longest_word_length, parse_letters, parse_word,
+                    standard_words)
 
 
 def _emit(payload) -> None:
@@ -188,6 +188,7 @@ def cmd_rectangles(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_regions(args) -> int:
+    _check_enumeration_rank(args.rank)  # bounds the atlas build
     atlas = standard_atlas(args.rank)
     payload = {
         "rank": args.rank,
@@ -289,10 +290,7 @@ def _verify_a3(checks):
     sizes = []
     for r in restrictions:
         if r.region_facets == 4:
-            region = atlas.regions[r.region_index]
-            cone = irredundant_h(hcone(
-                region.cone.ineqs + nonneg_orthant(6).ineqs, 6))
-            dec = simplicial_decomposition(cone)
+            dec = simplicial_decomposition(r.cone)
             sizes.append((r.restricted_facets, len(dec.pieces), dec.minimal))
     _check(checks, "a3.simplicial_decompositions",
            [(8, 2, True), (9, 4, True)], sorted(sizes))

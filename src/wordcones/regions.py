@@ -16,14 +16,16 @@ coordinates of the source word; it is independent of the chosen move path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import combinations
+from math import prod
 from typing import Iterable, Optional, Sequence
 
 from .polyhedra import (DegenerateConeError, HCone, InvariantError, Vector,
                         VCone, cone_equal, cone_from_rays, det, dot,
                         double_description, extreme_rays, hcone, holds_on,
                         interior_point, irredundant_h, matrix_rank,
-                        nonneg_orthant, primitive, subtract_full_dim, vcone,
-                        vneg)
+                        nonneg_orthant, primitive, vcone, vneg)
 from .words import (BRAID, COMMUTATION, Letters, Move, ReducedWord,
                     apply_move_path, braids, class_graph, commutation_classes,
                     commutes, find_move_path)
@@ -447,10 +449,12 @@ class OrthantRestriction:
     region_index: int
     region_facets: int
     restricted_facets: int
+    cone: HCone  # irredundant form of region intersect orthant
 
 
 def orthant_restriction_analysis(atlas: RegionAtlas) -> list[OrthantRestriction]:
-    """Irredundant inequality count of every region meeting the orthant."""
+    """Irredundant restriction of every region meeting the orthant in its
+    interior."""
     orth = nonneg_orthant(atlas.dim)
     out = []
     for idx, region in enumerate(atlas.regions):
@@ -459,7 +463,8 @@ def orthant_restriction_analysis(atlas: RegionAtlas) -> list[OrthantRestriction]
             reduced = irredundant_h(restricted)
         except DegenerateConeError:
             continue
-        out.append(OrthantRestriction(idx, region.facet_count, len(reduced.ineqs)))
+        out.append(OrthantRestriction(idx, region.facet_count,
+                                      len(reduced.ineqs), reduced))
     return out
 
 
@@ -473,70 +478,63 @@ class Decomposition:
     minimal: bool
 
 
-def simplicial_decomposition(cone: HCone, max_pieces: int = 8,
-                             node_budget: int = 50_000) -> Decomposition:
-    """Minimum-cardinality cover of a pointed full-dimensional cone by
-    simplicial subcones with pairwise disjoint interiors.
+def _pulling_simplices(face: tuple[Vector, ...], normals: Sequence[Vector],
+                       rank: int) -> list[tuple[Vector, ...]]:
+    """Pulling triangulation of a face of {x : a . x >= 0 for a in normals},
+    given by its extreme rays and its rank: ``face[0]`` joined to the
+    triangulation of each facet of the face that misses it.  Such a facet is
+    the zero set in ``face`` of a normal positive on ``face[0]``, often of
+    several normals, so facets are deduped."""
+    if rank == 1:
+        return [face]
+    facets = dict.fromkeys(tuple(r for r in face if dot(a, r) == 0)
+                           for a in normals if dot(a, face[0]) > 0)
+    return [(face[0],) + s for f in facets if matrix_rank(f) == rank - 1
+            for s in _pulling_simplices(f, normals, rank - 1)]
 
-    Candidates are the simplicial cones on subsets of the extreme rays;
-    iterative deepening over the piece count makes the first success minimal.
-    If the node budget runs out, the first cover found without a size cap is
-    returned with ``minimal=False``.
+
+def _volume(rays: Sequence[Vector], c: Vector) -> Fraction:
+    """k! times the volume of cone(rays) cut by {c . x <= 1}, for k rays in
+    dimension k with c positive on each."""
+    return Fraction(abs(det(rays)), prod(dot(c, r) for r in rays))
+
+
+def simplicial_decomposition(cone: HCone) -> Decomposition:
+    """Minimum-cardinality cover of a pointed full-dimensional cone by
+    simplicial subcones on its extreme rays with pairwise disjoint interiors.
+
+    Certified by volume: c, the sum of the normals, is positive on every
+    extreme ray, and the simplicial cone on rays r_1..r_k meets
+    {c . x <= 1} in a simplex of volume |det(r_1..r_k)| / prod(c . r_i)
+    (times 1/k!).  Pieces inside the cone with disjoint interiors cover it
+    iff their volumes sum to the cone's, which its pulling triangulation
+    gives.  Subsets are tried by size, so the first cover is minimal; the
+    pulling triangulation is itself a cover, so one is found.
     """
-    from itertools import combinations
     k = cone.dim
     rays = extreme_rays(cone).rays
     if matrix_rank(rays) != k:
         raise ValueError("cone is not full-dimensional")
-    if len(rays) == k:
-        return Decomposition((VCone(k, rays),), True)
-    candidates = []
-    for subset in combinations(rays, k):
-        if det(subset) != 0:
-            candidates.append((subset, cone_from_rays(VCone(k, subset)).ineqs))
-    nodes = 0
-
-    def overlap(h1, h2) -> bool:
-        return interior_point(h1 + h2, k) is not None
-
-    def search(remaining, chosen, budget, limit) -> Optional[list[int]]:
-        nonlocal nodes
-        nodes += 1
-        if limit is not None and nodes > limit:
-            raise TimeoutError
-        if not remaining:
-            return chosen
-        if budget is not None and len(chosen) >= budget:
-            return None
-        witness = interior_point(remaining[0], k)
-        if witness is None:
-            raise InvariantError("a remainder piece has no interior")
-        for ci, (subset, hform) in enumerate(candidates):
-            if any(dot(a, witness) < 0 for a in hform):
-                continue
-            if any(overlap(hform, candidates[pj][1]) for pj in chosen):
-                continue
-            rest = subtract_full_dim(remaining, hform, k)
-            got = search(rest, chosen + [ci], budget, limit)
-            if got is not None:
-                return got
-        return None
-
-    start = [tuple(cone.ineqs)]
-    try:
-        for size in range(1, max_pieces + 1):
-            got = search(start, [], size, node_budget)
-            if got is not None:
-                return Decomposition(
-                    tuple(VCone(k, candidates[ci][0]) for ci in got), True)
-        raise ValueError(f"no decomposition with <= {max_pieces} pieces")
-    except TimeoutError:
-        nodes = 0
-        got = search(start, [], None, None)
-        if got is None:
-            raise ValueError("no simplicial decomposition found") from None
-        return Decomposition(
-            tuple(VCone(k, candidates[ci][0]) for ci in got), False)
+    c = tuple(map(sum, zip(*cone.ineqs)))
+    total = sum(_volume(s, c) for s in _pulling_simplices(rays, cone.ineqs, k))
+    pieces = [s for s in combinations(rays, k) if det(s) != 0]
+    hforms = [cone_from_rays(VCone(k, s)).ineqs for s in pieces]
+    vols = [_volume(s, c) for s in pieces]
+    overlap = {(i, j) for i, j in combinations(range(len(pieces)), 2)
+               if interior_point(hforms[i] + hforms[j], k) is not None}
+    # pairwise-disjoint index-increasing subsets of one size, with the
+    # volume they leave uncovered
+    level: list[tuple[tuple[int, ...], Fraction]] = [((), total)]
+    while level:
+        level = [(s + (j,), left - vols[j]) for s, left in level
+                 for j in range(s[-1] + 1 if s else 0, len(pieces))
+                 if vols[j] <= left and not any((i, j) in overlap for i in s)]
+        for s, left in level:
+            if left == 0:
+                return Decomposition(tuple(VCone(k, pieces[i]) for i in s),
+                                     True)
+    raise InvariantError("no disjoint simplicial cover, not even the pulling "
+                         "triangulation")
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,15 @@ double-description answers.
 Each function answers the same question as its namesake in
 ``wordcones.polyhedra`` with one exact LP per decision, as the library did
 before it answered everything from generators.  The tests compare the two.
+The two cover oracles at the end check ``regions.simplicial_decomposition``
+by LP subtraction, without its volume certificate.
 """
 
-from wordcones.polyhedra import (DegenerateConeError, HCone, primitive,
-                                 solve_inequalities, vneg)
+from itertools import combinations
+
+from wordcones.polyhedra import (DegenerateConeError, HCone, VCone,
+                                 cone_from_rays, det, dot, extreme_rays,
+                                 primitive, solve_inequalities, vneg)
 
 
 def _lp_interior_point(ineqs, dim):
@@ -57,3 +62,38 @@ def _lp_subtract_full_dim(pieces, ineqs, dim):
                 out.append(tuple(cand))
             acc.append(g)
     return out
+
+
+def _lp_is_disjoint_cover(cone, pieces):
+    """Do the H-form pieces cover the cone with pairwise disjoint interiors?"""
+    left = [tuple(cone.ineqs)]
+    for piece in pieces:
+        left = _lp_subtract_full_dim(left, piece, cone.dim)
+    return not left and all(_lp_interior_point(a + b, cone.dim) is None
+                            for a, b in combinations(pieces, 2))
+
+
+def _lp_min_simplicial_cover(cone):
+    """Fewest simplicial cones on the extreme rays that cover the cone with
+    pairwise disjoint interiors, decided by LP subtraction and LP overlap
+    tests with no volumes.  Iterative deepening over the count; each step
+    covers an interior point of what is left, as any cover must."""
+    k = cone.dim
+    hforms = [cone_from_rays(VCone(k, s)).ineqs
+              for s in combinations(extreme_rays(cone).rays, k) if det(s) != 0]
+
+    def covers(left, chosen, size):
+        if not left:
+            return True
+        if len(chosen) == size:
+            return False
+        x = _lp_interior_point(left[0], k)
+        return any(covers(_lp_subtract_full_dim(left, hforms[j], k),
+                          chosen + [j], size)
+                   for j in range(len(hforms))
+                   if all(dot(a, x) >= 0 for a in hforms[j])
+                   and all(_lp_interior_point(hforms[i] + hforms[j], k) is None
+                           for i in chosen))
+
+    return next(size for size in range(1, len(hforms) + 1)
+                if covers([tuple(cone.ineqs)], [], size))

@@ -135,6 +135,15 @@ def test_regions_rejects_ranks_below_one():
         assert result.stderr == "error: rank must be >= 1\n"
 
 
+def test_regions_rejects_ranks_above_enumeration_limit():
+    result = subprocess.run(
+        [sys.executable, "-m", "wordcones.cli", "regions", "--rank", "6"],
+        capture_output=True, text=True, timeout=60)
+    assert result.returncode == 1 and result.stdout == ""
+    assert result.stderr.startswith("error: exhaustive enumeration is "
+                                    "limited to rank <= 5")
+
+
 def test_verify_a2_passes():
     out = json.loads(run_cli("verify", "a2"))
     assert out["pass"] is True

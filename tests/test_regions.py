@@ -8,11 +8,13 @@ from itertools import combinations
 import pytest
 
 from lp_oracles import (_lp_implies, _lp_interior_point, _lp_irredundant_h,
+                        _lp_is_disjoint_cover, _lp_min_simplicial_cover,
                         _lp_subtract_full_dim)
 from wordcones import cli, regions
-from wordcones.polyhedra import (HCone, InvariantError, cone_equal, hcone,
-                                 implies, interior_point, irredundant_h,
-                                 nonneg_orthant, solve_inequalities, vneg)
+from wordcones.polyhedra import (HCone, InvariantError, cone_equal,
+                                 cone_from_rays, hcone, implies, interior_point,
+                                 irredundant_h, matrix_rank, nonneg_orthant,
+                                 solve_inequalities, vcone, vneg)
 from wordcones.regions import (RegionConvexityError, _merge_cells,
                                apply_braid_triple, braid_move_map,
                                braid_move_count, class_region_isomorphism_report,
@@ -285,15 +287,25 @@ def test_match_spanned_regions_small(atlas2, atlas3):
 
 
 def test_orthant_restriction_rank3(atlas3):
-    restricted = sorted((r.region_facets, r.restricted_facets)
-                        for r in orthant_restriction_analysis(atlas3))
+    analysis = orthant_restriction_analysis(atlas3)
+    restricted = sorted((r.region_facets, r.restricted_facets) for r in analysis)
     assert restricted == [(3, 6)] * 8 + [(4, 8), (4, 9)]
+    for r in analysis:
+        region = atlas3.regions[r.region_index]
+        assert r.cone == irredundant_h(hcone(
+            region.cone.ineqs + nonneg_orthant(atlas3.dim).ineqs, atlas3.dim))
+        assert len(r.cone.ineqs) == r.restricted_facets
 
 
-def _restricted_cone(atlas, region_index):
-    region = atlas.regions[region_index]
-    return irredundant_h(hcone(
-        region.cone.ineqs + nonneg_orthant(atlas.dim).ineqs, atlas.dim))
+def _check_decomposition(cone, dec):
+    """Simplicial pieces inside the cone that cover it with pairwise
+    disjoint interiors, by the LP oracles."""
+    assert dec.minimal
+    for piece in dec.pieces:
+        assert len(piece.rays) == cone.dim
+        assert all(cone.contains(ray) for ray in piece.rays)
+    assert _lp_is_disjoint_cover(
+        cone, [cone_from_rays(p).ineqs for p in dec.pieces])
 
 
 def test_simplicial_decomposition_trivial():
@@ -308,15 +320,26 @@ def test_simplicial_decompositions_rank3(atlas3):
     for r in orthant_restriction_analysis(atlas3):
         if r.region_facets != 4:
             continue
-        cone = _restricted_cone(atlas3, r.region_index)
-        dec = simplicial_decomposition(cone)
-        assert dec.minimal
+        dec = simplicial_decomposition(r.cone)
+        _check_decomposition(r.cone, dec)
         sizes[r.restricted_facets] = len(dec.pieces)
-        # pieces are simplicial and sit inside the cone
-        for piece in dec.pieces:
-            assert len(piece.rays) == atlas3.dim
-            assert all(cone.contains(ray) for ray in piece.rays)
     assert sizes == {8: 2, 9: 4}
+
+
+def test_simplicial_decomposition_is_minimal_on_random_cones():
+    rng = random.Random(7)
+    tried = 0
+    while tried < 100:
+        dim = rng.choice((3, 4))
+        gens = [tuple(rng.randrange(4) for _ in range(dim))
+                for _ in range(rng.randrange(dim + 1, dim + 3))]
+        if matrix_rank(gens) != dim:
+            continue
+        cone = cone_from_rays(vcone([g for g in gens if any(g)], dim))
+        dec = simplicial_decomposition(cone)
+        _check_decomposition(cone, dec)
+        assert len(dec.pieces) == _lp_min_simplicial_cover(cone), gens
+        tried += 1
 
 
 def test_region_graph_rank2(atlas2):
