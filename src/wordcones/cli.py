@@ -25,7 +25,7 @@ from .regions import (braid_move_count, class_region_isomorphism_report,
                       detour_move_path, match_spanned_regions,
                       orthant_restriction_analysis, simplicial_decomposition,
                       standard_atlas, transition_atlas)
-from .words import (ReducedWord, _check_enumeration_rank, commutation_classes,
+from .words import (_ENUM_RANK_LIMIT, ReducedWord, commutation_classes,
                     enumerate_reduced_words, format_letters, is_reduced,
                     longest_word_length, parse_letters, parse_word,
                     standard_words)
@@ -188,7 +188,10 @@ def cmd_rectangles(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_regions(args) -> int:
-    _check_enumeration_rank(args.rank)  # bounds the atlas build
+    if args.rank < 1:
+        raise ValueError("rank must be >= 1")
+    if args.rank > _ENUM_RANK_LIMIT:  # bounds the atlas build
+        raise ValueError(f"regions supports ranks 1 to {_ENUM_RANK_LIMIT}")
     atlas = standard_atlas(args.rank)
     payload = {
         "rank": args.rank,

@@ -308,70 +308,80 @@ def solve_inequalities(rows: Sequence[Vector], rhs: Sequence[int], dim: int
 # Double description, and the cone questions its generators answer
 # ---------------------------------------------------------------------------
 
+#: A cone during double description, (lines, zeros, bit): its lines, its
+#: rays mapped to zero-set masks (bit i: the i-th processed normal vanishes)
+#: in output order, and the bit of the next normal.  dd_step never mutates one.
+DDState = tuple[tuple[Vector, ...], dict[Vector, int], int]
+
+
+def dd_whole(dim: int) -> DDState:
+    """The state of R^dim: a basis of lines and no ray."""
+    return tuple(tuple(1 if i == j else 0 for j in range(dim))
+                 for i in range(dim)), {}, 1
+
+
+def dd_step(state: DDState, a: Sequence) -> DDState:
+    """The state of the cone cut by one more inequality a . x >= 0.
+
+    While a meets the lineality space it trades one line for a ray;
+    afterwards the classic ray-pairing step with the combinatorial adjacency
+    test keeps only extreme rays.  Masks are set as rays are made, never
+    recomputed: lines vanish on every processed normal, and a paired ray
+    vanishes exactly where both parents do.  An adjacent pair shares at least
+    dim - len(lines) - 2 zeros (Fukuda-Prodon).  A zero normal changes
+    nothing and takes no bit.
+    """
+    a = primitive(a)
+    if not any(a):
+        return state
+    lines, zeros, bit = state
+    dl = [dot(a, l) for l in lines]
+    pivot = next((i for i, d in enumerate(dl) if d != 0), None)
+    if pivot is not None:
+        z, dz = lines[pivot], dl[pivot]
+        if dz < 0:
+            z, dz = vneg(z), -dz
+        new_lines = tuple([primitive([dz * x - dl[i] * y
+                                      for x, y in zip(l, z)])
+                           for i, l in enumerate(lines) if i != pivot])
+        projected = []
+        for r, m in zeros.items():
+            dr = dot(a, r)
+            projected.append((primitive(dz * x - dr * y
+                                        for x, y in zip(r, z)), m | bit))
+        return new_lines, dict(projected + [(z, bit - 1)]), bit << 1
+    ds = {r: dot(a, r) for r in zeros}
+    pos = [r for r, d in ds.items() if d > 0]
+    zero = [r for r, d in ds.items() if d == 0]
+    neg = [r for r, d in ds.items() if d < 0]
+    if not neg:  # nothing is cut off; the rays on the hyperplane gain its bit
+        if zero:
+            zeros = {r: m | bit if ds[r] == 0 else m for r, m in zeros.items()}
+        return lines, zeros, bit << 1
+    kept = {r: zeros[r] for r in pos}
+    kept.update((r, zeros[r] | bit) for r in zero)
+    need = len(a) - len(lines) - 2
+    for p in pos:
+        for n in neg:
+            common = zeros[p] & zeros[n]
+            if common.bit_count() < need or any(
+                    common & m == common for r, m in zeros.items()
+                    if r is not p and r is not n):
+                continue
+            kept[primitive(ds[p] * x - ds[n] * y
+                           for x, y in zip(n, p))] = common | bit
+    return lines, kept, bit << 1
+
+
 def double_description(ineqs: Sequence[Vector], dim: int
                        ) -> tuple[list[Vector], list[Vector]]:
-    """Generators (lines, rays) of {x : a . x >= 0 for a in ineqs}.
-
-    Incremental double description starting from the whole space (a basis of
-    lines).  While a constraint meets the lineality space it trades one line
-    for a ray; afterwards the classic ray-pairing step with the combinatorial
-    adjacency test keeps only extreme rays.
-
-    Zero sets are int bit masks (bit i: the i-th processed normal vanishes),
-    set as rays are made, never recomputed: lines vanish on every processed
-    normal, and a paired ray vanishes exactly where both parents do.  An
-    adjacent pair shares at least dim - len(lines) - 2 zeros (Fukuda-Prodon).
-    """
-    lines: list[Vector] = [tuple(1 if i == j else 0 for j in range(dim))
-                           for i in range(dim)]
-    zeros: dict[Vector, int] = {}  # ray -> zero-set mask, in output order
-    bit = 1
+    """Generators (lines, rays) of {x : a . x >= 0 for a in ineqs}: one
+    dd_step per normal, in order, from the whole space."""
+    state = dd_whole(dim)
     for a in ineqs:
-        a = primitive(a)
-        if not any(a):
-            continue
-        dl = [dot(a, l) for l in lines]
-        pivot = next((i for i, d in enumerate(dl) if d != 0), None)
-        if pivot is not None:
-            z, dz = lines[pivot], dl[pivot]
-            if dz < 0:
-                z, dz = vneg(z), -dz
-            new_lines = []
-            for i, l in enumerate(lines):
-                if i == pivot:
-                    continue
-                new_lines.append(primitive(
-                    tuple(dz * x - dl[i] * y for x, y in zip(l, z))))
-            projected = []
-            for r, m in zeros.items():
-                dr = dot(a, r)
-                projected.append((primitive(dz * x - dr * y
-                                            for x, y in zip(r, z)), m | bit))
-            lines = new_lines
-            zeros = dict(projected + [(z, bit - 1)])
-        else:
-            ds = {r: dot(a, r) for r in zeros}
-            pos = [r for r, d in ds.items() if d > 0]
-            zero = [r for r, d in ds.items() if d == 0]
-            neg = [r for r, d in ds.items() if d < 0]
-            for r in zero:
-                zeros[r] |= bit
-            if neg:
-                need = dim - len(lines) - 2
-                new = []
-                for p in pos:
-                    for n in neg:
-                        common = zeros[p] & zeros[n]
-                        if common.bit_count() < need or any(
-                                common & m == common for r, m in zeros.items()
-                                if r is not p and r is not n):
-                            continue
-                        new.append((primitive(ds[p] * x - ds[n] * y
-                                              for x, y in zip(n, p)),
-                                    common | bit))
-                zeros = dict([(r, zeros[r]) for r in pos + zero] + new)
-        bit <<= 1
-    return lines, list(zeros)
+        state = dd_step(state, a)
+    lines, zeros, _ = state
+    return list(lines), list(zeros)
 
 
 def holds_on(a: Sequence, lines: Sequence, rays: Sequence) -> bool:
@@ -380,15 +390,22 @@ def holds_on(a: Sequence, lines: Sequence, rays: Sequence) -> bool:
             and all(dot(a, r) >= 0 for r in rays))
 
 
+def positive_somewhere(a: Sequence, lines: Iterable, rays: Iterable) -> bool:
+    """Is a . x > 0 somewhere on the cone with these generators?  For a
+    full-dimensional cone: does the open side {a . x > 0} meet its interior?"""
+    return (any(dot(a, l) != 0 for l in lines)
+            or any(dot(a, r) > 0 for r in rays))
+
+
 def lp_feasible(cone: HCone, strict: Iterable[int] = ()) -> bool:
     """Is there a point satisfying the cone, strictly on the flagged normals?
 
     Indices in ``strict`` refer to positions in ``cone.ineqs`` (0-based).
-    Yes iff each flagged normal is positive on some ray (then on their sum).
+    Yes iff each flagged normal is positive somewhere (then on the sum of
+    the rays).
     """
-    _, rays = double_description(cone.ineqs, cone.dim)
-    return all(any(dot(cone.ineqs[i], r) > 0 for r in rays)
-               for i in set(strict))
+    gens = double_description(cone.ineqs, cone.dim)
+    return all(positive_somewhere(cone.ineqs[i], *gens) for i in set(strict))
 
 
 def interior_point(ineqs: Sequence[Vector], dim: int) -> Optional[Vector]:
@@ -403,6 +420,13 @@ def interior_point(ineqs: Sequence[Vector], dim: int) -> Optional[Vector]:
     lines, rays = double_description(ineqs, dim)
     if matrix_rank(lines + rays) != dim:
         return None
+    return ray_sum_witness(ineqs, rays, dim)
+
+
+def ray_sum_witness(ineqs: Sequence[Vector], rays: Sequence[Vector], dim: int
+                    ) -> Vector:
+    """The primitive sum of the rays of a full-dimensional cone, checked to
+    satisfy every inequality strictly (InvariantError if not)."""
     point = primitive(sum(r[i] for r in rays) for i in range(dim))
     if not all(dot(a, point) > 0 for a in ineqs):
         raise InvariantError(f"ray sum {point} is not interior to {ineqs}")
@@ -417,19 +441,32 @@ def implies(ineqs: Sequence[Vector], a: Vector, dim: int) -> bool:
 def irredundant_h(cone: HCone) -> HCone:
     """Facet list of a full-dimensional cone, primitive and sorted.
 
-    A normal is a facet iff the lines and the rays it vanishes on span its
-    face, of rank dim - 1.  Raises DegenerateConeError when the cone has
-    empty interior (its generators do not span R^dim).
+    Raises DegenerateConeError when the cone has empty interior (its
+    generators do not span R^dim).
     """
     lines, rays = double_description(cone.ineqs, cone.dim)
     if matrix_rank(lines + rays) != cone.dim:
         raise DegenerateConeError(
             f"cone is not full-dimensional ({len(cone.ineqs)} inequalities in "
             f"dimension {cone.dim})")
-    keep = {a for a in map(primitive, cone.ineqs)
-            if matrix_rank(lines + [r for r in rays if dot(a, r) == 0])
-            == cone.dim - 1}
-    return HCone(cone.dim, tuple(sorted(keep)))
+    return facets_from_generators(cone.ineqs, lines, rays, cone.dim)
+
+
+def facets_from_generators(normals: Sequence[Vector], lines: Sequence[Vector],
+                           rays: Sequence[Vector], dim: int) -> HCone:
+    """Facet list, primitive and sorted, of the full-dimensional cone
+    {x : a . x >= 0 for a in normals} with these generators.
+
+    A normal is a facet iff the lines and the rays it vanishes on span its
+    face, of rank dim - 1; fewer than dim - 1 - len(lines) such rays cannot.
+    """
+    need = dim - 1 - len(lines)
+    keep = set()
+    for a in map(primitive, normals):
+        face = [r for r in rays if dot(a, r) == 0]
+        if len(face) >= need and matrix_rank(list(lines) + face) == dim - 1:
+            keep.add(a)
+    return HCone(dim, tuple(sorted(keep)))
 
 
 def extreme_rays(cone: HCone) -> VCone:

@@ -22,10 +22,12 @@ from math import prod
 from typing import Iterable, Optional, Sequence
 
 from .polyhedra import (DegenerateConeError, HCone, InvariantError, Vector,
-                        VCone, cone_equal, cone_from_rays, det, dot,
-                        double_description, extreme_rays, hcone, holds_on,
+                        VCone, cone_equal, cone_from_rays, dd_step, dd_whole,
+                        det, dot, double_description, extreme_rays,
+                        facets_from_generators, hcone, holds_on,
                         interior_point, irredundant_h, matrix_rank,
-                        nonneg_orthant, primitive, vcone, vneg)
+                        nonneg_orthant, positive_somewhere, primitive,
+                        ray_sum_witness, vcone, vneg)
 from .words import (BRAID, COMMUTATION, Letters, Move, ReducedWord,
                     apply_move_path, braids, class_graph, commutation_classes,
                     commutes, find_move_path)
@@ -130,13 +132,17 @@ class Cell:
 
     ``bits`` records the branch taken at every braid move along the path
     ('1' for the a <= c branch), which makes locating a point's cell a plain
-    numeric walk plus one dictionary lookup.
+    numeric walk plus one dictionary lookup.  ``lines`` and ``rays`` are the
+    generators of {x : g . x >= 0 for g in guards}, exactly as
+    double_description returns them.
     """
 
     rows: tuple[Vector, ...]
     guards: tuple[Vector, ...]
     witness: Vector
     bits: str
+    lines: tuple[Vector, ...]
+    rays: tuple[Vector, ...]
 
 
 @dataclass(frozen=True)
@@ -227,16 +233,21 @@ def _generic_start(k: int) -> Vector:
 def enumerate_cells(src: ReducedWord, moves: Sequence[Move]) -> list[Cell]:
     """Depth-first branch enumeration, pruning branches with empty interior.
 
-    Each state carries an interior witness point; a side of a braid guard
-    keeps it when strictly on that side, else asks interior_point and is
-    pruned on None.  Duplicate guards decide the branch outright.  The
-    moves are taken to be legal for src; transition_atlas checks them.
+    Each state carries its full-dimensional cell's double-description state
+    and an interior witness.  The side {g . x > 0} of a braid guard has
+    interior iff g is positive somewhere on the cell, which its generators
+    answer.  A side taken extends the state by one dd_step, so the state
+    stays equal to double description of the guards from scratch.  It keeps
+    the witness when strictly on that side, else takes the ray sum of the
+    new state.  Duplicate guards decide the branch outright.  The moves are
+    taken to be legal for src; transition_atlas checks them.
     """
     k = len(src.letters)
     cells: list[Cell] = []
-    stack = [(0, _identity(k), (), frozenset(), _generic_start(k), "")]
+    stack = [(0, _identity(k), (), frozenset(), dd_whole(k),
+              _generic_start(k), "")]
     while stack:
-        idx, rows, guards, gset, witness, bits = stack.pop()
+        idx, rows, guards, gset, dd, witness, bits = stack.pop()
         while idx < len(moves):
             mv = moves[idx]
             t = mv.position - 1
@@ -257,33 +268,31 @@ def enumerate_cells(src: ReducedWord, moves: Sequence[Move]) -> list[Cell]:
                 rows = _braid_rows(rows, t, low=False)
                 bits += "0"
                 continue
-            take: list[tuple[bool, Vector, Vector]] = []  # (low, guard, witness)
-            for low, gg in ((True, g), (False, vneg(g))):
-                wit = (witness if dot(gg, witness) > 0
-                       else interior_point(guards + (gg,), k))
-                if wit is not None:
-                    take.append((low, gg, wit))
+            lines, zeros, _ = dd
+            take = [(low, gg) for low, gg in ((True, g), (False, vneg(g)))
+                    if positive_somewhere(gg, lines, zeros)]
             if not take:
                 raise InvariantError("both braid branches are empty")
+            sides = []
+            for low, gg in take:
+                side = dd_step(dd, gg)
+                wit = (witness if dot(gg, witness) > 0
+                       else ray_sum_witness(guards + (gg,), list(side[1]), k))
+                sides.append((_braid_rows(rows, t, low), guards + (gg,),
+                              gset | {gg}, side, wit, bits + ("1" if low else "0")))
             # continue along the first option; push the rest
-            for low, gg, wit in take[1:]:
-                stack.append((idx, _braid_rows(rows, t, low),
-                              guards + (gg,), gset | {gg}, wit,
-                              bits + ("1" if low else "0")))
-            low, gg, wit = take[0]
-            rows = _braid_rows(rows, t, low)
-            guards += (gg,)
-            gset = gset | {gg}
-            witness = wit
-            bits += "1" if low else "0"
-        cells.append(Cell(rows, guards, witness, bits))
+            stack += [(idx,) + s for s in sides[1:]]
+            rows, guards, gset, dd, witness, bits = sides[0]
+        lines, zeros, _ = dd
+        cells.append(Cell(rows, guards, witness, bits, lines, tuple(zeros)))
     return cells
 
 
 def _merge_cells(cells: list[Cell], k: int) -> tuple[HCone, Vector]:
     """Certified-convex union of same-matrix cells, as an irredundant cone.
 
-    The candidate cone C is cut out by the member-cell inequalities valid on
+    A single cell's facets come from its own generators.  For several, the
+    candidate cone C is cut out by the member-cell inequalities valid on
     every member's generators, so C contains the union.  If the union is
     convex, C is exactly the union, since every facet of a convex union shows
     up among member inequalities.
@@ -299,11 +308,12 @@ def _merge_cells(cells: list[Cell], k: int) -> tuple[HCone, Vector]:
     instead of emitting a non-convex region.
     """
     if len(cells) == 1:
-        cone = irredundant_h(HCone(k, cells[0].guards))
-        return cone, cells[0].witness
-    gens = [double_description(c.guards, k) for c in cells]
+        cell = cells[0]
+        return (facets_from_generators(cell.guards, cell.lines, cell.rays, k),
+                cell.witness)
     normals = dict.fromkeys(g for c in cells for g in c.guards)
-    valid = [g for g in normals if all(holds_on(g, *gen) for gen in gens)]
+    valid = [g for g in normals
+             if all(holds_on(g, c.lines, c.rays) for c in cells)]
     opposed = {vneg(g) for g in valid}
     prefixes = {c.guards[:j] for c in cells for j in range(len(c.guards) + 1)}
     siblings = dict.fromkeys(c.guards[:j] + (vneg(c.guards[j]),)
@@ -338,9 +348,10 @@ def transition_atlas(src: ReducedWord, dst: ReducedWord,
                      moves: Optional[Sequence[Move]] = None) -> RegionAtlas:
     """Atlas of the regions of linearity of the src-to-dst transition map.
 
-    The 144-region standard-word atlas of rank 4 comes from 214 leaf cells;
-    rank 5 is supported but the branch tree grows steeply with the braid
-    count of the path.
+    The 144-region standard-word atlas of rank 4 comes from 214 leaf cells.
+    Rank 5 is supported but slow: the peel path has 20 braids, and its
+    18,273 cells merge into 6,608 regions in about two minutes, most of it
+    in the multi-cell merges.
     """
     moves = _checked_path(src, dst, moves)
     k = len(src.letters)

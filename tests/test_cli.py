@@ -140,8 +140,7 @@ def test_regions_rejects_ranks_above_enumeration_limit():
         [sys.executable, "-m", "wordcones.cli", "regions", "--rank", "6"],
         capture_output=True, text=True, timeout=60)
     assert result.returncode == 1 and result.stdout == ""
-    assert result.stderr.startswith("error: exhaustive enumeration is "
-                                    "limited to rank <= 5")
+    assert result.stderr == "error: regions supports ranks 1 to 5\n"
 
 
 def test_verify_a2_passes():

@@ -9,9 +9,9 @@ from lp_oracles import (_lp_feasible, _lp_implies, _lp_interior_point,
                         _lp_irredundant_h)
 from wordcones.lusztig import lusztig_cone
 from wordcones.polyhedra import (DegenerateConeError, NonPointedError,
-                                 cone_equal, cone_from_rays, det, dot,
-                                 double_description, extreme_rays, hcone,
-                                 implies, intersect, interior_point,
+                                 cone_equal, cone_from_rays, dd_step, dd_whole,
+                                 det, dot, double_description, extreme_rays,
+                                 hcone, implies, intersect, interior_point,
                                  irredundant_h, lp_feasible, matrix_rank,
                                  nonneg_orthant, primitive, solve_inequalities,
                                  subtract_full_dim, vcone, vneg)
@@ -285,6 +285,31 @@ def test_double_description_matches_reference_on_random_cones():
             shapes.add((bool(lines), bool(rays)))
     # pointed, the origin alone, a linear subspace, a non-pointed wedge
     assert shapes == {(False, True), (False, False), (True, False), (True, True)}
+
+
+def test_dd_step_loop_matches_reference_on_every_prefix():
+    """Stepping one normal at a time gives the reference generators of every
+    prefix, leaves the state it started from untouched, and keeps each ray's
+    mask equal to its zero set among the non-zero normals so far."""
+    rng = random.Random(37)
+    for dim in range(2, 7):
+        for _ in range(25):
+            rows = [tuple(rng.randrange(-3, 4) for _ in range(dim))
+                    for _ in range(rng.randrange(1, 11))]
+            rows.insert(rng.randrange(len(rows) + 1), (0,) * dim)
+            state = dd_whole(dim)
+            for j, a in enumerate(rows):
+                before = (state[0], list(state[1].items()), state[2])
+                new = dd_step(state, a)
+                assert (state[0], list(state[1].items()), state[2]) == before
+                state = new
+                lines, zeros, _ = state
+                assert (list(lines), list(zeros)) == \
+                    _reference_double_description(rows[:j + 1], dim)
+                normals = [primitive(b) for b in rows[:j + 1] if any(b)]
+                for r, mask in zeros.items():
+                    assert mask == sum(1 << i for i, b in enumerate(normals)
+                                       if dot(b, r) == 0)
 
 
 def test_double_description_matches_reference_on_rank5_words():

@@ -12,8 +12,10 @@ from lp_oracles import (_lp_implies, _lp_interior_point, _lp_irredundant_h,
                         _lp_subtract_full_dim)
 from wordcones import cli, regions
 from wordcones.polyhedra import (HCone, InvariantError, cone_equal,
-                                 cone_from_rays, hcone, implies, interior_point,
-                                 irredundant_h, matrix_rank, nonneg_orthant,
+                                 cone_from_rays, double_description,
+                                 facets_from_generators, hcone, implies,
+                                 interior_point, irredundant_h, matrix_rank,
+                                 nonneg_orthant, positive_somewhere,
                                  solve_inequalities, vcone, vneg)
 from wordcones.regions import (RegionConvexityError, _merge_cells,
                                apply_braid_triple, braid_move_map,
@@ -123,6 +125,21 @@ def test_merge_certificate_accepts_every_rank4_group(atlas4):
         assert cone == cones[group[0].rows] == _subtraction_merge(group, k)
 
 
+def test_merge_validity_counts_lines():
+    """{x >= 0} and {x <= 0, y >= 0} in R^2: (0, 1) holds on the ray of the
+    first but not on its line, so no normal is valid and the union, R^2
+    minus an open quadrant, is refused."""
+    def cell(*guards):
+        lines, rays = double_description(guards, 2)
+        return regions.Cell(((1, 0), (0, 1)), guards, (0, 0), "",
+                            tuple(lines), tuple(rays))
+    group = [cell((1, 0)), cell((-1, 0), (0, 1))]
+    assert group[0].lines == ((0, 1),)
+    for merge in (_merge_cells, _subtraction_merge):
+        with pytest.raises(RegionConvexityError):
+            merge(group, 2)
+
+
 def test_lp_counts(monkeypatch, atlas4):
     calls = []
     real = solve_inequalities
@@ -197,10 +214,34 @@ def test_region_graph_matches_lp_face_test(atlas3):
         {e for e in expected if e <= set(minimal)}
 
 
+def test_carried_generators_match_double_description():
+    """Every rank-3 and rank-4 cell carries the generators double
+    description of its guards gives, order included, and its facets from
+    them are those of its guards.  On every branch of both trees the side
+    test on the parent's generators agrees with a from-scratch interior
+    point, and both answers occur."""
+    for rank in (3, 4):
+        cells, k = _standard_cells(rank)
+        for cell in cells:
+            assert (list(cell.lines), list(cell.rays)) == \
+                double_description(cell.guards, k)
+            assert facets_from_generators(cell.guards, cell.lines, cell.rays,
+                                          k) == irredundant_h(HCone(k, cell.guards))
+        branches = dict.fromkeys((c.guards[:j], c.guards[j])
+                                 for c in cells for j in range(len(c.guards)))
+        answers = set()
+        for prefix, g in branches:
+            gens = double_description(prefix, k)
+            for side in (g, vneg(g)):
+                got = positive_somewhere(side, *gens)
+                assert got == (interior_point(prefix + (side,), k) is not None)
+                answers.add(got)
+        assert answers == {True, False}, rank
+
+
 def test_both_branches_empty_raises_typed_error(monkeypatch):
-    # a witness on every guard and no interior points leave no branch
-    monkeypatch.setattr(regions, "interior_point", lambda ineqs, dim: None)
-    monkeypatch.setattr(regions, "_generic_start", lambda k: (0,) * k)
+    # a side test that finds no interior on either side leaves no branch
+    monkeypatch.setattr(regions, "positive_somewhere", lambda a, lines, rays: False)
     j, jp = standard_words(3)
     with pytest.raises(InvariantError, match="both braid branches"):
         enumerate_cells(j, default_move_path(j, jp))
