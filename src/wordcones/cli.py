@@ -212,6 +212,9 @@ def cmd_regions(args) -> int:
                          "region": m.region_index}
                         for m in report.matches],
         }
+        if report.unmatched:
+            payload["match"]["unmatched"] = [format_letters(c, args.rank)
+                                             for c in report.unmatched]
     if args.orthant:
         payload["orthant"] = [
             {"region": r.region_index, "facets": r.region_facets,

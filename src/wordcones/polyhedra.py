@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -377,10 +378,7 @@ def double_description(ineqs: Sequence[Vector], dim: int
                        ) -> tuple[list[Vector], list[Vector]]:
     """Generators (lines, rays) of {x : a . x >= 0 for a in ineqs}: one
     dd_step per normal, in order, from the whole space."""
-    state = dd_whole(dim)
-    for a in ineqs:
-        state = dd_step(state, a)
-    lines, zeros, _ = state
+    lines, zeros, _ = reduce(dd_step, ineqs, dd_whole(dim))
     return list(lines), list(zeros)
 
 
@@ -449,24 +447,30 @@ def irredundant_h(cone: HCone) -> HCone:
         raise DegenerateConeError(
             f"cone is not full-dimensional ({len(cone.ineqs)} inequalities in "
             f"dimension {cone.dim})")
-    return facets_from_generators(cone.ineqs, lines, rays, cone.dim)
+    return facets_from_generators(cone.ineqs, rays, cone.dim)
 
 
-def facets_from_generators(normals: Sequence[Vector], lines: Sequence[Vector],
-                           rays: Sequence[Vector], dim: int) -> HCone:
+def facets_from_generators(normals: Sequence[Vector], rays: Sequence[Vector],
+                           dim: int) -> HCone:
     """Facet list, primitive and sorted, of the full-dimensional cone
-    {x : a . x >= 0 for a in normals} with these generators.
+    {x : a . x >= 0 for a in normals} that these rays generate together
+    with its lines.
 
-    A normal is a facet iff the lines and the rays it vanishes on span its
-    face, of rank dim - 1; fewer than dim - 1 - len(lines) such rays cannot.
+    The face a cuts out is spanned by the lines, on which every normal
+    vanishes, and the rays a vanishes on.  So faces compare by zero sets,
+    and a facet, a maximal proper face, is a non-zero normal whose zero set
+    no other normal's strictly contains (Ziegler, Lectures on Polytopes,
+    ch. 2).  This holds for any generating set.  A zero normal vanishes on
+    the whole cone and is never a facet.
     """
-    need = dim - 1 - len(lines)
-    keep = set()
+    masks = {}
     for a in map(primitive, normals):
-        face = [r for r in rays if dot(a, r) == 0]
-        if len(face) >= need and matrix_rank(list(lines) + face) == dim - 1:
-            keep.add(a)
-    return HCone(dim, tuple(sorted(keep)))
+        if any(a):
+            masks[a] = sum(1 << j for j, r in enumerate(rays) if dot(a, r) == 0)
+    faces = set(masks.values())
+    return HCone(dim, tuple(sorted(
+        a for a, m in masks.items()
+        if not any(f & m == m and f != m for f in faces))))
 
 
 def extreme_rays(cone: HCone) -> VCone:

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import prod
 from typing import Iterable, Optional, Sequence
 
-from .polyhedra import (DegenerateConeError, HCone, InvariantError, Vector,
-                        VCone, cone_equal, cone_from_rays, dd_step, dd_whole,
-                        det, dot, double_description, extreme_rays,
+from .polyhedra import (DDState, DegenerateConeError, HCone, InvariantError,
+                        Vector, VCone, cone_equal, cone_from_rays, dd_step,
+                        dd_whole, det, dot, double_description, extreme_rays,
                         facets_from_generators, hcone, holds_on,
                         interior_point, irredundant_h, matrix_rank,
                         nonneg_orthant, positive_somewhere, primitive,
@@ -288,6 +289,38 @@ def enumerate_cells(src: ReducedWord, moves: Sequence[Move]) -> list[Cell]:
     return cells
 
 
+def _off_path_siblings(cells: list[Cell]) -> list[tuple[Vector, ...]]:
+    """Guard tuples p + (-h,) where p + (h,) is a prefix of a member's guards
+    and p + (-h,) is not, in first-seen order."""
+    prefixes = {c.guards[:j] for c in cells for j in range(len(c.guards) + 1)}
+    return [sib for sib in dict.fromkeys(c.guards[:j] + (vneg(c.guards[j]),)
+                                         for c in cells
+                                         for j in range(len(c.guards)))
+            if sib not in prefixes]
+
+
+def _sibling_witness(state: DDState, valid: tuple[Vector, ...],
+                     sib: tuple[Vector, ...], k: int) -> Optional[Vector]:
+    """An interior point of {x : g . x >= 0 for g in valid + sib}, or None,
+    where ``state`` is the double-description state of the full-dimensional
+    cone that ``valid`` cuts out.
+
+    A guard in ``valid`` already holds.  Any other keeps the cone
+    full-dimensional iff it is positive somewhere on the current generators,
+    and then costs one dd_step, as in enumerate_cells.  The ray sum of the
+    last state is checked in integers.
+    """
+    held = set(valid)
+    for g in sib:
+        if g in held:
+            continue
+        lines, zeros, _ = state
+        if not positive_somewhere(g, lines, zeros):
+            return None
+        state = dd_step(state, g)
+    return ray_sum_witness(valid + sib, list(state[1]), k)
+
+
 def _merge_cells(cells: list[Cell], k: int) -> tuple[HCone, Vector]:
     """Certified-convex union of same-matrix cells, as an irredundant cone.
 
@@ -295,7 +328,9 @@ def _merge_cells(cells: list[Cell], k: int) -> tuple[HCone, Vector]:
     candidate cone C is cut out by the member-cell inequalities valid on
     every member's generators, so C contains the union.  If the union is
     convex, C is exactly the union, since every facet of a convex union shows
-    up among member inequalities.
+    up among member inequalities.  One dd_step per valid normal gives C's
+    double-description state; C's facets come from its rays, and every
+    sibling check below starts from it.
 
     Coverage comes from the branch tree.  Its leaves tile R^k with disjoint
     interiors, and the node with guard prefix p is the union of the leaves
@@ -309,24 +344,27 @@ def _merge_cells(cells: list[Cell], k: int) -> tuple[HCone, Vector]:
     """
     if len(cells) == 1:
         cell = cells[0]
-        return (facets_from_generators(cell.guards, cell.lines, cell.rays, k),
-                cell.witness)
+        return facets_from_generators(cell.guards, cell.rays, k), cell.witness
     normals = dict.fromkeys(g for c in cells for g in c.guards)
-    valid = [g for g in normals
-             if all(holds_on(g, c.lines, c.rays) for c in cells)]
+    valid = tuple(g for g in normals
+                  if all(holds_on(g, c.lines, c.rays) for c in cells))
+    state = reduce(dd_step, valid, dd_whole(k))
+    lines, rays = state[0], tuple(state[1])
+    if matrix_rank(lines + rays) != k:
+        raise InvariantError(f"the {len(valid)} shared-valid inequalities of "
+                             f"{len(cells)} full-dimensional cells cut out a "
+                             f"cone with empty interior")
     opposed = {vneg(g) for g in valid}
-    prefixes = {c.guards[:j] for c in cells for j in range(len(c.guards) + 1)}
-    siblings = dict.fromkeys(c.guards[:j] + (vneg(c.guards[j]),)
-                             for c in cells for j in range(len(c.guards)))
-    for sib in siblings:
-        if sib in prefixes or any(h in opposed for h in sib):
+    for sib in _off_path_siblings(cells):
+        if any(h in opposed for h in sib):
             continue
-        if interior_point(tuple(valid) + sib, k) is not None:
+        point = _sibling_witness(state, valid, sib, k)
+        if point is not None:
             raise RegionConvexityError(
                 f"union of {len(cells)} same-matrix cells is not the convex "
-                f"cone cut out by its {len(valid)} shared-valid inequalities")
-    cone = irredundant_h(HCone(k, tuple(valid)))
-    return cone, cells[0].witness
+                f"cone cut out by its {len(valid)} shared-valid inequalities: "
+                f"{point} is interior to it and to an off-path sibling")
+    return facets_from_generators(valid, rays, k), cells[0].witness
 
 
 def _checked_path(src: ReducedWord, dst: ReducedWord,
@@ -350,8 +388,8 @@ def transition_atlas(src: ReducedWord, dst: ReducedWord,
 
     The 144-region standard-word atlas of rank 4 comes from 214 leaf cells.
     Rank 5 is supported but slow: the peel path has 20 braids, and its
-    18,273 cells merge into 6,608 regions in about two minutes, most of it
-    in the multi-cell merges.
+    18,273 cells merge into 6,608 regions in under a minute, most of it in
+    the multi-cell merges.
     """
     moves = _checked_path(src, dst, moves)
     k = len(src.letters)
@@ -400,10 +438,11 @@ class MatchReport:
     matches: tuple[ClassRegionMatch, ...]
     injective: bool
     covers_all_minimal: bool
+    unmatched: tuple[Letters, ...]  # canonical words of classes with no region
 
     @property
     def ok(self) -> bool:
-        return (self.injective and self.covers_all_minimal
+        return (not self.unmatched and self.injective and self.covers_all_minimal
                 and all(m.facet_count == self.minimal_facets for m in self.matches))
 
 
@@ -414,20 +453,21 @@ def match_spanned_regions(atlas: RegionAtlas) -> MatchReport:
     attached quivers plus the letter-position vectors must equal
     (matched region) intersect (non-negative orthant), the matched region
     must have the minimal facet count, and the assignment must be a
-    bijection onto the minimal-facet regions.
+    bijection onto the minimal-facet regions.  A class with no such region
+    is reported as unmatched, which makes the report not ok.
     """
     from .rectangles import spanning_vectors
     rank = atlas.src.rank
     k = atlas.dim
     orth = nonneg_orthant(k)
     minimal = min(r.facet_count for r in atlas.regions)
-    matches = []
+    matches, unmatched = [], []
     used: set[int] = set()
     for cls in commutation_classes(rank):
         word = ReducedWord(rank, cls.canonical)
         vecs = spanning_vectors(word)
         if matrix_rank(vecs) != k:
-            raise AssertionError(
+            raise InvariantError(
                 f"spanning vectors of class {cls.canonical} are dependent")
         spanned = vcone(vecs, k)
         probe = tuple(sum(col) for col in zip(*vecs))
@@ -440,15 +480,16 @@ def match_spanned_regions(atlas: RegionAtlas) -> MatchReport:
                 found = idx
                 break
         if found is None:
-            raise AssertionError(
-                f"class {cls.canonical}: no region restricts to its spanned cone")
+            unmatched.append(cls.canonical)
+            continue
         used.add(found)
         matches.append(ClassRegionMatch(cls.canonical, found,
                                         atlas.regions[found].facet_count))
     injective = len(used) == len(matches)
     covers = used == {i for i, r in enumerate(atlas.regions)
                       if r.facet_count == minimal}
-    return MatchReport(rank, minimal, tuple(matches), injective, covers)
+    return MatchReport(rank, minimal, tuple(matches), injective, covers,
+                       tuple(unmatched))
 
 
 # ---------------------------------------------------------------------------

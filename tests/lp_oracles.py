@@ -5,14 +5,16 @@ Each function answers the same question as its namesake in
 ``wordcones.polyhedra`` with one exact LP per decision, as the library did
 before it answered everything from generators.  The tests compare the two.
 The two cover oracles at the end check ``regions.simplicial_decomposition``
-by LP subtraction, without its volume certificate.
+by LP subtraction, without its volume certificate.  ``_rank_facets`` is the
+facet rule by rank that ``facets_from_generators`` used before zero sets.
 """
 
 from itertools import combinations
 
 from wordcones.polyhedra import (DegenerateConeError, HCone, VCone,
                                  cone_from_rays, det, dot, extreme_rays,
-                                 primitive, solve_inequalities, vneg)
+                                 matrix_rank, primitive, solve_inequalities,
+                                 vneg)
 
 
 def _lp_interior_point(ineqs, dim):
@@ -49,6 +51,20 @@ def _lp_irredundant_h(cone):
         else:
             i += 1
     return HCone(cone.dim, tuple(sorted(keep)))
+
+
+def _rank_facets(normals, lines, rays, dim):
+    """Facets of the full-dimensional cone {x : a . x >= 0 for a in normals}
+    with these generators: the normals whose lines and zero rays have rank
+    dim - 1, one Bareiss elimination each.  Fewer than dim - 1 - len(lines)
+    such rays cannot."""
+    need = dim - 1 - len(lines)
+    keep = set()
+    for a in map(primitive, normals):
+        face = [r for r in rays if dot(a, r) == 0]
+        if len(face) >= need and matrix_rank(list(lines) + face) == dim - 1:
+            keep.add(a)
+    return HCone(dim, tuple(sorted(keep)))
 
 
 def _lp_subtract_full_dim(pieces, ineqs, dim):

@@ -6,12 +6,12 @@ from math import gcd
 import pytest
 
 from lp_oracles import (_lp_feasible, _lp_implies, _lp_interior_point,
-                        _lp_irredundant_h)
+                        _lp_irredundant_h, _rank_facets)
 from wordcones.lusztig import lusztig_cone
 from wordcones.polyhedra import (DegenerateConeError, NonPointedError,
                                  cone_equal, cone_from_rays, dd_step, dd_whole,
                                  det, dot, double_description, extreme_rays,
-                                 hcone, implies, intersect, interior_point,
+                                 facets_from_generators, hcone, implies, intersect, interior_point,
                                  irredundant_h, lp_feasible, matrix_rank,
                                  nonneg_orthant, primitive, solve_inequalities,
                                  subtract_full_dim, vcone, vneg)
@@ -154,6 +154,52 @@ def test_irredundant_order_independent():
 def test_irredundant_rejects_degenerate():
     with pytest.raises(DegenerateConeError):
         irredundant_h(hcone([(1, 0), (-1, 0)], 2))
+
+
+def _checked_facets(normals, dim, rng):
+    """Zero-set facets of {x : a . x >= 0 for a in normals}, checked against
+    the rank rule and the LP on its DD generators, and again on those rays
+    shuffled with redundant generators mixed in; None unless the cone is
+    full-dimensional."""
+    lines, rays = double_description(normals, dim)
+    if matrix_rank(lines + rays) != dim:
+        return None
+    got = facets_from_generators(normals, rays, dim)
+    assert got == _rank_facets(normals, lines, rays, dim) == \
+        _lp_irredundant_h(hcone(normals, dim)), normals
+    extra = [tuple(map(sum, zip(r, s))) for r, s in zip(rays, rays[1:])]
+    extra += [tuple(map(sum, zip(r, l))) for r in rays[:1] for l in lines]
+    gens = rays + extra
+    rng.shuffle(gens)
+    assert facets_from_generators(normals, gens, dim) == got, normals
+    return got
+
+
+def test_zero_set_facets_match_rank_and_lp_on_seeded_cones():
+    """Seeded systems, some with lines and some with duplicate, scaled and
+    zero normals, and half-spaces (one ray plus dim - 1 lines)."""
+    rng = random.Random(29)
+    shapes = set()
+    for _ in range(150):
+        dim = rng.randrange(2, 6)
+        normals = _random_system(rng, dim)
+        if normals and rng.random() < 0.5:
+            a, b = rng.choice(normals), rng.choice(normals)
+            normals += [a, tuple(3 * x for x in b), (0,) * dim]
+            rng.shuffle(normals)
+        if _checked_facets(normals, dim, rng) is not None:
+            lines = double_description(normals, dim)[0]
+            shapes.add((bool(lines), len(set(normals)) < len(normals),
+                        (0,) * dim in normals))
+    assert {(True, False, False), (False, True, True), (True, True, True)} <= shapes
+    for dim in range(1, 6):
+        a = (0,) * dim
+        while not any(a):
+            a = tuple(rng.randrange(-3, 4) for _ in range(dim))
+        halfspace = [a, (0,) * dim, tuple(2 * x for x in a), a]
+        assert len(double_description(halfspace, dim)[0]) == dim - 1
+        assert _checked_facets(halfspace, dim, rng).ineqs == (primitive(a),)
+    assert _checked_facets([(0, 0)], 2, rng).ineqs == ()
 
 
 def test_extreme_rays_orthant():

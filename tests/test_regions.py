@@ -3,16 +3,18 @@ import json
 import random
 import sys
 from dataclasses import replace
+from functools import reduce
 from itertools import combinations
 
 import pytest
 
 from lp_oracles import (_lp_implies, _lp_interior_point, _lp_irredundant_h,
                         _lp_is_disjoint_cover, _lp_min_simplicial_cover,
-                        _lp_subtract_full_dim)
-from wordcones import cli, regions
+                        _lp_subtract_full_dim, _rank_facets)
+from wordcones import cli, rectangles, regions
 from wordcones.polyhedra import (HCone, InvariantError, cone_equal,
-                                 cone_from_rays, double_description,
+                                 cone_from_rays, dd_step, dd_whole,
+                                 double_description,
                                  facets_from_generators, hcone, implies,
                                  interior_point, irredundant_h, matrix_rank,
                                  nonneg_orthant, positive_somewhere,
@@ -25,8 +27,9 @@ from wordcones.regions import (RegionConvexityError, _merge_cells,
                                orthant_restriction_analysis, region_graph,
                                simplicial_decomposition, standard_atlas,
                                transition_atlas)
-from wordcones.words import (BRAID, COMMUTATION, Move, find_move_path,
-                             is_connected, random_reduced_word, standard_words)
+from wordcones.words import (BRAID, COMMUTATION, Move, ReducedWord,
+                             commutation_classes, find_move_path, is_connected,
+                             random_reduced_word, standard_words)
 
 
 def test_braid_triple_examples():
@@ -140,6 +143,79 @@ def test_merge_validity_counts_lines():
             merge(group, 2)
 
 
+def _valid_normals(cells, k):
+    """The group's guards implied on every member, from scratch."""
+    return tuple(g for g in dict.fromkeys(g for c in cells for g in c.guards)
+                 if all(implies(c.guards, g, k) for c in cells))
+
+
+def _multi_cell_groups(cells):
+    groups = {}
+    for cell in cells:
+        groups.setdefault(cell.rows, []).append(cell)
+    return [g for g in groups.values() if len(g) > 1]
+
+
+def test_zero_set_facets_match_rank_and_lp_on_cells_and_groups():
+    """The facets of every rank-3 and rank-4 cell, from its carried rays, and
+    of every multi-cell group's valid normals, from their DD rays."""
+    for rank in (3, 4):
+        cells, k = _standard_cells(rank)
+        cones = [(c.guards, c.lines, c.rays) for c in cells]
+        for group in _multi_cell_groups(cells):
+            valid = _valid_normals(group, k)
+            cones.append((valid, *double_description(valid, k)))
+        assert len(cones) == {3: 12, 4: 262}[rank]
+        for normals, lines, rays in cones:
+            assert facets_from_generators(normals, rays, k) == \
+                _rank_facets(normals, lines, rays, k) == \
+                _lp_irredundant_h(HCone(k, normals)), normals
+
+
+def test_stepped_sibling_verdicts_match_interior_point():
+    """On every rank-3 cell pair and every rank-4 multi-cell group, stepping
+    each off-path sibling from the state of the valid normals agrees with a
+    from-scratch interior point of valid + sibling; both answers occur."""
+    cells3, k3 = _standard_cells(3)
+    cells4, k4 = _standard_cells(4)
+    groups = [(list(pair), k3) for pair in combinations(cells3, 2)]
+    groups += [(group, k4) for group in _multi_cell_groups(cells4)]
+    answers = {True: 0, False: 0}
+    for group, k in groups:
+        valid = _valid_normals(group, k)
+        state = reduce(dd_step, valid, dd_whole(k))
+        for sib in regions._off_path_siblings(group):
+            got = regions._sibling_witness(state, valid, sib, k)
+            assert (got is None) == (interior_point(valid + sib, k) is None), \
+                (valid, sib)
+            assert got is None or HCone(k, valid + sib).contains_strictly(got)
+            answers[got is not None] += 1
+    assert answers[True] and answers[False], answers
+
+
+def test_match_reports_a_class_with_no_region(monkeypatch, atlas3, capsys):
+    lost = commutation_classes(3)[0].canonical
+    spanned = vcone(rectangles.spanning_vectors(ReducedWord(3, lost)), 6)
+    real = regions.cone_equal
+    monkeypatch.setattr(regions, "cone_equal",
+                        lambda a, b: a != spanned and real(a, b))
+    rep = match_spanned_regions(atlas3)
+    assert rep.unmatched == (lost,) and not rep.ok
+    assert len(rep.matches) == 7 and rep.injective and not rep.covers_all_minimal
+    assert lost not in {m.canonical for m in rep.matches}
+    assert cli.main(["regions", "--rank", "3", "--match-classes"]) == 0
+    match = json.loads(capsys.readouterr().out)["match"]
+    assert match["ok"] is False and len(match["matches"]) == 7
+    assert match["unmatched"] == ["".join(map(str, lost))]
+
+
+def test_match_raises_on_dependent_spanning_vectors(monkeypatch, atlas2):
+    monkeypatch.setattr(rectangles, "spanning_vectors",
+                        lambda word: [(1, 0, 0)] * 3)
+    with pytest.raises(InvariantError, match="dependent"):
+        match_spanned_regions(atlas2)
+
+
 def test_lp_counts(monkeypatch, atlas4):
     calls = []
     real = solve_inequalities
@@ -225,8 +301,8 @@ def test_carried_generators_match_double_description():
         for cell in cells:
             assert (list(cell.lines), list(cell.rays)) == \
                 double_description(cell.guards, k)
-            assert facets_from_generators(cell.guards, cell.lines, cell.rays,
-                                          k) == irredundant_h(HCone(k, cell.guards))
+            assert facets_from_generators(cell.guards, cell.rays, k) == \
+                irredundant_h(HCone(k, cell.guards))
         branches = dict.fromkeys((c.guards[:j], c.guards[j])
                                  for c in cells for j in range(len(c.guards)))
         answers = set()
