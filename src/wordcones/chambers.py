@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .polyhedra import InvariantError
 from .words import ReducedWord, format_letters
 
 
@@ -43,14 +44,16 @@ def chamber_sets(word: ReducedWord) -> list[ChamberSet]:
         below_now = frozenset(order[g:])
         if g in below_since:
             t0, recorded = below_since[g]
-            assert recorded == below_now, "below-set drifted between crossings"
+            if recorded != below_now:
+                raise InvariantError("below-set drifted between crossings")
             counts[g] += 1
             out.append(ChamberSet(g, counts[g], recorded, t0, t))
         order[g - 1], order[g] = order[g], order[g - 1]
         below_since[g] = (t, frozenset(order[g:]))
     for cs in out:
         _check_not_initial_terminal(cs.members, n)
-    assert len(out) == n * (n - 1) // 2
+    if len(out) != n * (n - 1) // 2:
+        raise InvariantError(f"{len(out)} chamber sets at rank {n}")
     return out
 
 

@@ -15,6 +15,7 @@ from fractions import Fraction
 from . import __version__
 from .chambers import chamber_sets, render_wiring
 from .lusztig import lusztig_cone, spanning_rays
+from .polyhedra import InvariantError
 from .quivers import (PartialQuiver, chamber_quiver_pairs,
                       enumerate_partial_quivers, quivers_for_word)
 from .rectangles import (centre_and_central_line, components,
@@ -341,7 +342,7 @@ def _verify_properties(checks):
         for quiver in enumerate_partial_quivers(rank):
             try:
                 phi_plus(quiver)
-            except AssertionError:
+            except (AssertionError, InvariantError):
                 bad += 1
     _check(checks, "properties.phi_plus_disjoint_ranks_le_8", 0, bad)
     bad = 0
@@ -349,7 +350,7 @@ def _verify_properties(checks):
         for word in enumerate_reduced_words(rank):
             try:
                 chamber_sets(word)
-            except AssertionError:
+            except (AssertionError, InvariantError):
                 bad += 1
     _check(checks, "properties.chamber_sets_never_initial_terminal", 0, bad)
     for rank in (2, 3):

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .polyhedra import (HCone, VCone, Vector, extreme_rays, hcone, intersect,
-                        nonneg_orthant)
+from .polyhedra import (HCone, InvariantError, VCone, Vector, extreme_rays,
+                        hcone, intersect, nonneg_orthant)
 from .words import BRAID, Move, ReducedWord
 
 
@@ -57,7 +57,8 @@ def lusztig_cone(word: ReducedWord) -> LusztigCone:
             ineqs.append(tuple(row))
         last_seen[g] = t2
     result = LusztigCone(word, HCone(k, tuple(ineqs)))
-    assert len(ineqs) == k - word.rank
+    if len(ineqs) != k - word.rank:
+        raise InvariantError(f"{len(ineqs)} inequalities, not {k - word.rank}")
     return result
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 Vector = tuple[int, ...]
@@ -40,7 +41,7 @@ class NonPointedError(ValueError):
 
 
 def dot(a: Sequence, b: Sequence):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def vneg(a: Sequence) -> Vector:
@@ -301,7 +302,8 @@ def solve_inequalities(rows: Sequence[Vector], rhs: Sequence[int], dim: int
         elif v < 2 * dim:
             x[v - dim] -= Fraction(tab[i][rhs_col], det)
     point = tuple(x)
-    assert all(dot(rows[i], point) >= rhs[i] for i in range(m))
+    if not all(dot(rows[i], point) >= rhs[i] for i in range(m)):
+        raise InvariantError(f"simplex point {point} violates its rows")
     return point
 
 
@@ -382,6 +384,19 @@ def double_description(ineqs: Sequence[Vector], dim: int
     return list(lines), list(zeros)
 
 
+def dd_cut(state: DDState, ineqs: Iterable[Sequence]) -> Optional[DDState]:
+    """The state of a full-dimensional cone cut by ineqs, one dd_step each,
+    or None at the first cut that leaves no interior: a full-dimensional cone
+    stays so under a non-zero a . x >= 0 iff a is positive somewhere on its
+    generators, for then {a . x > 0} meets its interior (Fukuda-Prodon).  A
+    zero normal cuts nothing."""
+    for a in ineqs:
+        if any(a) and not positive_somewhere(a, state[0], state[1]):
+            return None
+        state = dd_step(state, a)
+    return state
+
+
 def holds_on(a: Sequence, lines: Sequence, rays: Sequence) -> bool:
     """Does a . x >= 0 hold on the cone with these generators?"""
     return (all(dot(a, l) == 0 for l in lines)
@@ -409,16 +424,14 @@ def lp_feasible(cone: HCone, strict: Iterable[int] = ()) -> bool:
 def interior_point(ineqs: Sequence[Vector], dim: int) -> Optional[Vector]:
     """An integer point satisfying every inequality strictly, or None.
 
-    None unless the generators span R^dim; otherwise the primitive sum of
-    the rays, which a non-zero normal can only vanish on if it vanishes on
-    the whole cone.
+    None if a normal is zero or dd_cut finds the cone's interior empty;
+    otherwise the primitive sum of the rays, which a non-zero normal can
+    only vanish on if it vanishes on the whole cone.
     """
     if not all(map(any, ineqs)):  # 0 . x > 0 has no solution
         return None
-    lines, rays = double_description(ineqs, dim)
-    if matrix_rank(lines + rays) != dim:
-        return None
-    return ray_sum_witness(ineqs, rays, dim)
+    cut = dd_cut(dd_whole(dim), ineqs)
+    return None if cut is None else ray_sum_witness(ineqs, list(cut[1]), dim)
 
 
 def ray_sum_witness(ineqs: Sequence[Vector], rays: Sequence[Vector], dim: int
@@ -439,15 +452,14 @@ def implies(ineqs: Sequence[Vector], a: Vector, dim: int) -> bool:
 def irredundant_h(cone: HCone) -> HCone:
     """Facet list of a full-dimensional cone, primitive and sorted.
 
-    Raises DegenerateConeError when the cone has empty interior (its
-    generators do not span R^dim).
+    Raises DegenerateConeError when dd_cut finds the cone's interior empty.
     """
-    lines, rays = double_description(cone.ineqs, cone.dim)
-    if matrix_rank(lines + rays) != cone.dim:
+    state = dd_cut(dd_whole(cone.dim), cone.ineqs)
+    if state is None:
         raise DegenerateConeError(
             f"cone is not full-dimensional ({len(cone.ineqs)} inequalities in "
             f"dimension {cone.dim})")
-    return facets_from_generators(cone.ineqs, rays, cone.dim)
+    return facets_from_generators(cone.ineqs, list(state[1]), cone.dim)
 
 
 def facets_from_generators(normals: Sequence[Vector], rays: Sequence[Vector],

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .chambers import chamber_sets
+from .polyhedra import InvariantError
 from .words import ReducedWord
 
 BLANK = "-"
@@ -126,7 +127,8 @@ def quivers_for_word(word: ReducedWord) -> list[PartialQuiver]:
     in chamber-set order (see chamber_sets)."""
     out = [quiver_from_chamber_set(cs.members, word.rank)
            for cs in chamber_sets(word)]
-    assert len(set(out)) == len(out), "chamber quivers must be distinct"
+    if len(set(out)) != len(out):
+        raise InvariantError("chamber quivers must be distinct")
     return out
 
 

@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .chambers import _fmt
+from .polyhedra import InvariantError
 from .quivers import PartialQuiver
 from .words import Root, ReducedWord, positive_root_order, standard_words
 
@@ -59,8 +60,10 @@ def components(quiver: PartialQuiver) -> list[Component]:
             runs.append((kind, [edge]))
     out = [Component(kind, a=edges[-1] - 1, b=edges[0] + 1) for kind, edges in runs]
     for left, right in zip(out, out[1:]):
-        assert left.kind != right.kind, "components must alternate"
-        assert left.a == right.b - 1, "adjacent components must interlock"
+        if left.kind == right.kind:
+            raise InvariantError("components must alternate")
+        if left.a != right.b - 1:
+            raise InvariantError("adjacent components must interlock")
     return out
 
 
@@ -211,7 +214,8 @@ def diagonal_counts(config: Configuration) -> tuple[tuple[int, ...], tuple[int, 
                      for ui in range(nu))
     w_counts = tuple(sum(1 for ui in range(nu) if (ui, wi) in config.cells)
                      for wi in range(nw))
-    assert all(c > 0 for c in u_counts + w_counts)
+    if not all(c > 0 for c in u_counts + w_counts):
+        raise InvariantError("a band of the configuration has no cell")
     return u_counts, w_counts
 
 
@@ -336,7 +340,8 @@ def roots_of_box(box: tuple[int, int, int, int]) -> list[tuple[int, Root]]:
             continue
         p = i + (abs(2 * d - 1 - 2 * (j - i)) + 1) // 2
         q = l - (abs(2 * d - 1 - 2 * (l - j)) + 1) // 2
-        assert p <= q
+        if p > q:
+            raise InvariantError(f"empty range {p}..{q}")
         out.append((x2_left + 2 * d - 1, (p, q)))
     return out
 

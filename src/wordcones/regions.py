@@ -17,18 +17,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations
 from math import prod
 from typing import Iterable, Optional, Sequence
 
-from .polyhedra import (DDState, DegenerateConeError, HCone, InvariantError,
-                        Vector, VCone, cone_equal, cone_from_rays, dd_step,
-                        dd_whole, det, dot, double_description, extreme_rays,
+from .polyhedra import (DegenerateConeError, HCone, InvariantError, Vector,
+                        VCone, cone_equal, cone_from_rays, dd_cut, dd_whole,
+                        det, dot, double_description, extreme_rays,
                         facets_from_generators, hcone, holds_on,
-                        interior_point, irredundant_h, matrix_rank,
-                        nonneg_orthant, positive_somewhere, primitive,
-                        ray_sum_witness, vcone, vneg)
+                        irredundant_h, matrix_rank, nonneg_orthant,
+                        primitive, ray_sum_witness, vcone, vneg)
 from .words import (BRAID, COMMUTATION, Letters, Move, ReducedWord,
                     apply_move_path, braids, class_graph, commutation_classes,
                     commutes, find_move_path)
@@ -194,7 +192,7 @@ class RegionAtlas:
         for r in self.regions:
             if r.cone.contains(point):
                 return r
-        raise AssertionError(f"atlas does not cover {point}")
+        raise InvariantError(f"atlas does not cover {point}")
 
     def regions_containing(self, point: Sequence) -> list[Region]:
         return [r for r in self.regions if r.cone.contains(point)]
@@ -226,29 +224,21 @@ def _braid_rows(rows: tuple[Vector, ...], t: int, low: bool) -> tuple[Vector, ..
     return rows[:t] + triple + rows[t + 3:]
 
 
-def _generic_start(k: int) -> Vector:
-    base = 1 << 64
-    return tuple(base ** i for i in range(k))
-
-
 def enumerate_cells(src: ReducedWord, moves: Sequence[Move]) -> list[Cell]:
     """Depth-first branch enumeration, pruning branches with empty interior.
 
-    Each state carries its full-dimensional cell's double-description state
-    and an interior witness.  The side {g . x > 0} of a braid guard has
-    interior iff g is positive somewhere on the cell, which its generators
-    answer.  A side taken extends the state by one dd_step, so the state
-    stays equal to double description of the guards from scratch.  It keeps
-    the witness when strictly on that side, else takes the ray sum of the
-    new state.  Duplicate guards decide the branch outright.  The moves are
-    taken to be legal for src; transition_atlas checks them.
+    Each state carries its full-dimensional cell's double-description state.
+    A braid guard's side {g . x >= 0} is dd_cut from it, which also says
+    whether that side keeps an interior, so the state stays equal to double
+    description of the guards from scratch.  Duplicate guards decide the
+    branch outright.  A cell's witness is the ray sum of its generators.
+    The moves are taken to be legal for src; transition_atlas checks them.
     """
     k = len(src.letters)
     cells: list[Cell] = []
-    stack = [(0, _identity(k), (), frozenset(), dd_whole(k),
-              _generic_start(k), "")]
+    stack = [(0, _identity(k), (), frozenset(), dd_whole(k), "")]
     while stack:
-        idx, rows, guards, gset, dd, witness, bits = stack.pop()
+        idx, rows, guards, gset, dd, bits = stack.pop()
         while idx < len(moves):
             mv = moves[idx]
             t = mv.position - 1
@@ -269,23 +259,21 @@ def enumerate_cells(src: ReducedWord, moves: Sequence[Move]) -> list[Cell]:
                 rows = _braid_rows(rows, t, low=False)
                 bits += "0"
                 continue
-            lines, zeros, _ = dd
-            take = [(low, gg) for low, gg in ((True, g), (False, vneg(g)))
-                    if positive_somewhere(gg, lines, zeros)]
-            if not take:
-                raise InvariantError("both braid branches are empty")
             sides = []
-            for low, gg in take:
-                side = dd_step(dd, gg)
-                wit = (witness if dot(gg, witness) > 0
-                       else ray_sum_witness(guards + (gg,), list(side[1]), k))
-                sides.append((_braid_rows(rows, t, low), guards + (gg,),
-                              gset | {gg}, side, wit, bits + ("1" if low else "0")))
+            for bit, gg in (("1", g), ("0", vneg(g))):
+                side = dd_cut(dd, (gg,))
+                if side is not None:
+                    sides.append((_braid_rows(rows, t, bit == "1"),
+                                  guards + (gg,), gset | {gg}, side,
+                                  bits + bit))
+            if not sides:
+                raise InvariantError("both braid branches are empty")
             # continue along the first option; push the rest
             stack += [(idx,) + s for s in sides[1:]]
-            rows, guards, gset, dd, witness, bits = sides[0]
-        lines, zeros, _ = dd
-        cells.append(Cell(rows, guards, witness, bits, lines, tuple(zeros)))
+            rows, guards, gset, dd, bits = sides[0]
+        lines, rays = dd[0], tuple(dd[1])
+        cells.append(Cell(rows, guards, ray_sum_witness(guards, rays, k), bits,
+                          lines, rays))
     return cells
 
 
@@ -299,28 +287,6 @@ def _off_path_siblings(cells: list[Cell]) -> list[tuple[Vector, ...]]:
             if sib not in prefixes]
 
 
-def _sibling_witness(state: DDState, valid: tuple[Vector, ...],
-                     sib: tuple[Vector, ...], k: int) -> Optional[Vector]:
-    """An interior point of {x : g . x >= 0 for g in valid + sib}, or None,
-    where ``state`` is the double-description state of the full-dimensional
-    cone that ``valid`` cuts out.
-
-    A guard in ``valid`` already holds.  Any other keeps the cone
-    full-dimensional iff it is positive somewhere on the current generators,
-    and then costs one dd_step, as in enumerate_cells.  The ray sum of the
-    last state is checked in integers.
-    """
-    held = set(valid)
-    for g in sib:
-        if g in held:
-            continue
-        lines, zeros, _ = state
-        if not positive_somewhere(g, lines, zeros):
-            return None
-        state = dd_step(state, g)
-    return ray_sum_witness(valid + sib, list(state[1]), k)
-
-
 def _merge_cells(cells: list[Cell], k: int) -> tuple[HCone, Vector]:
     """Certified-convex union of same-matrix cells, as an irredundant cone.
 
@@ -328,19 +294,20 @@ def _merge_cells(cells: list[Cell], k: int) -> tuple[HCone, Vector]:
     candidate cone C is cut out by the member-cell inequalities valid on
     every member's generators, so C contains the union.  If the union is
     convex, C is exactly the union, since every facet of a convex union shows
-    up among member inequalities.  One dd_step per valid normal gives C's
-    double-description state; C's facets come from its rays, and every
-    sibling check below starts from it.
+    up among member inequalities.  C's double-description state is dd_cut
+    of the valid normals from R^k; C's facets come from its rays, and every
+    sibling check below cuts from it.
 
     Coverage comes from the branch tree.  Its leaves tile R^k with disjoint
     interiors, and the node with guard prefix p is the union of the leaves
     below it.  An *off-path sibling* is a child p + (-h,) of a member prefix
     p, where p + (h,) is a member prefix and p + (-h,) is not.  Every leaf
     outside the group lies below exactly one of them, and none of the
-    members does.  So C equals the union iff C has no interior point in any
-    off-path sibling.  A sibling with a guard h where -h is a valid normal
-    of C is ruled out for free; any other with an interior point raises
-    instead of emitting a non-convex region.
+    members does.  So C equals the union iff dd_cut of C by each off-path
+    sibling's guards, less the valid normals, finds no interior.  A sibling
+    with a guard h where -h is a valid normal of C is ruled out for free;
+    any other with an interior raises instead of emitting a non-convex
+    region.
     """
     if len(cells) == 1:
         cell = cells[0]
@@ -348,23 +315,24 @@ def _merge_cells(cells: list[Cell], k: int) -> tuple[HCone, Vector]:
     normals = dict.fromkeys(g for c in cells for g in c.guards)
     valid = tuple(g for g in normals
                   if all(holds_on(g, c.lines, c.rays) for c in cells))
-    state = reduce(dd_step, valid, dd_whole(k))
-    lines, rays = state[0], tuple(state[1])
-    if matrix_rank(lines + rays) != k:
+    state = dd_cut(dd_whole(k), valid)
+    if state is None:
         raise InvariantError(f"the {len(valid)} shared-valid inequalities of "
                              f"{len(cells)} full-dimensional cells cut out a "
                              f"cone with empty interior")
+    held = set(valid)
     opposed = {vneg(g) for g in valid}
     for sib in _off_path_siblings(cells):
         if any(h in opposed for h in sib):
             continue
-        point = _sibling_witness(state, valid, sib, k)
-        if point is not None:
+        cut = dd_cut(state, (h for h in sib if h not in held))
+        if cut is not None:
+            point = ray_sum_witness(valid + sib, list(cut[1]), k)
             raise RegionConvexityError(
                 f"union of {len(cells)} same-matrix cells is not the convex "
                 f"cone cut out by its {len(valid)} shared-valid inequalities: "
                 f"{point} is interior to it and to an off-path sibling")
-    return facets_from_generators(valid, rays, k), cells[0].witness
+    return facets_from_generators(valid, list(state[1]), k), cells[0].witness
 
 
 def _checked_path(src: ReducedWord, dst: ReducedWord,
@@ -572,8 +540,10 @@ def simplicial_decomposition(cone: HCone) -> Decomposition:
     pieces = [s for s in combinations(rays, k) if det(s) != 0]
     hforms = [cone_from_rays(VCone(k, s)).ineqs for s in pieces]
     vols = [_volume(s, c) for s in pieces]
+    # pieces overlap iff cutting one by the other's normals leaves an interior
+    states = [dd_cut(dd_whole(k), h) for h in hforms]
     overlap = {(i, j) for i, j in combinations(range(len(pieces)), 2)
-               if interior_point(hforms[i] + hforms[j], k) is not None}
+               if dd_cut(states[i], hforms[j]) is not None}
     # pairwise-disjoint index-increasing subsets of one size, with the
     # volume they leave uncovered
     level: list[tuple[tuple[int, ...], Fraction]] = [((), total)]

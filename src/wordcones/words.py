@@ -15,6 +15,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence
 
+from .polyhedra import InvariantError
+
 Letters = tuple[int, ...]
 Root = tuple[int, int]  # interval [p, q]: the positive root a_p + ... + a_q
 
@@ -381,7 +383,8 @@ def find_move_path(src: ReducedWord, dst: ReducedWord) -> list[Move]:
         sub_moves, surfaced = _surface(cur[done:], src.rank, g)
         moves += _shift(sub_moves, done)
         cur = cur[:done] + surfaced
-    assert cur == dst.letters
+    if cur != dst.letters:
+        raise InvariantError(f"peel path ends at {cur}, not {dst.letters}")
     return moves
 
 
@@ -408,10 +411,12 @@ def positive_root_order(word: ReducedWord) -> tuple[Root, ...]:
     roots = []
     for g in word.letters:
         a, b = perm[g - 1], perm[g]
-        assert a < b, "reduced word produced a negative root"
+        if a >= b:
+            raise InvariantError("reduced word produced a negative root")
         roots.append((a, b - 1))
         perm[g - 1], perm[g] = perm[g], perm[g - 1]
-    assert len(set(roots)) == len(roots)
+    if len(set(roots)) != len(roots):
+        raise InvariantError("a root appears twice")
     return tuple(roots)
 
 

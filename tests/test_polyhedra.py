@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import gcd
 
@@ -9,8 +10,9 @@ from lp_oracles import (_lp_feasible, _lp_implies, _lp_interior_point,
                         _lp_irredundant_h, _rank_facets)
 from wordcones.lusztig import lusztig_cone
 from wordcones.polyhedra import (DegenerateConeError, NonPointedError,
-                                 cone_equal, cone_from_rays, dd_step, dd_whole,
-                                 det, dot, double_description, extreme_rays,
+                                 cone_equal, cone_from_rays, dd_cut, dd_step,
+                                 dd_whole, det, dot, double_description,
+                                 extreme_rays,
                                  facets_from_generators, hcone, implies, intersect, interior_point,
                                  irredundant_h, lp_feasible, matrix_rank,
                                  nonneg_orthant, primitive, solve_inequalities,
@@ -120,6 +122,44 @@ def test_generator_predicates_match_lp_oracles_on_random_cones():
             assert irredundant_h(cone) == expected, rows
     # full-dimensional and not, pointed and not: all four occur
     assert shapes == {(True, False), (True, True), (False, False), (False, True)}
+
+
+def _state_items(state):
+    lines, zeros, bit = state
+    return lines, list(zeros.items()), bit
+
+
+def test_dd_cut_matches_lp_and_the_plain_fold():
+    """dd_cut from R^dim is None iff the system's non-zero normals leave no
+    interior (a zero normal cuts nothing), and otherwise is the plain
+    dd_step fold, ray order and masks included.  Continuing from the state
+    of a full-dimensional prefix gives the same answer."""
+    rng = random.Random(83)
+    shapes = set()
+    for _ in range(150):
+        dim = rng.randrange(2, 7)
+        rows = _random_system(rng, dim)
+        if rng.random() < 0.3:
+            rows.insert(rng.randrange(len(rows) + 1), (0,) * dim)
+        cut = dd_cut(dd_whole(dim), rows)
+        nonzero = [a for a in rows if any(a)]
+        lp = _lp_interior_point(nonzero, dim)
+        assert (cut is None) == (lp is None), rows
+        if cut is not None:
+            assert _state_items(cut) == \
+                _state_items(reduce(dd_step, rows, dd_whole(dim))), rows
+        split = rng.randrange(len(rows) + 1)
+        head = dd_cut(dd_whole(dim), rows[:split])
+        if head is not None:
+            tail = dd_cut(head, rows[split:])
+            assert (tail is None) == (cut is None), (rows, split)
+            assert tail is None or _state_items(tail) == _state_items(cut)
+        shapes.add((cut is not None, bool(cut and cut[0]),
+                    len(nonzero) < len(rows), 0 < split < len(rows)))
+    # with and without interior, lines and zero normals; split mid-system
+    assert {(True, True, True, True), (True, False, True, True),
+            (True, False, False, True), (False, False, False, True),
+            (False, False, True, True)} <= shapes, shapes
 
 
 def test_interior_point_rejects_zero_normals():

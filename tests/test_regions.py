@@ -3,7 +3,6 @@ import json
 import random
 import sys
 from dataclasses import replace
-from functools import reduce
 from itertools import combinations
 
 import pytest
@@ -13,12 +12,13 @@ from lp_oracles import (_lp_implies, _lp_interior_point, _lp_irredundant_h,
                         _lp_subtract_full_dim, _rank_facets)
 from wordcones import cli, rectangles, regions
 from wordcones.polyhedra import (HCone, InvariantError, cone_equal,
-                                 cone_from_rays, dd_step, dd_whole,
+                                 cone_from_rays, dd_cut, dd_whole,
                                  double_description,
                                  facets_from_generators, hcone, implies,
                                  interior_point, irredundant_h, matrix_rank,
                                  nonneg_orthant, positive_somewhere,
-                                 solve_inequalities, vcone, vneg)
+                                 ray_sum_witness, solve_inequalities, vcone,
+                                 vneg)
 from wordcones.regions import (RegionConvexityError, _merge_cells,
                                apply_braid_triple, braid_move_map,
                                braid_move_count, class_region_isomorphism_report,
@@ -173,9 +173,10 @@ def test_zero_set_facets_match_rank_and_lp_on_cells_and_groups():
 
 
 def test_stepped_sibling_verdicts_match_interior_point():
-    """On every rank-3 cell pair and every rank-4 multi-cell group, stepping
-    each off-path sibling from the state of the valid normals agrees with a
-    from-scratch interior point of valid + sibling; both answers occur."""
+    """On every rank-3 cell pair and every rank-4 multi-cell group, cutting
+    the state of the valid normals by each off-path sibling agrees with the
+    LP on valid + sibling, and the ray sum of a cut that keeps an interior
+    is interior; both answers occur."""
     cells3, k3 = _standard_cells(3)
     cells4, k4 = _standard_cells(4)
     groups = [(list(pair), k3) for pair in combinations(cells3, 2)]
@@ -183,12 +184,13 @@ def test_stepped_sibling_verdicts_match_interior_point():
     answers = {True: 0, False: 0}
     for group, k in groups:
         valid = _valid_normals(group, k)
-        state = reduce(dd_step, valid, dd_whole(k))
+        state = dd_cut(dd_whole(k), valid)
         for sib in regions._off_path_siblings(group):
-            got = regions._sibling_witness(state, valid, sib, k)
-            assert (got is None) == (interior_point(valid + sib, k) is None), \
-                (valid, sib)
-            assert got is None or HCone(k, valid + sib).contains_strictly(got)
+            got = dd_cut(state, sib)
+            assert (got is None) == \
+                (_lp_interior_point(valid + sib, k) is None), (valid, sib)
+            if got is not None:
+                ray_sum_witness(valid + sib, list(got[1]), k)
             answers[got is not None] += 1
     assert answers[True] and answers[False], answers
 
@@ -294,8 +296,8 @@ def test_carried_generators_match_double_description():
     """Every rank-3 and rank-4 cell carries the generators double
     description of its guards gives, order included, and its facets from
     them are those of its guards.  On every branch of both trees the side
-    test on the parent's generators agrees with a from-scratch interior
-    point, and both answers occur."""
+    test on the parent's generators agrees with the LP, and both answers
+    occur."""
     for rank in (3, 4):
         cells, k = _standard_cells(rank)
         for cell in cells:
@@ -310,14 +312,15 @@ def test_carried_generators_match_double_description():
             gens = double_description(prefix, k)
             for side in (g, vneg(g)):
                 got = positive_somewhere(side, *gens)
-                assert got == (interior_point(prefix + (side,), k) is not None)
+                assert got == \
+                    (_lp_interior_point(prefix + (side,), k) is not None)
                 answers.add(got)
         assert answers == {True, False}, rank
 
 
 def test_both_branches_empty_raises_typed_error(monkeypatch):
     # a side test that finds no interior on either side leaves no branch
-    monkeypatch.setattr(regions, "positive_somewhere", lambda a, lines, rays: False)
+    monkeypatch.setattr(regions, "dd_cut", lambda state, ineqs: None)
     j, jp = standard_words(3)
     with pytest.raises(InvariantError, match="both braid branches"):
         enumerate_cells(j, default_move_path(j, jp))
