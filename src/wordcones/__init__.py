@@ -7,8 +7,7 @@ from .chambers import ChamberSet, chamber_sets, render_wiring
 from .lusztig import LusztigCone, lusztig_cone, spanning_rays, transport_under_commutation
 from .polyhedra import (DegenerateConeError, HCone, NonPointedError, VCone,
                         cone_equal, cone_from_rays, extreme_rays, hcone,
-                        intersect, irredundant_h, lp_feasible, nonneg_orthant,
-                        vcone)
+                        intersect, irredundant_h, nonneg_orthant, vcone)
 from .quivers import (PartialQuiver, chamber_set_from_quiver,
                       enumerate_partial_quivers, quiver_from_chamber_set,
                       quivers_for_word)

@@ -60,9 +60,9 @@ def chamber_sets(word: ReducedWord) -> list[ChamberSet]:
 def _check_not_initial_terminal(members: frozenset[int], rank: int):
     m = sorted(members)
     if m and m == list(range(1, len(m) + 1)):
-        raise AssertionError(f"chamber set {m} is an initial segment")
+        raise InvariantError(f"chamber set {m} is an initial segment")
     if m and m == list(range(rank + 2 - len(m), rank + 2)):
-        raise AssertionError(f"chamber set {m} is a terminal segment")
+        raise InvariantError(f"chamber set {m} is a terminal segment")
 
 
 def members_str(members: frozenset[int], rank: int) -> str:

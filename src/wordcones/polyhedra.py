@@ -88,9 +88,6 @@ class HCone:
     def contains(self, point: Sequence) -> bool:
         return all(dot(a, point) >= 0 for a in self.ineqs)
 
-    def contains_strictly(self, point: Sequence) -> bool:
-        return all(dot(a, point) > 0 for a in self.ineqs)
-
     def to_json(self) -> dict:
         return {"dim": self.dim, "ineqs": [[str(c) for c in a] for a in self.ineqs]}
 
@@ -156,7 +153,7 @@ def intersect(a: HCone, b: HCone) -> HCone:
 
 
 # ---------------------------------------------------------------------------
-# Determinant and rank (fraction-free elimination)
+# Determinant (fraction-free elimination)
 # ---------------------------------------------------------------------------
 
 def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
@@ -189,10 +186,6 @@ def det(matrix: Sequence[Sequence[int]]) -> int:
     """Exact determinant of a square integer matrix."""
     rank, pivot = _bareiss(matrix)
     return pivot if rank == len(matrix) else 0
-
-
-def matrix_rank(rows: Sequence[Sequence[int]]) -> int:
-    return _bareiss(rows)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -385,11 +378,16 @@ def double_description(ineqs: Sequence[Vector], dim: int
 
 
 def dd_cut(state: DDState, ineqs: Iterable[Sequence]) -> Optional[DDState]:
-    """The state of a full-dimensional cone cut by ineqs, one dd_step each,
-    or None at the first cut that leaves no interior: a full-dimensional cone
-    stays so under a non-zero a . x >= 0 iff a is positive somewhere on its
-    generators, for then {a . x > 0} meets its interior (Fukuda-Prodon).  A
-    zero normal cuts nothing."""
+    """The state of a cone cut by ineqs, one dd_step each, or None at the
+    first cut that leaves no relative interior.
+
+    The cone must be full-dimensional in its linear span L, and every
+    non-zero normal must be non-zero on L.  Then the cone stays
+    full-dimensional in L under a . x >= 0 iff a is positive somewhere on
+    its generators, for then {a . x > 0}, an open half of L, meets its
+    relative interior (Fukuda-Prodon).  L is R^dim for a state cut from
+    dd_whole(dim), and the hyperplane g . x = 0 for the face a facet normal
+    g cuts out.  A zero normal cuts nothing."""
     for a in ineqs:
         if any(a) and not positive_somewhere(a, state[0], state[1]):
             return None
@@ -408,17 +406,6 @@ def positive_somewhere(a: Sequence, lines: Iterable, rays: Iterable) -> bool:
     full-dimensional cone: does the open side {a . x > 0} meet its interior?"""
     return (any(dot(a, l) != 0 for l in lines)
             or any(dot(a, r) > 0 for r in rays))
-
-
-def lp_feasible(cone: HCone, strict: Iterable[int] = ()) -> bool:
-    """Is there a point satisfying the cone, strictly on the flagged normals?
-
-    Indices in ``strict`` refer to positions in ``cone.ineqs`` (0-based).
-    Yes iff each flagged normal is positive somewhere (then on the sum of
-    the rays).
-    """
-    gens = double_description(cone.ineqs, cone.dim)
-    return all(positive_somewhere(cone.ineqs[i], *gens) for i in set(strict))
 
 
 def interior_point(ineqs: Sequence[Vector], dim: int) -> Optional[Vector]:
@@ -442,11 +429,6 @@ def ray_sum_witness(ineqs: Sequence[Vector], rays: Sequence[Vector], dim: int
     if not all(dot(a, point) > 0 for a in ineqs):
         raise InvariantError(f"ray sum {point} is not interior to {ineqs}")
     return point
-
-
-def implies(ineqs: Sequence[Vector], a: Vector, dim: int) -> bool:
-    """Does a . x >= 0 hold on all of {x : ineqs}?"""
-    return holds_on(a, *double_description(ineqs, dim))
 
 
 def irredundant_h(cone: HCone) -> HCone:

@@ -302,7 +302,7 @@ def corner_points(config: Configuration) -> list[CornerPoint]:
         for lo, hi in merged:
             if lo <= value <= hi:
                 return lo, hi
-        raise AssertionError("corner not on any drawn segment")
+        raise InvariantError("corner not on any drawn segment")
 
     out: list[CornerPoint] = []
     seen: set[tuple[int, int, str]] = set()
@@ -383,11 +383,11 @@ def phi_plus(quiver: PartialQuiver) -> frozenset[Root]:
     for _, roots in corner_root_sets(quiver):
         for r in roots:
             if not (1 <= r[0] <= r[1] <= rank):
-                raise AssertionError(f"root {r} escapes rank {rank}")
+                raise InvariantError(f"root {r} escapes rank {rank}")
         union.update(roots)
         total += len(roots)
     if total != len(union):
-        raise AssertionError(
+        raise InvariantError(
             f"corner root sets of {quiver} overlap ({total} roots, "
             f"{len(union)} distinct)")
     return frozenset(union)

@@ -21,18 +21,18 @@ from itertools import combinations
 from math import prod
 from typing import Iterable, Optional, Sequence
 
-from .polyhedra import (DegenerateConeError, HCone, InvariantError, Vector,
-                        VCone, cone_equal, cone_from_rays, dd_cut, dd_whole,
-                        det, dot, double_description, extreme_rays,
+from .polyhedra import (DegenerateConeError, HCone, InvariantError,
+                        NonPointedError, Vector, VCone, cone_equal,
+                        cone_from_rays, dd_cut, dd_step, dd_whole, det, dot,
                         facets_from_generators, hcone, holds_on,
-                        irredundant_h, matrix_rank, nonneg_orthant,
-                        primitive, ray_sum_witness, vcone, vneg)
+                        irredundant_h, nonneg_orthant, primitive,
+                        ray_sum_witness, vcone, vneg)
 from .words import (BRAID, COMMUTATION, Letters, Move, ReducedWord,
                     apply_move_path, braids, class_graph, commutation_classes,
                     commutes, find_move_path)
 
 
-class RegionConvexityError(AssertionError):
+class RegionConvexityError(InvariantError):
     """A same-matrix cell union failed its convexity certificate."""
 
 
@@ -194,9 +194,6 @@ class RegionAtlas:
                 return r
         raise InvariantError(f"atlas does not cover {point}")
 
-    def regions_containing(self, point: Sequence) -> list[Region]:
-        return [r for r in self.regions if r.cone.contains(point)]
-
     def to_json(self) -> dict:
         """The artifact `wordcones regions --json` writes."""
         def strs(rows):
@@ -356,8 +353,7 @@ def transition_atlas(src: ReducedWord, dst: ReducedWord,
 
     The 144-region standard-word atlas of rank 4 comes from 214 leaf cells.
     Rank 5 is supported but slow: the peel path has 20 braids, and its
-    18,273 cells merge into 6,608 regions in under a minute, most of it in
-    the multi-cell merges.
+    18,273 cells merge into 6,608 regions in about 30 s under python -O.
     """
     moves = _checked_path(src, dst, moves)
     k = len(src.letters)
@@ -434,7 +430,7 @@ def match_spanned_regions(atlas: RegionAtlas) -> MatchReport:
     for cls in commutation_classes(rank):
         word = ReducedWord(rank, cls.canonical)
         vecs = spanning_vectors(word)
-        if matrix_rank(vecs) != k:
+        if det(vecs) == 0:
             raise InvariantError(
                 f"spanning vectors of class {cls.canonical} are dependent")
         spanned = vcone(vecs, k)
@@ -498,19 +494,22 @@ class Decomposition:
     minimal: bool
 
 
-def _pulling_simplices(face: tuple[Vector, ...], normals: Sequence[Vector],
-                       rank: int) -> list[tuple[Vector, ...]]:
-    """Pulling triangulation of a face of {x : a . x >= 0 for a in normals},
-    given by its extreme rays and its rank: ``face[0]`` joined to the
-    triangulation of each facet of the face that misses it.  Such a facet is
-    the zero set in ``face`` of a normal positive on ``face[0]``, often of
-    several normals, so facets are deduped."""
-    if rank == 1:
+def _pulling_simplices(face: tuple[Vector, ...], normals: Sequence[Vector]
+                       ) -> list[tuple[Vector, ...]]:
+    """Pulling triangulation of a face of the pointed cone
+    {x : a . x >= 0 for a in normals}, given by its extreme rays:
+    ``face[0]`` joined to the triangulation of each facet of the face that
+    misses it.  The faces that miss ``face[0]`` are the zero sets in
+    ``face`` of the normals positive on ``face[0]``, deduped, and each lies
+    in such a facet, so the facets are the maximal zero sets (Ziegler,
+    Lectures on Polytopes, ch. 2)."""
+    if len(face) == 1:
         return [face]
-    facets = dict.fromkeys(tuple(r for r in face if dot(a, r) == 0)
-                           for a in normals if dot(a, face[0]) > 0)
-    return [(face[0],) + s for f in facets if matrix_rank(f) == rank - 1
-            for s in _pulling_simplices(f, normals, rank - 1)]
+    zeros = dict.fromkeys(tuple(r for r in face if dot(a, r) == 0)
+                          for a in normals if dot(a, face[0]) > 0)
+    return [(face[0],) + s for z in zeros
+            if not any(set(z) < set(o) for o in zeros)
+            for s in _pulling_simplices(z, normals)]
 
 
 def _volume(rays: Sequence[Vector], c: Vector) -> Fraction:
@@ -532,11 +531,14 @@ def simplicial_decomposition(cone: HCone) -> Decomposition:
     pulling triangulation is itself a cover, so one is found.
     """
     k = cone.dim
-    rays = extreme_rays(cone).rays
-    if matrix_rank(rays) != k:
-        raise ValueError("cone is not full-dimensional")
+    state = dd_cut(dd_whole(k), cone.ineqs)
+    if state is None:
+        raise DegenerateConeError("cone is not full-dimensional")
+    if state[0]:
+        raise NonPointedError(state[0][0])
+    rays = tuple(sorted(state[1]))
     c = tuple(map(sum, zip(*cone.ineqs)))
-    total = sum(_volume(s, c) for s in _pulling_simplices(rays, cone.ineqs, k))
+    total = sum(_volume(s, c) for s in _pulling_simplices(rays, cone.ineqs))
     pieces = [s for s in combinations(rays, k) if det(s) != 0]
     hforms = [cone_from_rays(VCone(k, s)).ineqs for s in pieces]
     vols = [_volume(s, c) for s in pieces]
@@ -565,8 +567,14 @@ def simplicial_decomposition(cone: HCone) -> Decomposition:
 
 def region_graph(atlas: RegionAtlas, minimal_only: bool = False
                  ) -> dict[int, frozenset[int]]:
-    """Facet-adjacency graph: edge when two regions share a (k-1)-dim face,
-    i.e. they have facets g and -g and their intersection has rank k - 1."""
+    """Facet-adjacency graph: edge when two regions share a (k-1)-dim face.
+
+    Such a face lies on the hyperplane of a facet g of one region where -g
+    is a facet of the other: the first region's face there, dd_step of its
+    state by -g, keeps a relative interior under dd_cut by the other's
+    remaining normals.  None of those is parallel to g, or the other region
+    would lie in the hyperplane, so none vanishes on it, as dd_cut needs.
+    """
     k = atlas.dim
     minimal = min(r.facet_count for r in atlas.regions)
     idxs = [i for i, r in enumerate(atlas.regions)
@@ -577,13 +585,15 @@ def region_graph(atlas: RegionAtlas, minimal_only: bool = False
             by_facet.setdefault(g, []).append(i)
     adj: dict[int, set[int]] = {i: set() for i in idxs}
     for i in idxs:
-        for g in atlas.regions[i].cone.ineqs:
+        ineqs = atlas.regions[i].cone.ineqs
+        state = dd_cut(dd_whole(k), ineqs)
+        for g in ineqs:
+            face = dd_step(state, vneg(g))
             for jdx in by_facet.get(vneg(g), ()):
                 if jdx <= i or jdx in adj[i]:
                     continue
-                lines, rays = double_description(
-                    atlas.regions[i].cone.ineqs + atlas.regions[jdx].cone.ineqs, k)
-                if matrix_rank(lines + rays) == k - 1:
+                if dd_cut(face, (h for h in atlas.regions[jdx].cone.ineqs
+                                 if h != vneg(g))) is not None:
                     adj[i].add(jdx)
                     adj[jdx].add(i)
     return {i: frozenset(nb) for i, nb in adj.items()}

@@ -5,16 +5,48 @@ Each function answers the same question as its namesake in
 ``wordcones.polyhedra`` with one exact LP per decision, as the library did
 before it answered everything from generators.  The tests compare the two.
 The two cover oracles at the end check ``regions.simplicial_decomposition``
-by LP subtraction, without its volume certificate.  ``_rank_facets`` is the
-facet rule by rank that ``facets_from_generators`` used before zero sets.
+by LP subtraction, without its volume certificate.  ``_rank_facets`` and
+``_rank_pulling_simplices`` pick faces by rank, the rule that
+``facets_from_generators`` and ``regions._pulling_simplices`` replaced with
+maximal zero sets.
+
+The predicates without an underscore have no caller in the library; the
+tests still use them: ``matrix_rank`` is the Bareiss elimination that
+``det`` rests on, and ``implies`` and ``lp_feasible`` answer from double
+description generators what ``_lp_implies`` and ``_lp_feasible`` answer
+by LP.
 """
 
 from itertools import combinations
 
-from wordcones.polyhedra import (DegenerateConeError, HCone, VCone,
-                                 cone_from_rays, det, dot, extreme_rays,
-                                 matrix_rank, primitive, solve_inequalities,
-                                 vneg)
+from wordcones.polyhedra import (DegenerateConeError, HCone, VCone, _bareiss,
+                                 cone_from_rays, det, dot, double_description,
+                                 extreme_rays, holds_on, positive_somewhere,
+                                 primitive, solve_inequalities, vneg)
+
+
+def matrix_rank(rows):
+    return _bareiss(rows)[0]
+
+
+def implies(ineqs, a, dim):
+    """Does a . x >= 0 hold on all of {x : ineqs}?"""
+    return holds_on(a, *double_description(ineqs, dim))
+
+
+def lp_feasible(cone, strict=()):
+    """Is there a point satisfying the cone, strictly on the normals whose
+    indices are in strict?  Yes iff each of those is positive somewhere."""
+    gens = double_description(cone.ineqs, cone.dim)
+    return all(positive_somewhere(cone.ineqs[i], *gens) for i in set(strict))
+
+
+def contains_strictly(cone, point):
+    return all(dot(a, point) > 0 for a in cone.ineqs)
+
+
+def regions_containing(atlas, point):
+    return [r for r in atlas.regions if r.cone.contains(point)]
 
 
 def _lp_interior_point(ineqs, dim):
@@ -65,6 +97,18 @@ def _rank_facets(normals, lines, rays, dim):
         if len(face) >= need and matrix_rank(list(lines) + face) == dim - 1:
             keep.add(a)
     return HCone(dim, tuple(sorted(keep)))
+
+
+def _rank_pulling_simplices(face, normals, rank):
+    """Pulling triangulation of a face of given rank, its facets that miss
+    face[0] picked as the zero sets of rank one less, one Bareiss
+    elimination each."""
+    if rank == 1:
+        return [face]
+    facets = dict.fromkeys(tuple(r for r in face if dot(a, r) == 0)
+                           for a in normals if dot(a, face[0]) > 0)
+    return [(face[0],) + s for f in facets if matrix_rank(f) == rank - 1
+            for s in _rank_pulling_simplices(f, normals, rank - 1)]
 
 
 def _lp_subtract_full_dim(pieces, ineqs, dim):

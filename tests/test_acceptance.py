@@ -9,6 +9,7 @@ import random
 import time
 
 from conftest import BUILD_SECONDS
+from lp_oracles import contains_strictly
 
 from wordcones.chambers import chamber_sets
 from wordcones.lusztig import lusztig_cone
@@ -172,13 +173,13 @@ def test_criterion_09_property_suites(atlas2, atlas3, atlas4):
         for quiver in enumerate_partial_quivers(rank):
             try:
                 phi_plus(quiver)
-            except (AssertionError, InvariantError):
+            except InvariantError:
                 ok = False
     for rank in (1, 2, 3, 4):
         for word in enumerate_reduced_words(rank):
             try:
                 chamber_sets(word)
-            except (AssertionError, InvariantError):
+            except InvariantError:
                 ok = False
     # convexity certificates: the builder certifies every merged region; on
     # top of that, re-enumerate the leaf cells and check each one sits inside
@@ -188,7 +189,7 @@ def test_criterion_09_property_suites(atlas2, atlas3, atlas4):
         by_matrix = {r.matrix: r for r in atlas.regions}
         for cell in cells:
             region = by_matrix[cell.rows]
-            if not region.cone.contains_strictly(cell.witness):
+            if not contains_strictly(region.cone, cell.witness):
                 ok = False
     report(9, "property suites: 10^4-point bijectivity + atlas agreement "
               "(ranks 1-4), disjoint root unions (ranks <= 8), chamber-set "

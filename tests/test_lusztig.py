@@ -55,7 +55,7 @@ def test_rank4_cone_is_simplicial_with_ten_rays():
 
 
 def test_lp_feasible_all_strict_on_golden_cone():
-    from wordcones.polyhedra import lp_feasible
+    from lp_oracles import lp_feasible
     cone = lusztig_cone(parse_word("132132")).with_nonneg()
     assert lp_feasible(cone, strict=range(len(cone.ineqs)))
 

@@ -7,14 +7,15 @@ from math import gcd
 import pytest
 
 from lp_oracles import (_lp_feasible, _lp_implies, _lp_interior_point,
-                        _lp_irredundant_h, _rank_facets)
+                        _lp_irredundant_h, _rank_facets, implies, lp_feasible,
+                        matrix_rank)
 from wordcones.lusztig import lusztig_cone
 from wordcones.polyhedra import (DegenerateConeError, NonPointedError,
                                  cone_equal, cone_from_rays, dd_cut, dd_step,
                                  dd_whole, det, dot, double_description,
                                  extreme_rays,
-                                 facets_from_generators, hcone, implies, intersect, interior_point,
-                                 irredundant_h, lp_feasible, matrix_rank,
+                                 facets_from_generators, hcone, intersect, interior_point,
+                                 irredundant_h,
                                  nonneg_orthant, primitive, solve_inequalities,
                                  subtract_full_dim, vcone, vneg)
 from wordcones.rectangles import spanning_vectors
@@ -457,7 +458,6 @@ def _brute_force_rays(ineqs, dim):
     independent active hyperplanes, kept when feasible and extreme."""
     from itertools import combinations
 
-    from wordcones.regions import matrix_rank
     out = set()
     for subset in combinations(range(len(ineqs)), dim - 1):
         rows = [ineqs[i] for i in subset]

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from lp_oracles import matrix_rank
 from wordcones.quivers import PartialQuiver, enumerate_partial_quivers
 from wordcones.rectangles import (AmbiguousCentreError, Component, Rectangle,
                                   centre_and_central_line, components,
@@ -13,7 +14,6 @@ from wordcones.rectangles import (AmbiguousCentreError, Component, Rectangle,
                                   rectangle_for_component,
                                   render_configuration_svg, roots_of_box,
                                   spanning_vectors)
-from wordcones.regions import matrix_rank
 from wordcones.words import ReducedWord, commutation_classes
 
 P10 = PartialQuiver(10, "-LLRRRLRR")

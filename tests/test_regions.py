@@ -9,17 +9,21 @@ import pytest
 
 from lp_oracles import (_lp_implies, _lp_interior_point, _lp_irredundant_h,
                         _lp_is_disjoint_cover, _lp_min_simplicial_cover,
-                        _lp_subtract_full_dim, _rank_facets)
+                        _lp_subtract_full_dim, _rank_facets,
+                        _rank_pulling_simplices, contains_strictly, implies,
+                        matrix_rank, regions_containing)
 from wordcones import cli, rectangles, regions
-from wordcones.polyhedra import (HCone, InvariantError, cone_equal,
+from wordcones.polyhedra import (DegenerateConeError, HCone, InvariantError,
+                                 NonPointedError, cone_equal,
                                  cone_from_rays, dd_cut, dd_whole,
-                                 double_description,
-                                 facets_from_generators, hcone, implies,
-                                 interior_point, irredundant_h, matrix_rank,
+                                 double_description, extreme_rays,
+                                 facets_from_generators, hcone,
+                                 interior_point, irredundant_h,
                                  nonneg_orthant, positive_somewhere,
                                  ray_sum_witness, solve_inequalities, vcone,
                                  vneg)
 from wordcones.regions import (RegionConvexityError, _merge_cells,
+                               _pulling_simplices,
                                apply_braid_triple, braid_move_map,
                                braid_move_count, class_region_isomorphism_report,
                                default_move_path, det, detour_move_path,
@@ -249,7 +253,7 @@ def test_cell_predicates_match_lp_oracles():
         answers = set()
         for cell in cells:
             cone = HCone(k, cell.guards)
-            assert cone.contains_strictly(interior_point(cell.guards, k))
+            assert contains_strictly(cone, interior_point(cell.guards, k))
             assert irredundant_h(cone) == _lp_irredundant_h(cone)
             for g in dict.fromkeys(g for c in groups[cell.rows] for g in c.guards
                                    if g not in cell.guards):
@@ -325,6 +329,7 @@ def test_both_branches_empty_raises_typed_error(monkeypatch):
     with pytest.raises(InvariantError, match="both braid branches"):
         enumerate_cells(j, default_move_path(j, jp))
     assert not issubclass(InvariantError, AssertionError)
+    assert issubclass(RegionConvexityError, InvariantError)
 
 
 ATLAS_SHA256 = {
@@ -379,7 +384,7 @@ def test_interior_points_in_exactly_one_region(atlas3):
     hits = 0
     for _ in range(200):
         x = tuple(rng.randrange(0, 40) for _ in range(atlas3.dim))
-        containing = atlas3.regions_containing(x)
+        containing = regions_containing(atlas3, x)
         assert len(containing) >= 1
         if len(containing) == 1:
             hits += 1
@@ -389,14 +394,14 @@ def test_interior_points_in_exactly_one_region(atlas3):
 
 def test_region_witnesses_are_interior(atlas3):
     for region in atlas3.regions:
-        assert region.cone.contains_strictly(region.witness)
+        assert contains_strictly(region.cone, region.witness)
 
 
 def test_atlas_covers_space(atlas3):
     rng = random.Random(12)
     for _ in range(200):
         x = tuple(rng.randrange(-25, 26) for _ in range(atlas3.dim))
-        assert atlas3.regions_containing(x)
+        assert regions_containing(atlas3, x)
 
 
 def test_match_spanned_regions_small(atlas2, atlas3):
@@ -435,6 +440,13 @@ def test_simplicial_decomposition_trivial():
     assert cone_equal(dec.pieces[0], orth)
 
 
+def test_simplicial_decomposition_rejects_flat_and_non_pointed_cones():
+    with pytest.raises(DegenerateConeError):
+        simplicial_decomposition(hcone([(1, 0, 0), (-1, 0, 0)], 3))
+    with pytest.raises(NonPointedError):
+        simplicial_decomposition(hcone([(1, 0, 0), (0, 1, 0)], 3))
+
+
 def test_simplicial_decompositions_rank3(atlas3):
     sizes = {}
     for r in orthant_restriction_analysis(atlas3):
@@ -462,6 +474,27 @@ def test_simplicial_decomposition_is_minimal_on_random_cones():
         tried += 1
 
 
+def test_pulling_simplices_match_rank_reference():
+    """The facets picked as maximal zero sets triangulate seeded cones in
+    dimensions 3 to 5 exactly as the facets picked by rank do, simplex for
+    simplex and in the same order."""
+    rng = random.Random(29)
+    tried = several = 0
+    while tried < 300:
+        dim = rng.choice((3, 4, 5))
+        gens = [tuple(rng.randrange(4) for _ in range(dim))
+                for _ in range(rng.randrange(dim + 1, dim + 4))]
+        if matrix_rank(gens) != dim:
+            continue
+        cone = cone_from_rays(vcone([g for g in gens if any(g)], dim))
+        rays = extreme_rays(cone).rays
+        got = _pulling_simplices(rays, cone.ineqs)
+        assert got == _rank_pulling_simplices(rays, cone.ineqs, dim), gens
+        several += len(got) > 1
+        tried += 1
+    assert several > 200
+
+
 def test_region_graph_rank2(atlas2):
     graph = region_graph(atlas2)
     assert len(graph) == 2
@@ -472,6 +505,15 @@ def test_region_graph_rank3_minimal(atlas3):
     graph = region_graph(atlas3, minimal_only=True)
     assert len(graph) == 8
     assert is_connected(graph)
+
+
+def test_region_graph_rank4(atlas4):
+    graph = region_graph(atlas4)
+    edges = {frozenset((a, b)) for a, nbs in graph.items() for b in nbs}
+    assert len(graph) == 144 and len(edges) == 482
+    minimal = region_graph(atlas4, minimal_only=True)
+    assert {frozenset((a, b)) for a, nbs in minimal.items() for b in nbs} == \
+        {e for e in edges if e <= set(minimal)}
 
 
 def test_isomorphism_report_small(atlas2, atlas3):
