@@ -57,9 +57,14 @@ def primitive(vec: Iterable) -> Vector:
     (2, -3, 0)
     """
     vec = tuple(vec)
-    if all(type(x) is int for x in vec):
+    try:
         g = gcd(*vec)
-        return vec if g <= 1 else tuple(x // g for x in vec)
+    except TypeError:  # a non-integer entry, such as a Fraction
+        g = -1
+    if g > 1:
+        return tuple(x // g for x in vec)
+    if g >= 0 and {*map(type, vec)} <= {int}:  # bools leave as ints, below
+        return vec
     fracs = [Fraction(x) for x in vec]
     denom = 1
     for f in fracs:

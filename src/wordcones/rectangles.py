@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Optional, Sequence
 
 from .chambers import _fmt
@@ -411,10 +412,17 @@ def generator_vector(gen: int, rank: int) -> tuple[int, ...]:
 def spanning_vectors(word: ReducedWord) -> list[tuple[int, ...]]:
     """The k candidate spanning vectors of a word's linearity region:
     one per attached quiver plus one per generator."""
+    return spanning_vectors_of([word])[0]
+
+
+def spanning_vectors_of(words: Sequence[ReducedWord]) -> list[list[tuple[int, ...]]]:
+    """spanning_vectors of each word, computing each quiver's vector once."""
     from .quivers import quivers_for_word
-    vectors = [quiver_vector(q) for q in quivers_for_word(word)]
-    vectors += [generator_vector(g, word.rank) for g in range(1, word.rank + 1)]
-    return vectors
+    quiver_vec = cache(quiver_vector)
+    generator_vecs = cache(lambda rank: [generator_vector(g, rank)
+                                         for g in range(1, rank + 1)])
+    return [[quiver_vec(q) for q in quivers_for_word(word)]
+            + generator_vecs(word.rank) for word in words]
 
 
 # ---------------------------------------------------------------------------

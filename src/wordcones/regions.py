@@ -22,11 +22,10 @@ from math import prod
 from typing import Iterable, Optional, Sequence
 
 from .polyhedra import (DegenerateConeError, HCone, InvariantError,
-                        NonPointedError, Vector, VCone, cone_equal,
-                        cone_from_rays, dd_cut, dd_step, dd_whole, det, dot,
-                        facets_from_generators, hcone, holds_on,
-                        irredundant_h, nonneg_orthant, primitive,
-                        ray_sum_witness, vcone, vneg)
+                        NonPointedError, Vector, VCone, cone_from_rays, dd_cut,
+                        dd_step, dd_whole, det, dot, facets_from_generators,
+                        hcone, holds_on, irredundant_h, nonneg_orthant,
+                        primitive, ray_sum_witness, vneg)
 from .words import (BRAID, COMMUTATION, Letters, Move, ReducedWord,
                     apply_move_path, braids, class_graph, commutation_classes,
                     commutes, find_move_path)
@@ -184,14 +183,17 @@ class RegionAtlas:
         return evaluate_along(point, self.src.letters, self.moves)
 
     def region_containing(self, point: Sequence) -> Region:
+        return self.regions[self._index_containing(point)]
+
+    def _index_containing(self, point: Sequence) -> int:
         idx = self.bits_index.get(_walk(point, self.src.letters, self.moves)[1])
         if idx is not None:
-            return self.regions[idx]
+            return idx
         # a tie at a guard boundary can walk into a pruned branch; any region
         # whose cone contains the point agrees with the map there
-        for r in self.regions:
+        for idx, r in enumerate(self.regions):
             if r.cone.contains(point):
-                return r
+                return idx
         raise InvariantError(f"atlas does not cover {point}")
 
     def to_json(self) -> dict:
@@ -410,45 +412,55 @@ class MatchReport:
                 and all(m.facet_count == self.minimal_facets for m in self.matches))
 
 
+def _spans(vecs: Sequence[Vector], normals: Sequence[Vector]) -> bool:
+    """Is cone(vecs) = {x : a . x >= 0 for a in normals}, for k independent
+    vecs in dimension k and non-zero normals?  Yes iff all a . v_j >= 0 and
+    for each i some normal vanishes at p_i, the sum of the v_j with j != i.
+    Equal cones put p_i on the boundary, where a normal vanishes.  If all
+    a . v_j >= 0, a normal vanishing at p_i vanishes on each v_j, j != i, so
+    it is a positive multiple of the facet normal of cone(vecs) opposite
+    v_i; then the normals cut out no more than cone(vecs).  The dot products
+    are taken once: a . p_i is a . (v_1 + ... + v_k) - a . v_i."""
+    rows = [tuple(dot(a, v) for v in vecs) for a in normals]
+    if any(x < 0 for row in rows for x in row):
+        return False
+    sums = [sum(row) for row in rows]
+    return all(any(row[i] == s for row, s in zip(rows, sums))
+               for i in range(len(vecs)))
+
+
 def match_spanned_regions(atlas: RegionAtlas) -> MatchReport:
     """Match each commutation class to the region spanned by its vectors.
 
-    For a class with canonical word i, the cone on the vectors of the
-    attached quivers plus the letter-position vectors must equal
-    (matched region) intersect (non-negative orthant), the matched region
-    must have the minimal facet count, and the assignment must be a
-    bijection onto the minimal-facet regions.  A class with no such region
-    is reported as unmatched, which makes the report not ok.
+    For a class with canonical word i, the cone S on the vectors of the
+    attached quivers plus the letter-position vectors must equal R
+    intersect the non-negative orthant for some region R, of the minimal
+    facet count, and the assignment must be a bijection onto the
+    minimal-facet regions.  A class with no such R is reported as
+    unmatched, which makes the report not ok.  The probe, the sum of the
+    vectors, is interior to S, so to R, and region interiors are disjoint:
+    each class looks up the region containing its probe, and _spans
+    compares S with it in integer dot products, with no DD.
     """
-    from .rectangles import spanning_vectors
+    from .rectangles import spanning_vectors_of
     rank = atlas.src.rank
-    k = atlas.dim
-    orth = nonneg_orthant(k)
+    orth = nonneg_orthant(atlas.dim).ineqs
     minimal = min(r.facet_count for r in atlas.regions)
+    words = [ReducedWord(rank, cls.canonical)
+             for cls in commutation_classes(rank)]
     matches, unmatched = [], []
     used: set[int] = set()
-    for cls in commutation_classes(rank):
-        word = ReducedWord(rank, cls.canonical)
-        vecs = spanning_vectors(word)
+    for word, vecs in zip(words, spanning_vectors_of(words)):
         if det(vecs) == 0:
             raise InvariantError(
-                f"spanning vectors of class {cls.canonical} are dependent")
-        spanned = vcone(vecs, k)
-        probe = tuple(sum(col) for col in zip(*vecs))
-        found = None
-        for idx, region in enumerate(atlas.regions):
-            if not region.cone.contains(probe):
-                continue
-            restricted = hcone(region.cone.ineqs + orth.ineqs, k)
-            if cone_equal(spanned, restricted):
-                found = idx
-                break
-        if found is None:
-            unmatched.append(cls.canonical)
+                f"spanning vectors of class {word.letters} are dependent")
+        idx = atlas._index_containing(tuple(map(sum, zip(*vecs))))
+        region = atlas.regions[idx]
+        if not _spans(vecs, region.cone.ineqs + orth):
+            unmatched.append(word.letters)
             continue
-        used.add(found)
-        matches.append(ClassRegionMatch(cls.canonical, found,
-                                        atlas.regions[found].facet_count))
+        used.add(idx)
+        matches.append(ClassRegionMatch(word.letters, idx, region.facet_count))
     injective = len(used) == len(matches)
     covers = used == {i for i, r in enumerate(atlas.regions)
                       if r.facet_count == minimal}

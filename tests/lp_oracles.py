@@ -10,6 +10,10 @@ by LP subtraction, without its volume certificate.  ``_rank_facets`` and
 ``facets_from_generators`` and ``regions._pulling_simplices`` replaced with
 maximal zero sets.
 
+``scanned_region_index`` is the class-to-region match by a scan over all
+regions and two double descriptions per comparison, the way
+``regions.match_spanned_regions`` matched before it looked the probe up.
+
 The predicates without an underscore have no caller in the library; the
 tests still use them: ``matrix_rank`` is the Bareiss elimination that
 ``det`` rests on, and ``implies`` and ``lp_feasible`` answer from double
@@ -20,9 +24,10 @@ by LP.
 from itertools import combinations
 
 from wordcones.polyhedra import (DegenerateConeError, HCone, VCone, _bareiss,
-                                 cone_from_rays, det, dot, double_description,
-                                 extreme_rays, holds_on, positive_somewhere,
-                                 primitive, solve_inequalities, vneg)
+                                 cone_equal, cone_from_rays, det, dot,
+                                 double_description, extreme_rays, hcone,
+                                 holds_on, nonneg_orthant, positive_somewhere,
+                                 primitive, solve_inequalities, vcone, vneg)
 
 
 def matrix_rank(rows):
@@ -157,3 +162,15 @@ def _lp_min_simplicial_cover(cone):
 
     return next(size for size in range(1, len(hforms) + 1)
                 if covers([tuple(cone.ineqs)], [], size))
+
+
+def scanned_region_index(atlas, vecs):
+    """Index of the first region whose cone contains the sum of vecs and
+    whose intersection with the non-negative orthant is cone(vecs), or None."""
+    spanned = vcone(vecs, atlas.dim)
+    probe = tuple(map(sum, zip(*vecs)))
+    orth = nonneg_orthant(atlas.dim).ineqs
+    return next((idx for idx, region in enumerate(atlas.regions)
+                 if region.cone.contains(probe)
+                 and cone_equal(spanned, hcone(region.cone.ineqs + orth,
+                                               atlas.dim))), None)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from lp_oracles import matrix_rank
+from wordcones import rectangles
 from wordcones.quivers import PartialQuiver, enumerate_partial_quivers
 from wordcones.rectangles import (AmbiguousCentreError, Component, Rectangle,
                                   centre_and_central_line, components,
@@ -247,6 +248,20 @@ def test_spanning_vectors_independent_for_all_rank4_classes():
         vecs = spanning_vectors(ReducedWord(4, cls.canonical))
         assert len(vecs) == 10
         assert matrix_rank(vecs) == 10
+
+
+def test_spanning_vectors_of_computes_each_quiver_once(monkeypatch):
+    words = [ReducedWord(4, cls.canonical) for cls in commutation_classes(4)]
+    one_by_one = [spanning_vectors(w) for w in words]
+    calls = []
+    real = rectangles.quiver_vector
+    monkeypatch.setattr(rectangles, "quiver_vector",
+                        lambda q: calls.append(q) or real(q))
+    assert rectangles.spanning_vectors_of(words) == one_by_one
+    assert len(calls) == len(set(calls)) == 22
+    # nothing carries over from one call to the next
+    assert rectangles.spanning_vectors_of(words[:1]) == one_by_one[:1]
+    assert len(calls) == 22 + 6
 
 
 def test_render_configuration_svg():

@@ -11,7 +11,8 @@ from lp_oracles import (_lp_implies, _lp_interior_point, _lp_irredundant_h,
                         _lp_is_disjoint_cover, _lp_min_simplicial_cover,
                         _lp_subtract_full_dim, _rank_facets,
                         _rank_pulling_simplices, contains_strictly, implies,
-                        matrix_rank, regions_containing)
+                        matrix_rank, regions_containing,
+                        scanned_region_index)
 from wordcones import cli, rectangles, regions
 from wordcones.polyhedra import (DegenerateConeError, HCone, InvariantError,
                                  NonPointedError, cone_equal,
@@ -201,10 +202,10 @@ def test_stepped_sibling_verdicts_match_interior_point():
 
 def test_match_reports_a_class_with_no_region(monkeypatch, atlas3, capsys):
     lost = commutation_classes(3)[0].canonical
-    spanned = vcone(rectangles.spanning_vectors(ReducedWord(3, lost)), 6)
-    real = regions.cone_equal
-    monkeypatch.setattr(regions, "cone_equal",
-                        lambda a, b: a != spanned and real(a, b))
+    lost_vecs = rectangles.spanning_vectors(ReducedWord(3, lost))
+    real = regions._spans
+    monkeypatch.setattr(regions, "_spans", lambda vecs, normals:
+                        vecs != lost_vecs and real(vecs, normals))
     rep = match_spanned_regions(atlas3)
     assert rep.unmatched == (lost,) and not rep.ok
     assert len(rep.matches) == 7 and rep.injective and not rep.covers_all_minimal
@@ -216,10 +217,82 @@ def test_match_reports_a_class_with_no_region(monkeypatch, atlas3, capsys):
 
 
 def test_match_raises_on_dependent_spanning_vectors(monkeypatch, atlas2):
-    monkeypatch.setattr(rectangles, "spanning_vectors",
-                        lambda word: [(1, 0, 0)] * 3)
+    monkeypatch.setattr(rectangles, "spanning_vectors_of",
+                        lambda words: [[(1, 0, 0)] * 3 for _ in words])
     with pytest.raises(InvariantError, match="dependent"):
         match_spanned_regions(atlas2)
+
+
+def _class_vectors(rank):
+    return rectangles.spanning_vectors_of(
+        [ReducedWord(rank, cls.canonical) for cls in commutation_classes(rank)])
+
+
+def _probe(vecs):
+    return tuple(map(sum, zip(*vecs)))
+
+
+def _spans_by_both(atlas, vecs, region):
+    """The facet-point rule on cone(vecs) and region intersect orthant,
+    asserted equal to cone_equal's answer."""
+    normals = region.cone.ineqs + nonneg_orthant(atlas.dim).ineqs
+    got = regions._spans(vecs, normals)
+    assert got == cone_equal(vcone(vecs, atlas.dim),
+                             hcone(normals, atlas.dim)), (vecs, normals)
+    return got
+
+
+def test_spans_agrees_with_cone_equal(atlas3, atlas4):
+    """Every class with every region at rank 3; every class with the
+    region its probe looks up at rank 4."""
+    answers = [_spans_by_both(atlas3, vecs, region)
+               for vecs in _class_vectors(3) for region in atlas3.regions]
+    assert len(answers) == 80 and sum(answers) == 8
+    for vecs in _class_vectors(4):
+        assert _spans_by_both(atlas4, vecs, atlas4.region_containing(_probe(vecs)))
+
+
+def test_spans_rejects_strict_subcones_and_cones_that_leave(atlas4):
+    rng = random.Random(7)
+    table = _class_vectors(4)
+    for _ in range(12):
+        vecs = rng.choice(table)
+        region = atlas4.region_containing(_probe(vecs))
+        i, j = rng.sample(range(len(vecs)), 2)
+        # v_i -> v_i + v_j keeps every vector in the region: a strict subcone
+        inner = vecs[:i] + [tuple(map(sum, zip(vecs[i], vecs[j])))] + vecs[i + 1:]
+        assert det(inner) != 0 and not _spans_by_both(atlas4, inner, region)
+        # v_i -> -v_i leaves the orthant
+        outer = vecs[:i] + [vneg(vecs[i])] + vecs[i + 1:]
+        assert det(outer) != 0 and not _spans_by_both(atlas4, outer, region)
+        # v_i -> another class's probe, interior to another region, leaves
+        # this one inside the orthant
+        other = _probe(rng.choice([v for v in table if v != vecs]))
+        away = vecs[:i] + [other] + vecs[i + 1:]
+        if det(away) != 0:
+            assert not _spans_by_both(atlas4, away, region)
+
+
+def test_match_looks_up_the_scanned_region(atlas2, atlas3, atlas4):
+    for atlas in (atlas2, atlas3, atlas4):
+        rep = match_spanned_regions(atlas)
+        assert rep.ok
+        assert [m.region_index for m in rep.matches] == \
+            [scanned_region_index(atlas, vecs)
+             for vecs in _class_vectors(atlas.src.rank)]
+
+
+def test_match_runs_no_double_description(monkeypatch, atlas4):
+    def refuse(*args):
+        raise AssertionError("double description in the match")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("wordcones"):
+            for fn in ("double_description", "dd_step", "dd_cut",
+                       "cone_from_rays", "cone_equal"):
+                if hasattr(module, fn):
+                    monkeypatch.setattr(module, fn, refuse)
+    assert match_spanned_regions(atlas4).ok
 
 
 def test_lp_counts(monkeypatch, atlas4):
