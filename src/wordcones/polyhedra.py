@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 Vector = tuple[int, ...]
 
@@ -326,11 +326,11 @@ def dd_step(state: DDState, a: Sequence) -> DDState:
 
     While a meets the lineality space it trades one line for a ray;
     afterwards the classic ray-pairing step with the combinatorial adjacency
-    test keeps only extreme rays.  Masks are set as rays are made, never
-    recomputed: lines vanish on every processed normal, and a paired ray
-    vanishes exactly where both parents do.  An adjacent pair shares at least
-    dim - len(lines) - 2 zeros (Fukuda-Prodon).  A zero normal changes
-    nothing and takes no bit.
+    test keeps only extreme rays.  a . g is taken once per generator g.
+    Masks are set as rays are made, never recomputed: lines vanish on every
+    processed normal, and a paired ray vanishes exactly where both parents
+    do.  An adjacent pair shares at least dim - len(lines) - 2 zeros
+    (Fukuda-Prodon).  A zero normal changes nothing and takes no bit.
     """
     a = primitive(a)
     if not any(a):
@@ -342,15 +342,14 @@ def dd_step(state: DDState, a: Sequence) -> DDState:
         z, dz = lines[pivot], dl[pivot]
         if dz < 0:
             z, dz = vneg(z), -dz
-        new_lines = tuple([primitive([dz * x - dl[i] * y
-                                      for x, y in zip(l, z)])
-                           for i, l in enumerate(lines) if i != pivot])
-        projected = []
-        for r, m in zeros.items():
-            dr = dot(a, r)
-            projected.append((primitive(dz * x - dr * y
-                                        for x, y in zip(r, z)), m | bit))
-        return new_lines, dict(projected + [(z, bit - 1)]), bit << 1
+
+        def project(v, d):  # onto a . x = 0 along z; v is primitive already
+            return primitive([dz * x - d * y for x, y in zip(v, z)]) if d else v
+        new_lines = tuple([project(l, d) for i, (l, d) in enumerate(zip(lines, dl))
+                           if i != pivot])
+        projected = {project(r, dot(a, r)): m | bit for r, m in zeros.items()}
+        projected[z] = bit - 1
+        return new_lines, projected, bit << 1
     ds = {r: dot(a, r) for r in zeros}
     pos = [r for r, d in ds.items() if d > 0]
     zero = [r for r, d in ds.items() if d == 0]
@@ -392,11 +391,15 @@ def dd_cut(state: DDState, ineqs: Iterable[Sequence]) -> Optional[DDState]:
     its generators, for then {a . x > 0}, an open half of L, meets its
     relative interior (Fukuda-Prodon).  L is R^dim for a state cut from
     dd_whole(dim), and the hyperplane g . x = 0 for the face a facet normal
-    g cuts out.  A zero normal cuts nothing."""
+    g cuts out.  A zero normal cuts nothing.  The verdict is read off the
+    cut: a is positive somewhere iff a ray of the cut lacks a's bit, for a
+    line a is non-zero on becomes one, and else dd_step keeps the rays a is
+    positive on and puts every other ray on a . x = 0."""
     for a in ineqs:
-        if any(a) and not positive_somewhere(a, state[0], state[1]):
-            return None
+        bit = state[2]
         state = dd_step(state, a)
+        if state[2] != bit and all(m & bit for m in state[1].values()):
+            return None
     return state
 
 
@@ -404,13 +407,6 @@ def holds_on(a: Sequence, lines: Sequence, rays: Sequence) -> bool:
     """Does a . x >= 0 hold on the cone with these generators?"""
     return (all(dot(a, l) == 0 for l in lines)
             and all(dot(a, r) >= 0 for r in rays))
-
-
-def positive_somewhere(a: Sequence, lines: Iterable, rays: Iterable) -> bool:
-    """Is a . x > 0 somewhere on the cone with these generators?  For a
-    full-dimensional cone: does the open side {a . x > 0} meet its interior?"""
-    return (any(dot(a, l) != 0 for l in lines)
-            or any(dot(a, r) > 0 for r in rays))
 
 
 def interior_point(ineqs: Sequence[Vector], dim: int) -> Optional[Vector]:
@@ -441,35 +437,32 @@ def irredundant_h(cone: HCone) -> HCone:
 
     Raises DegenerateConeError when dd_cut finds the cone's interior empty.
     """
-    state = dd_cut(dd_whole(cone.dim), cone.ineqs)
+    normals = [a for a in map(primitive, cone.ineqs) if any(a)]
+    state = dd_cut(dd_whole(cone.dim), normals)
     if state is None:
         raise DegenerateConeError(
             f"cone is not full-dimensional ({len(cone.ineqs)} inequalities in "
             f"dimension {cone.dim})")
-    return facets_from_generators(cone.ineqs, list(state[1]), cone.dim)
+    return zero_set_facets(normals, state[1].values(), cone.dim)
 
 
-def facets_from_generators(normals: Sequence[Vector], rays: Sequence[Vector],
-                           dim: int) -> HCone:
-    """Facet list, primitive and sorted, of the full-dimensional cone
-    {x : a . x >= 0 for a in normals} that these rays generate together
-    with its lines.
+def zero_set_facets(normals: Sequence[Vector], masks: Collection[int],
+                    dim: int) -> HCone:
+    """Facet list, primitive and sorted, of a full-dimensional cone
+    {x : a . x >= 0 for a in normals}, from the zero-set masks of its rays
+    in its double-description state: the normals are primitive, non-zero
+    and in the order they were cut, so bit i of a mask is normals[i].
 
     The face a cuts out is spanned by the lines, on which every normal
     vanishes, and the rays a vanishes on.  So faces compare by zero sets,
-    and a facet, a maximal proper face, is a non-zero normal whose zero set
-    no other normal's strictly contains (Ziegler, Lectures on Polytopes,
-    ch. 2).  This holds for any generating set.  A zero normal vanishes on
-    the whole cone and is never a facet.
+    and a facet, a maximal proper face, is a normal whose zero set no other
+    normal's strictly contains (Ziegler, Lectures on Polytopes, ch. 2).
     """
-    masks = {}
-    for a in map(primitive, normals):
-        if any(a):
-            masks[a] = sum(1 << j for j, r in enumerate(rays) if dot(a, r) == 0)
-    faces = set(masks.values())
+    faces = [sum(1 << j for j, m in enumerate(masks) if m >> i & 1)
+             for i in range(len(normals))]
     return HCone(dim, tuple(sorted(
-        a for a, m in masks.items()
-        if not any(f & m == m and f != m for f in faces))))
+        {a for a, f in zip(normals, faces)
+         if not any(o & f == f and o != f for o in faces)})))
 
 
 def extreme_rays(cone: HCone) -> VCone:

@@ -19,13 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import prod
+from operator import add, sub
 from typing import Iterable, Optional, Sequence
 
 from .polyhedra import (DegenerateConeError, HCone, InvariantError,
                         NonPointedError, Vector, VCone, cone_from_rays, dd_cut,
-                        dd_step, dd_whole, det, dot, facets_from_generators,
-                        hcone, holds_on, irredundant_h, nonneg_orthant,
-                        primitive, ray_sum_witness, vneg)
+                        dd_step, dd_whole, det, dot, hcone, holds_on,
+                        irredundant_h, nonneg_orthant, primitive,
+                        ray_sum_witness, vneg, zero_set_facets)
 from .words import (BRAID, COMMUTATION, Letters, Move, ReducedWord,
                     apply_move_path, braids, class_graph, commutation_classes,
                     commutes, find_move_path)
@@ -132,7 +133,8 @@ class Cell:
     ('1' for the a <= c branch), which makes locating a point's cell a plain
     numeric walk plus one dictionary lookup.  ``lines`` and ``rays`` are the
     generators of {x : g . x >= 0 for g in guards}, exactly as
-    double_description returns them.
+    double_description returns them, and ``masks`` the rays' zero sets:
+    bit i is set where guards[i] vanishes.
     """
 
     rows: tuple[Vector, ...]
@@ -141,6 +143,7 @@ class Cell:
     bits: str
     lines: tuple[Vector, ...]
     rays: tuple[Vector, ...]
+    masks: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -216,10 +219,11 @@ def _swap_rows(rows: tuple[Vector, ...], t: int) -> tuple[Vector, ...]:
 
 
 def _braid_rows(rows: tuple[Vector, ...], t: int, low: bool) -> tuple[Vector, ...]:
-    """Apply BRAID_LOW or BRAID_HIGH to the row triple at t."""
-    cols = tuple(zip(*rows[t:t + 3]))
-    triple = tuple(tuple(dot(coeffs, col) for col in cols)
-                   for coeffs in (BRAID_LOW if low else BRAID_HIGH))
+    """Apply BRAID_LOW, giving (b + c - a, a, b), or BRAID_HIGH, giving
+    (b, c, a + b - c), to the row triple (a, b, c) at t."""
+    a, b, c = rows[t:t + 3]
+    triple = ((tuple(map(sub, map(add, b, c), a)), a, b) if low
+              else (b, c, tuple(map(sub, map(add, a, b), c))))
     return rows[:t] + triple + rows[t + 3:]
 
 
@@ -270,9 +274,9 @@ def enumerate_cells(src: ReducedWord, moves: Sequence[Move]) -> list[Cell]:
             # continue along the first option; push the rest
             stack += [(idx,) + s for s in sides[1:]]
             rows, guards, gset, dd, bits = sides[0]
-        lines, rays = dd[0], tuple(dd[1])
+        rays = tuple(dd[1])
         cells.append(Cell(rows, guards, ray_sum_witness(guards, rays, k), bits,
-                          lines, rays))
+                          dd[0], rays, tuple(dd[1].values())))
     return cells
 
 
@@ -289,13 +293,14 @@ def _off_path_siblings(cells: list[Cell]) -> list[tuple[Vector, ...]]:
 def _merge_cells(cells: list[Cell], k: int) -> tuple[HCone, Vector]:
     """Certified-convex union of same-matrix cells, as an irredundant cone.
 
-    A single cell's facets come from its own generators.  For several, the
-    candidate cone C is cut out by the member-cell inequalities valid on
-    every member's generators, so C contains the union.  If the union is
-    convex, C is exactly the union, since every facet of a convex union shows
-    up among member inequalities.  C's double-description state is dd_cut
-    of the valid normals from R^k; C's facets come from its rays, and every
-    sibling check below cuts from it.
+    A single cell's facets come from its own zero-set masks.  For several,
+    the candidate cone C is cut out by the member-cell inequalities valid on
+    every member's generators (a member's own guard holds on it, and the
+    negation of one fails on the full-dimensional member), so C contains the
+    union.  If the union is convex, C is exactly the union, since every
+    facet of a convex union shows up among member inequalities.  C's
+    double-description state is dd_cut of the valid normals from R^k; C's
+    facets come from its masks, and every sibling check below cuts from it.
 
     Coverage comes from the branch tree.  Its leaves tile R^k with disjoint
     interiors, and the node with guard prefix p is the union of the leaves
@@ -310,10 +315,11 @@ def _merge_cells(cells: list[Cell], k: int) -> tuple[HCone, Vector]:
     """
     if len(cells) == 1:
         cell = cells[0]
-        return facets_from_generators(cell.guards, cell.rays, k), cell.witness
+        return zero_set_facets(cell.guards, cell.masks, k), cell.witness
     normals = dict.fromkeys(g for c in cells for g in c.guards)
-    valid = tuple(g for g in normals
-                  if all(holds_on(g, c.lines, c.rays) for c in cells))
+    valid = tuple(g for g in normals if all(
+        g in c.guards or vneg(g) not in c.guards and holds_on(g, c.lines, c.rays)
+        for c in cells))
     state = dd_cut(dd_whole(k), valid)
     if state is None:
         raise InvariantError(f"the {len(valid)} shared-valid inequalities of "
@@ -331,7 +337,7 @@ def _merge_cells(cells: list[Cell], k: int) -> tuple[HCone, Vector]:
                 f"union of {len(cells)} same-matrix cells is not the convex "
                 f"cone cut out by its {len(valid)} shared-valid inequalities: "
                 f"{point} is interior to it and to an off-path sibling")
-    return facets_from_generators(valid, list(state[1]), k), cells[0].witness
+    return zero_set_facets(valid, state[1].values(), k), cells[0].witness
 
 
 def _checked_path(src: ReducedWord, dst: ReducedWord,
@@ -354,8 +360,8 @@ def transition_atlas(src: ReducedWord, dst: ReducedWord,
     """Atlas of the regions of linearity of the src-to-dst transition map.
 
     The 144-region standard-word atlas of rank 4 comes from 214 leaf cells.
-    Rank 5 is supported but slow: the peel path has 20 braids, and its
-    18,273 cells merge into 6,608 regions in about 30 s under python -O.
+    Rank 5 is slow: the peel path has 20 braids, and its 18,273 cells merge
+    into 6,608 regions in 12-20 s under python -O (CPython 3.11, 2 vCPUs).
     """
     moves = _checked_path(src, dst, moves)
     k = len(src.letters)

@@ -8,7 +8,10 @@ The two cover oracles at the end check ``regions.simplicial_decomposition``
 by LP subtraction, without its volume certificate.  ``_rank_facets`` and
 ``_rank_pulling_simplices`` pick faces by rank, the rule that
 ``facets_from_generators`` and ``regions._pulling_simplices`` replaced with
-maximal zero sets.
+maximal zero sets.  ``facets_from_generators`` takes each zero set by dot
+products, as the library did before it read them off the double-description
+masks (``polyhedra.zero_set_facets``), and ``positive_somewhere`` is the
+scan ``polyhedra.dd_cut`` ran before it read emptiness off the cut state.
 
 ``scanned_region_index`` is the class-to-region match by a scan over all
 regions and two double descriptions per comparison, the way
@@ -26,12 +29,35 @@ from itertools import combinations
 from wordcones.polyhedra import (DegenerateConeError, HCone, VCone, _bareiss,
                                  cone_equal, cone_from_rays, det, dot,
                                  double_description, extreme_rays, hcone,
-                                 holds_on, nonneg_orthant, positive_somewhere,
-                                 primitive, solve_inequalities, vcone, vneg)
+                                 holds_on, nonneg_orthant, primitive,
+                                 solve_inequalities, vcone, vneg)
 
 
 def matrix_rank(rows):
     return _bareiss(rows)[0]
+
+
+def positive_somewhere(a, lines, rays):
+    """Is a . x > 0 somewhere on the cone with these generators?  For a
+    full-dimensional cone: does the open side {a . x > 0} meet its interior?"""
+    return (any(dot(a, l) != 0 for l in lines)
+            or any(dot(a, r) > 0 for r in rays))
+
+
+def facets_from_generators(normals, rays, dim):
+    """Facet list, primitive and sorted, of the full-dimensional cone
+    {x : a . x >= 0 for a in normals} that these rays generate together
+    with its lines: the non-zero normals whose zero set on the rays, taken
+    by dot products, no other normal's strictly contains.  This holds for
+    any generating set."""
+    masks = {}
+    for a in map(primitive, normals):
+        if any(a):
+            masks[a] = sum(1 << j for j, r in enumerate(rays) if dot(a, r) == 0)
+    faces = set(masks.values())
+    return HCone(dim, tuple(sorted(
+        a for a, m in masks.items()
+        if not any(f & m == m and f != m for f in faces))))
 
 
 def implies(ineqs, a, dim):

@@ -7,14 +7,13 @@ from math import gcd
 import pytest
 
 from lp_oracles import (_lp_feasible, _lp_implies, _lp_interior_point,
-                        _lp_irredundant_h, _rank_facets, implies, lp_feasible,
-                        matrix_rank)
+                        _lp_irredundant_h, _rank_facets, facets_from_generators,
+                        implies, lp_feasible, matrix_rank)
 from wordcones.lusztig import lusztig_cone
-from wordcones.polyhedra import (DegenerateConeError, NonPointedError,
+from wordcones.polyhedra import (DegenerateConeError, HCone, NonPointedError,
                                  cone_equal, cone_from_rays, dd_cut, dd_step,
                                  dd_whole, det, dot, double_description,
-                                 extreme_rays,
-                                 facets_from_generators, hcone, intersect, interior_point,
+                                 extreme_rays, hcone, intersect, interior_point,
                                  irredundant_h,
                                  nonneg_orthant, primitive, solve_inequalities,
                                  subtract_full_dim, vcone, vneg)
@@ -198,15 +197,19 @@ def test_irredundant_rejects_degenerate():
 
 
 def _checked_facets(normals, dim, rng):
-    """Zero-set facets of {x : a . x >= 0 for a in normals}, checked against
-    the rank rule and the LP on its DD generators, and again on those rays
-    shuffled with redundant generators mixed in; None unless the cone is
-    full-dimensional."""
+    """Facets of {x : a . x >= 0 for a in normals} read off the masks by
+    irredundant_h, given the normals as they are, checked against the
+    dot-product zero sets, the rank rule and the LP on its DD generators, and
+    again on those rays shuffled with redundant generators mixed in; None
+    unless the cone is full-dimensional."""
     lines, rays = double_description(normals, dim)
     if matrix_rank(lines + rays) != dim:
+        with pytest.raises(DegenerateConeError):
+            irredundant_h(HCone(dim, tuple(normals)))
         return None
-    got = facets_from_generators(normals, rays, dim)
-    assert got == _rank_facets(normals, lines, rays, dim) == \
+    got = irredundant_h(HCone(dim, tuple(normals)))
+    assert got == facets_from_generators(normals, rays, dim) == \
+        _rank_facets(normals, lines, rays, dim) == \
         _lp_irredundant_h(hcone(normals, dim)), normals
     extra = [tuple(map(sum, zip(r, s))) for r, s in zip(rays, rays[1:])]
     extra += [tuple(map(sum, zip(r, l))) for r in rays[:1] for l in lines]
@@ -217,8 +220,9 @@ def _checked_facets(normals, dim, rng):
 
 
 def test_zero_set_facets_match_rank_and_lp_on_seeded_cones():
-    """Seeded systems, some with lines and some with duplicate, scaled and
-    zero normals, and half-spaces (one ray plus dim - 1 lines)."""
+    """Seeded systems, some with lines and some with duplicate, scaled
+    (non-primitive) and zero normals, and half-spaces (one ray plus dim - 1
+    lines)."""
     rng = random.Random(29)
     shapes = set()
     for _ in range(150):

@@ -10,19 +10,19 @@ import pytest
 from lp_oracles import (_lp_implies, _lp_interior_point, _lp_irredundant_h,
                         _lp_is_disjoint_cover, _lp_min_simplicial_cover,
                         _lp_subtract_full_dim, _rank_facets,
-                        _rank_pulling_simplices, contains_strictly, implies,
-                        matrix_rank, regions_containing,
+                        _rank_pulling_simplices, contains_strictly,
+                        facets_from_generators, implies, matrix_rank,
+                        positive_somewhere, regions_containing,
                         scanned_region_index)
 from wordcones import cli, rectangles, regions
 from wordcones.polyhedra import (DegenerateConeError, HCone, InvariantError,
                                  NonPointedError, cone_equal,
-                                 cone_from_rays, dd_cut, dd_whole,
-                                 double_description, extreme_rays,
-                                 facets_from_generators, hcone,
+                                 cone_from_rays, dd_cut, dd_whole, dot,
+                                 double_description, extreme_rays, hcone,
                                  interior_point, irredundant_h,
-                                 nonneg_orthant, positive_somewhere,
-                                 ray_sum_witness, solve_inequalities, vcone,
-                                 vneg)
+                                 nonneg_orthant, ray_sum_witness,
+                                 solve_inequalities, vcone, vneg,
+                                 zero_set_facets)
 from wordcones.regions import (RegionConvexityError, _merge_cells,
                                _pulling_simplices,
                                apply_braid_triple, braid_move_map,
@@ -57,6 +57,19 @@ def test_braid_branch_matrices_agree_on_guard():
         via_low = tuple(sum(m * t for m, t in zip(row, triple)) for row in low)
         via_high = tuple(sum(m * t for m, t in zip(row, triple)) for row in high)
         assert via_low == via_high == apply_braid_triple(*triple)
+
+
+def test_braid_rows_apply_the_branch_matrices():
+    rng = random.Random(3)
+    rows = tuple(tuple(rng.randrange(-5, 6) for _ in range(4)) for _ in range(5))
+    for t in range(3):
+        for low, matrix in ((True, regions.BRAID_LOW),
+                            (False, regions.BRAID_HIGH)):
+            triple = tuple(tuple(sum(m * row[j] for m, row in
+                                     zip(coeffs, rows[t:t + 3]))
+                                 for j in range(4)) for coeffs in matrix)
+            assert regions._braid_rows(rows, t, low) == \
+                rows[:t] + triple + rows[t + 3:]
 
 
 def test_atlas_region_counts(atlas2, atlas3):
@@ -138,9 +151,9 @@ def test_merge_validity_counts_lines():
     first but not on its line, so no normal is valid and the union, R^2
     minus an open quadrant, is refused."""
     def cell(*guards):
-        lines, rays = double_description(guards, 2)
+        lines, zeros, _ = dd_cut(dd_whole(2), guards)
         return regions.Cell(((1, 0), (0, 1)), guards, (0, 0), "",
-                            tuple(lines), tuple(rays))
+                            lines, tuple(zeros), tuple(zeros.values()))
     group = [cell((1, 0)), cell((-1, 0), (0, 1))]
     assert group[0].lines == ((0, 1),)
     for merge in (_merge_cells, _subtraction_merge):
@@ -161,18 +174,29 @@ def _multi_cell_groups(cells):
     return [g for g in groups.values() if len(g) > 1]
 
 
+def _zero_sets(normals, rays):
+    """Each ray's zero set among the normals, by integer dot products."""
+    return tuple(sum(1 << i for i, a in enumerate(normals) if dot(a, r) == 0)
+                 for r in rays)
+
+
 def test_zero_set_facets_match_rank_and_lp_on_cells_and_groups():
-    """The facets of every rank-3 and rank-4 cell, from its carried rays, and
-    of every multi-cell group's valid normals, from their DD rays."""
+    """Every rank-3 and rank-4 cell carries its rays' zero sets as masks, and
+    so does the dd_cut fold of every multi-cell group's valid normals; the
+    facets read off those masks are those of the dot-product, rank and LP
+    rules."""
     for rank in (3, 4):
         cells, k = _standard_cells(rank)
-        cones = [(c.guards, c.lines, c.rays) for c in cells]
+        cones = [(c.guards, c.lines, c.rays, c.masks) for c in cells]
         for group in _multi_cell_groups(cells):
             valid = _valid_normals(group, k)
-            cones.append((valid, *double_description(valid, k)))
+            lines, zeros, _ = dd_cut(dd_whole(k), valid)
+            cones.append((valid, lines, tuple(zeros), tuple(zeros.values())))
         assert len(cones) == {3: 12, 4: 262}[rank]
-        for normals, lines, rays in cones:
-            assert facets_from_generators(normals, rays, k) == \
+        for normals, lines, rays, masks in cones:
+            assert masks == _zero_sets(normals, rays), normals
+            assert zero_set_facets(normals, masks, k) == \
+                facets_from_generators(normals, rays, k) == \
                 _rank_facets(normals, lines, rays, k) == \
                 _lp_irredundant_h(HCone(k, normals)), normals
 
@@ -373,8 +397,8 @@ def test_carried_generators_match_double_description():
     """Every rank-3 and rank-4 cell carries the generators double
     description of its guards gives, order included, and its facets from
     them are those of its guards.  On every branch of both trees the side
-    test on the parent's generators agrees with the LP, and both answers
-    occur."""
+    test on the parent's generators, and dd_cut of the parent's state by the
+    side, agree with the LP, and both answers occur."""
     for rank in (3, 4):
         cells, k = _standard_cells(rank)
         for cell in cells:
@@ -387,9 +411,10 @@ def test_carried_generators_match_double_description():
         answers = set()
         for prefix, g in branches:
             gens = double_description(prefix, k)
+            parent = dd_cut(dd_whole(k), prefix)
             for side in (g, vneg(g)):
                 got = positive_somewhere(side, *gens)
-                assert got == \
+                assert got == (dd_cut(parent, (side,)) is not None) == \
                     (_lp_interior_point(prefix + (side,), k) is not None)
                 answers.add(got)
         assert answers == {True, False}, rank
