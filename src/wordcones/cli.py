@@ -56,6 +56,10 @@ def cmd_words(args) -> int:
         raise ValueError(f"words {args.action} needs --rank")
     if args.action == "check" and args.word is None:
         raise ValueError("words check needs --word")
+    if args.action != "check" and args.word is not None:
+        raise ValueError(f"words {args.action} takes no --word")
+    if args.action in ("standard", "check") and args.count:
+        raise ValueError(f"words {args.action} takes no --count")
     if args.action == "list":
         words = enumerate_reduced_words(rank)
         if args.count:
@@ -401,7 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["list", "classes", "standard", "check"])
     p.add_argument("--rank", type=int)
     p.add_argument("--word", help="word to check (for 'check')")
-    p.add_argument("--count", action="store_true", help="print counts only")
+    p.add_argument("--count", action="store_true",
+                   help="print counts only (for 'list' and 'classes')")
     p.set_defaults(func=cmd_words)
 
     p = sub.add_parser("chambers", help="chamber sets of a wiring diagram")

@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, lcm
 from operator import mul
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 Vector = tuple[int, ...]
 
@@ -66,15 +66,9 @@ def primitive(vec: Iterable) -> Vector:
     if g >= 0 and {*map(type, vec)} <= {int}:  # bools leave as ints, below
         return vec
     fracs = [Fraction(x) for x in vec]
-    denom = 1
-    for f in fracs:
-        denom = denom * f.denominator // gcd(denom, f.denominator)
+    denom = lcm(*(f.denominator for f in fracs))
     ints = [int(f * denom) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g == 0:
-        return tuple(0 for _ in ints)
+    g = gcd(*ints) or 1  # the zero vector stays zero
     return tuple(x // g for x in ints)
 
 
@@ -145,9 +139,14 @@ def vcone(rays: Iterable[Sequence], dim: int) -> VCone:
     return VCone(dim, tuple(out))
 
 
+def identity(dim: int) -> tuple[Vector, ...]:
+    """The unit vectors of R^dim, in order."""
+    return tuple(tuple(1 if i == j else 0 for j in range(dim))
+                 for i in range(dim))
+
+
 def nonneg_orthant(dim: int) -> HCone:
-    eye = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
-    return HCone(dim, tuple(eye))
+    return HCone(dim, identity(dim))
 
 
 def intersect(a: HCone, b: HCone) -> HCone:
@@ -317,8 +316,7 @@ DDState = tuple[tuple[Vector, ...], dict[Vector, int], int]
 
 def dd_whole(dim: int) -> DDState:
     """The state of R^dim: a basis of lines and no ray."""
-    return tuple(tuple(1 if i == j else 0 for j in range(dim))
-                 for i in range(dim)), {}, 1
+    return identity(dim), {}, 1
 
 
 def dd_step(state: DDState, a: Sequence) -> DDState:
@@ -403,10 +401,11 @@ def dd_cut(state: DDState, ineqs: Iterable[Sequence]) -> Optional[DDState]:
     return state
 
 
-def holds_on(a: Sequence, lines: Sequence, rays: Sequence) -> bool:
-    """Does a . x >= 0 hold on the cone with these generators?"""
-    return (all(dot(a, l) == 0 for l in lines)
-            and all(dot(a, r) >= 0 for r in rays))
+def holds_on(a: Sequence, state: DDState) -> bool:
+    """Does a . x >= 0 hold on the cone with this double-description state:
+    does a vanish on its lines and stay non-negative on its rays?"""
+    return (all(dot(a, l) == 0 for l in state[0])
+            and all(dot(a, r) >= 0 for r in state[1]))
 
 
 def interior_point(ineqs: Sequence[Vector], dim: int) -> Optional[Vector]:
@@ -419,14 +418,15 @@ def interior_point(ineqs: Sequence[Vector], dim: int) -> Optional[Vector]:
     if not all(map(any, ineqs)):  # 0 . x > 0 has no solution
         return None
     cut = dd_cut(dd_whole(dim), ineqs)
-    return None if cut is None else ray_sum_witness(ineqs, list(cut[1]), dim)
+    return None if cut is None else ray_sum_witness(ineqs, cut, dim)
 
 
-def ray_sum_witness(ineqs: Sequence[Vector], rays: Sequence[Vector], dim: int
+def ray_sum_witness(ineqs: Sequence[Vector], state: DDState, dim: int
                     ) -> Vector:
-    """The primitive sum of the rays of a full-dimensional cone, checked to
-    satisfy every inequality strictly (InvariantError if not)."""
-    point = primitive(sum(r[i] for r in rays) for i in range(dim))
+    """The primitive sum of the rays of a full-dimensional cone, given by
+    its double-description state, checked to satisfy every inequality
+    strictly (InvariantError if not)."""
+    point = primitive(sum(r[i] for r in state[1]) for i in range(dim))
     if not all(dot(a, point) > 0 for a in ineqs):
         raise InvariantError(f"ray sum {point} is not interior to {ineqs}")
     return point
@@ -443,13 +443,13 @@ def irredundant_h(cone: HCone) -> HCone:
         raise DegenerateConeError(
             f"cone is not full-dimensional ({len(cone.ineqs)} inequalities in "
             f"dimension {cone.dim})")
-    return zero_set_facets(normals, state[1].values(), cone.dim)
+    return zero_set_facets(normals, state, cone.dim)
 
 
-def zero_set_facets(normals: Sequence[Vector], masks: Collection[int],
-                    dim: int) -> HCone:
+def zero_set_facets(normals: Sequence[Vector], state: DDState, dim: int
+                    ) -> HCone:
     """Facet list, primitive and sorted, of a full-dimensional cone
-    {x : a . x >= 0 for a in normals}, from the zero-set masks of its rays
+    {x : a . x >= 0 for a in normals}, from the zero-set masks of the rays
     in its double-description state: the normals are primitive, non-zero
     and in the order they were cut, so bit i of a mask is normals[i].
 
@@ -458,7 +458,7 @@ def zero_set_facets(normals: Sequence[Vector], masks: Collection[int],
     and a facet, a maximal proper face, is a normal whose zero set no other
     normal's strictly contains (Ziegler, Lectures on Polytopes, ch. 2).
     """
-    faces = [sum(1 << j for j, m in enumerate(masks) if m >> i & 1)
+    faces = [sum(1 << j for j, m in enumerate(state[1].values()) if m >> i & 1)
              for i in range(len(normals))]
     return HCone(dim, tuple(sorted(
         {a for a, f in zip(normals, faces)
@@ -511,8 +511,8 @@ def _contained(a, b) -> bool:
     ha = _as_hcone(a)
     known = {primitive(g) for g in ha.ineqs}
     rest = [g for g in hb.ineqs if primitive(g) not in known]
-    gens = double_description(ha.ineqs, ha.dim) if rest else ((), ())
-    return all(holds_on(g, *gens) for g in rest)
+    state = reduce(dd_step, ha.ineqs, dd_whole(ha.dim)) if rest else None
+    return all(holds_on(g, state) for g in rest)
 
 
 def cone_equal(a, b) -> bool:

@@ -22,14 +22,14 @@ from math import prod
 from operator import add, sub
 from typing import Iterable, Optional, Sequence
 
-from .polyhedra import (DegenerateConeError, HCone, InvariantError,
+from .polyhedra import (DDState, DegenerateConeError, HCone, InvariantError,
                         NonPointedError, Vector, VCone, cone_from_rays, dd_cut,
-                        dd_step, dd_whole, det, dot, hcone, holds_on,
+                        dd_step, dd_whole, det, dot, hcone, holds_on, identity,
                         irredundant_h, nonneg_orthant, primitive,
                         ray_sum_witness, vneg, zero_set_facets)
 from .words import (BRAID, COMMUTATION, Letters, Move, ReducedWord,
                     apply_move_path, braids, class_graph, commutation_classes,
-                    commutes, find_move_path)
+                    commutes, find_move_path, legal_moves, standard_words)
 
 
 class RegionConvexityError(InvariantError):
@@ -113,7 +113,6 @@ def braid_move_count(moves: Iterable[Move]) -> int:
 def detour_move_path(src: ReducedWord, dst: ReducedWord) -> list[Move]:
     """A valid but deliberately non-minimal path for path-independence audits:
     one move applied and undone (a braid when available), then the peel path."""
-    from .words import legal_moves
     moves = legal_moves(src)
     braids = [m for m in moves if m.kind == BRAID]
     prefix = [braids[0], braids[0]] if braids else \
@@ -131,24 +130,23 @@ class Cell:
 
     ``bits`` records the branch taken at every braid move along the path
     ('1' for the a <= c branch), which makes locating a point's cell a plain
-    numeric walk plus one dictionary lookup.  ``lines`` and ``rays`` are the
-    generators of {x : g . x >= 0 for g in guards}, exactly as
-    double_description returns them, and ``masks`` the rays' zero sets:
-    bit i is set where guards[i] vanishes.
+    numeric walk plus one dictionary lookup.  ``state`` is the
+    double-description state of {x : g . x >= 0 for g in guards}, the fold
+    of dd_step over the guards from dd_whole: its lines, its rays in order
+    with their zero-set masks (bit i is set where guards[i] vanishes), and
+    the next bit.
     """
 
     rows: tuple[Vector, ...]
     guards: tuple[Vector, ...]
-    witness: Vector
     bits: str
-    lines: tuple[Vector, ...]
-    rays: tuple[Vector, ...]
-    masks: tuple[int, ...]
+    state: DDState
 
 
 @dataclass(frozen=True)
 class Region:
-    """A maximal cone of linearity with its matrix and irredundant facets."""
+    """A maximal cone of linearity with its matrix, its irredundant facets
+    and one interior witness, the ray sum of its double-description state."""
 
     matrix: tuple[Vector, ...]
     cone: HCone
@@ -208,10 +206,6 @@ class RegionAtlas:
                              "facets": r.facet_count} for r in self.regions]}
 
 
-def _identity(k: int) -> tuple[Vector, ...]:
-    return tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
-
-
 def _swap_rows(rows: tuple[Vector, ...], t: int) -> tuple[Vector, ...]:
     out = list(rows)
     out[t], out[t + 1] = out[t + 1], out[t]
@@ -230,18 +224,19 @@ def _braid_rows(rows: tuple[Vector, ...], t: int, low: bool) -> tuple[Vector, ..
 def enumerate_cells(src: ReducedWord, moves: Sequence[Move]) -> list[Cell]:
     """Depth-first branch enumeration, pruning branches with empty interior.
 
-    Each state carries its full-dimensional cell's double-description state.
-    A braid guard's side {g . x >= 0} is dd_cut from it, which also says
-    whether that side keeps an interior, so the state stays equal to double
-    description of the guards from scratch.  Duplicate guards decide the
-    branch outright.  A cell's witness is the ray sum of its generators.
-    The moves are taken to be legal for src; transition_atlas checks them.
+    Each branch carries its cell's double-description state, and a leaf
+    hands it to its Cell whole.  A braid guard's side {g . x >= 0} is dd_cut
+    from it, which also says whether that side keeps an interior, so the
+    state stays equal to double description of the guards from scratch.  A
+    guard already on the branch, or its negation, decides the branch with
+    no cut (guards are primitive).  The moves are taken to be legal for
+    src; transition_atlas checks them.
     """
     k = len(src.letters)
     cells: list[Cell] = []
-    stack = [(0, _identity(k), (), frozenset(), dd_whole(k), "")]
+    stack = [(0, identity(k), (), dd_whole(k), "")]
     while stack:
-        idx, rows, guards, gset, dd, bits = stack.pop()
+        idx, rows, guards, state, bits = stack.pop()
         while idx < len(moves):
             mv = moves[idx]
             t = mv.position - 1
@@ -254,29 +249,26 @@ def enumerate_cells(src: ReducedWord, moves: Sequence[Move]) -> list[Cell]:
             if not any(g):
                 raise InvariantError("degenerate braid guard")
             idx += 1
-            if g in gset:
+            if g in guards:
                 rows = _braid_rows(rows, t, low=True)
                 bits += "1"
                 continue
-            if vneg(g) in gset:
+            if vneg(g) in guards:
                 rows = _braid_rows(rows, t, low=False)
                 bits += "0"
                 continue
             sides = []
             for bit, gg in (("1", g), ("0", vneg(g))):
-                side = dd_cut(dd, (gg,))
+                side = dd_cut(state, (gg,))
                 if side is not None:
                     sides.append((_braid_rows(rows, t, bit == "1"),
-                                  guards + (gg,), gset | {gg}, side,
-                                  bits + bit))
+                                  guards + (gg,), side, bits + bit))
             if not sides:
                 raise InvariantError("both braid branches are empty")
             # continue along the first option; push the rest
             stack += [(idx,) + s for s in sides[1:]]
-            rows, guards, gset, dd, bits = sides[0]
-        rays = tuple(dd[1])
-        cells.append(Cell(rows, guards, ray_sum_witness(guards, rays, k), bits,
-                          dd[0], rays, tuple(dd[1].values())))
+            rows, guards, state, bits = sides[0]
+        cells.append(Cell(rows, guards, bits, state))
     return cells
 
 
@@ -293,14 +285,15 @@ def _off_path_siblings(cells: list[Cell]) -> list[tuple[Vector, ...]]:
 def _merge_cells(cells: list[Cell], k: int) -> tuple[HCone, Vector]:
     """Certified-convex union of same-matrix cells, as an irredundant cone.
 
-    A single cell's facets come from its own zero-set masks.  For several,
-    the candidate cone C is cut out by the member-cell inequalities valid on
-    every member's generators (a member's own guard holds on it, and the
-    negation of one fails on the full-dimensional member), so C contains the
-    union.  If the union is convex, C is exactly the union, since every
-    facet of a convex union shows up among member inequalities.  C's
-    double-description state is dd_cut of the valid normals from R^k; C's
-    facets come from its masks, and every sibling check below cuts from it.
+    Returns the facets and one witness, both read off one double-description
+    state: a single cell's own, with its guards as the normals, or for
+    several cells that of the candidate cone C.  C is cut out by the
+    member-cell inequalities valid on every member's state (a member's own
+    guard holds on it, and the negation of one fails on the full-dimensional
+    member), so C contains the union.  If the union is convex, C is exactly
+    the union, since every facet of a convex union shows up among member
+    inequalities.  C's state is dd_cut of the valid normals from R^k, and
+    every sibling check below cuts from it.
 
     Coverage comes from the branch tree.  Its leaves tile R^k with disjoint
     interiors, and the node with guard prefix p is the union of the leaves
@@ -314,30 +307,30 @@ def _merge_cells(cells: list[Cell], k: int) -> tuple[HCone, Vector]:
     region.
     """
     if len(cells) == 1:
-        cell = cells[0]
-        return zero_set_facets(cell.guards, cell.masks, k), cell.witness
-    normals = dict.fromkeys(g for c in cells for g in c.guards)
-    valid = tuple(g for g in normals if all(
-        g in c.guards or vneg(g) not in c.guards and holds_on(g, c.lines, c.rays)
-        for c in cells))
-    state = dd_cut(dd_whole(k), valid)
-    if state is None:
-        raise InvariantError(f"the {len(valid)} shared-valid inequalities of "
-                             f"{len(cells)} full-dimensional cells cut out a "
-                             f"cone with empty interior")
-    held = set(valid)
-    opposed = {vneg(g) for g in valid}
-    for sib in _off_path_siblings(cells):
-        if any(h in opposed for h in sib):
-            continue
-        cut = dd_cut(state, (h for h in sib if h not in held))
-        if cut is not None:
-            point = ray_sum_witness(valid + sib, list(cut[1]), k)
-            raise RegionConvexityError(
-                f"union of {len(cells)} same-matrix cells is not the convex "
-                f"cone cut out by its {len(valid)} shared-valid inequalities: "
-                f"{point} is interior to it and to an off-path sibling")
-    return zero_set_facets(valid, state[1].values(), k), cells[0].witness
+        valid, state = cells[0].guards, cells[0].state
+    else:
+        normals = dict.fromkeys(g for c in cells for g in c.guards)
+        valid = tuple(g for g in normals if all(
+            g in c.guards or vneg(g) not in c.guards and holds_on(g, c.state)
+            for c in cells))
+        state = dd_cut(dd_whole(k), valid)
+        if state is None:
+            raise InvariantError(f"the {len(valid)} shared-valid inequalities "
+                                 f"of {len(cells)} full-dimensional cells cut "
+                                 f"out a cone with empty interior")
+        held = set(valid)
+        opposed = {vneg(g) for g in valid}
+        for sib in _off_path_siblings(cells):
+            if any(h in opposed for h in sib):
+                continue
+            cut = dd_cut(state, (h for h in sib if h not in held))
+            if cut is not None:
+                raise RegionConvexityError(
+                    f"union of {len(cells)} same-matrix cells is not the "
+                    f"convex cone cut out by its {len(valid)} shared-valid "
+                    f"inequalities: {ray_sum_witness(valid + sib, cut, k)} is "
+                    f"interior to it and to an off-path sibling")
+    return zero_set_facets(valid, state, k), ray_sum_witness(valid, state, k)
 
 
 def _checked_path(src: ReducedWord, dst: ReducedWord,
@@ -381,7 +374,6 @@ def transition_atlas(src: ReducedWord, dst: ReducedWord,
 
 def standard_atlas(rank: int, moves: Optional[Sequence[Move]] = None) -> RegionAtlas:
     """Atlas of the map between the two standard words of the given rank."""
-    from .words import standard_words
     j, jp = standard_words(rank)
     return transition_atlas(j, jp, moves)
 

@@ -24,12 +24,14 @@ description generators what ``_lp_implies`` and ``_lp_feasible`` answer
 by LP.
 """
 
+from functools import reduce
 from itertools import combinations
 
 from wordcones.polyhedra import (DegenerateConeError, HCone, VCone, _bareiss,
-                                 cone_equal, cone_from_rays, det, dot,
-                                 double_description, extreme_rays, hcone,
-                                 holds_on, nonneg_orthant, primitive,
+                                 cone_equal, cone_from_rays, dd_step,
+                                 dd_whole, det, dot, double_description,
+                                 extreme_rays, hcone, holds_on,
+                                 nonneg_orthant, primitive,
                                  solve_inequalities, vcone, vneg)
 
 
@@ -62,7 +64,7 @@ def facets_from_generators(normals, rays, dim):
 
 def implies(ineqs, a, dim):
     """Does a . x >= 0 hold on all of {x : ineqs}?"""
-    return holds_on(a, *double_description(ineqs, dim))
+    return holds_on(a, reduce(dd_step, ineqs, dd_whole(dim)))
 
 
 def lp_feasible(cone, strict=()):

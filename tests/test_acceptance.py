@@ -14,7 +14,7 @@ from lp_oracles import contains_strictly
 from wordcones.chambers import chamber_sets
 from wordcones.lusztig import lusztig_cone
 from wordcones.polyhedra import (InvariantError, hcone, irredundant_h,
-                                 nonneg_orthant)
+                                 nonneg_orthant, ray_sum_witness)
 from wordcones.quivers import (chamber_set_from_quiver,
                                enumerate_partial_quivers,
                                quiver_from_chamber_set)
@@ -183,13 +183,15 @@ def test_criterion_09_property_suites(atlas2, atlas3, atlas4):
                 ok = False
     # convexity certificates: the builder certifies every merged region; on
     # top of that, re-enumerate the leaf cells and check each one sits inside
-    # the cone of the region carrying its matrix
+    # the cone of the region carrying its matrix: its ray sum is strictly
+    # interior to that region
     for atlas in (atlas2, atlas3, atlas4):
         cells = enumerate_cells(atlas.src, list(atlas.moves))
         by_matrix = {r.matrix: r for r in atlas.regions}
         for cell in cells:
             region = by_matrix[cell.rows]
-            if not contains_strictly(region.cone, cell.witness):
+            witness = ray_sum_witness(cell.guards, cell.state, atlas.dim)
+            if not contains_strictly(region.cone, witness):
                 ok = False
     report(9, "property suites: 10^4-point bijectivity + atlas agreement "
               "(ranks 1-4), disjoint root unions (ranks <= 8), chamber-set "

@@ -126,6 +126,20 @@ def test_domain_errors_exit_1():
     run_cli("words", "list", "--rank", "9", expect=1)
 
 
+@pytest.mark.parametrize("args, flag", [
+    (("standard", "--rank", "3", "--count"), "--count"),
+    (("check", "--word", "121", "--count"), "--count"),
+    (("list", "--rank", "2", "--word", "121"), "--word"),
+    (("classes", "--rank", "2", "--word", "121"), "--word"),
+    (("standard", "--rank", "2", "--word", "121"), "--word"),
+])
+def test_words_rejects_flags_it_would_ignore(args, flag):
+    result = subprocess.run([sys.executable, "-m", "wordcones.cli", "words",
+                             *args], capture_output=True, text=True)
+    assert result.returncode == 1 and result.stdout == ""
+    assert result.stderr == f"error: words {args[0]} takes no {flag}\n"
+
+
 def test_regions_rejects_ranks_below_one():
     for rank in ("0", "-1"):
         result = subprocess.run(

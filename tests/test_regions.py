@@ -3,6 +3,7 @@ import json
 import random
 import sys
 from dataclasses import replace
+from functools import reduce
 from itertools import combinations
 
 import pytest
@@ -17,8 +18,8 @@ from lp_oracles import (_lp_implies, _lp_interior_point, _lp_irredundant_h,
 from wordcones import cli, rectangles, regions
 from wordcones.polyhedra import (DegenerateConeError, HCone, InvariantError,
                                  NonPointedError, cone_equal,
-                                 cone_from_rays, dd_cut, dd_whole, dot,
-                                 double_description, extreme_rays, hcone,
+                                 cone_from_rays, dd_cut, dd_step, dd_whole,
+                                 dot, double_description, extreme_rays, hcone,
                                  interior_point, irredundant_h,
                                  nonneg_orthant, ray_sum_witness,
                                  solve_inequalities, vcone, vneg,
@@ -151,11 +152,10 @@ def test_merge_validity_counts_lines():
     first but not on its line, so no normal is valid and the union, R^2
     minus an open quadrant, is refused."""
     def cell(*guards):
-        lines, zeros, _ = dd_cut(dd_whole(2), guards)
-        return regions.Cell(((1, 0), (0, 1)), guards, (0, 0), "",
-                            lines, tuple(zeros), tuple(zeros.values()))
+        return regions.Cell(((1, 0), (0, 1)), guards, "",
+                            dd_cut(dd_whole(2), guards))
     group = [cell((1, 0)), cell((-1, 0), (0, 1))]
-    assert group[0].lines == ((0, 1),)
+    assert group[0].state[0] == ((0, 1),)
     for merge in (_merge_cells, _subtraction_merge):
         with pytest.raises(RegionConvexityError):
             merge(group, 2)
@@ -187,15 +187,16 @@ def test_zero_set_facets_match_rank_and_lp_on_cells_and_groups():
     rules."""
     for rank in (3, 4):
         cells, k = _standard_cells(rank)
-        cones = [(c.guards, c.lines, c.rays, c.masks) for c in cells]
+        cones = [(c.guards, c.state) for c in cells]
         for group in _multi_cell_groups(cells):
             valid = _valid_normals(group, k)
-            lines, zeros, _ = dd_cut(dd_whole(k), valid)
-            cones.append((valid, lines, tuple(zeros), tuple(zeros.values())))
+            cones.append((valid, dd_cut(dd_whole(k), valid)))
         assert len(cones) == {3: 12, 4: 262}[rank]
-        for normals, lines, rays, masks in cones:
-            assert masks == _zero_sets(normals, rays), normals
-            assert zero_set_facets(normals, masks, k) == \
+        for normals, state in cones:
+            lines, rays = state[0], tuple(state[1])
+            assert tuple(state[1].values()) == _zero_sets(normals, rays), \
+                normals
+            assert zero_set_facets(normals, state, k) == \
                 facets_from_generators(normals, rays, k) == \
                 _rank_facets(normals, lines, rays, k) == \
                 _lp_irredundant_h(HCone(k, normals)), normals
@@ -219,7 +220,7 @@ def test_stepped_sibling_verdicts_match_interior_point():
             assert (got is None) == \
                 (_lp_interior_point(valid + sib, k) is None), (valid, sib)
             if got is not None:
-                ray_sum_witness(valid + sib, list(got[1]), k)
+                ray_sum_witness(valid + sib, got, k)
             answers[got is not None] += 1
     assert answers[True] and answers[False], answers
 
@@ -394,18 +395,24 @@ def test_region_graph_matches_lp_face_test(atlas3):
 
 
 def test_carried_generators_match_double_description():
-    """Every rank-3 and rank-4 cell carries the generators double
-    description of its guards gives, order included, and its facets from
-    them are those of its guards.  On every branch of both trees the side
-    test on the parent's generators, and dd_cut of the parent's state by the
-    side, agree with the LP, and both answers occur."""
-    for rank in (3, 4):
+    """Every rank-2 to rank-4 cell carries the state a dd_step fold of its
+    guards gives: its lines, its rays in order, their masks and the next
+    bit.  Its facets from them are those of its guards.  On every branch of
+    the rank-3 and rank-4 trees the side test on the parent's generators,
+    and dd_cut of the parent's state by the side, agree with the LP, and
+    both answers occur."""
+    for rank in (2, 3, 4):
         cells, k = _standard_cells(rank)
         for cell in cells:
-            assert (list(cell.lines), list(cell.rays)) == \
+            lines, zeros, bit = reduce(dd_step, cell.guards, dd_whole(k))
+            assert cell.state[0] == lines and cell.state[2] == bit
+            assert list(cell.state[1].items()) == list(zeros.items())
+            assert (list(lines), list(zeros)) == \
                 double_description(cell.guards, k)
-            assert facets_from_generators(cell.guards, cell.rays, k) == \
+            assert facets_from_generators(cell.guards, tuple(zeros), k) == \
                 irredundant_h(HCone(k, cell.guards))
+        if rank == 2:
+            continue
         branches = dict.fromkeys((c.guards[:j], c.guards[j])
                                  for c in cells for j in range(len(c.guards)))
         answers = set()
@@ -418,6 +425,25 @@ def test_carried_generators_match_double_description():
                     (_lp_interior_point(prefix + (side,), k) is not None)
                 answers.add(got)
         assert answers == {True, False}, rank
+
+
+def test_enumeration_cuts_each_new_guard_once(monkeypatch):
+    """The enumeration cuts both sides of each guard that is new on its
+    branch and decides a repeated guard, or its negation, without a cut:
+    the dd_cut calls and the empty ones are pinned at ranks 3 and 4."""
+    calls = {"all": 0, "empty": 0}
+
+    def counted(state, ineqs):
+        cut = dd_cut(state, ineqs)
+        calls["all"] += 1
+        calls["empty"] += cut is None
+        return cut
+    monkeypatch.setattr(regions, "dd_cut", counted)
+    for rank, expected in ((3, (26, 3)), (4, (794, 184))):
+        calls.update(all=0, empty=0)
+        cells, _ = _standard_cells(rank)
+        assert (calls["all"], calls["empty"]) == expected, rank
+        assert len(cells) == {3: 11, 4: 214}[rank]
 
 
 def test_both_branches_empty_raises_typed_error(monkeypatch):
@@ -490,9 +516,12 @@ def test_interior_points_in_exactly_one_region(atlas3):
     assert hits > 100  # most random points are interior to one region
 
 
-def test_region_witnesses_are_interior(atlas3):
-    for region in atlas3.regions:
-        assert contains_strictly(region.cone, region.witness)
+def test_region_witnesses_are_interior(atlas2, atlas3, atlas4):
+    """Each region's witness, the ray sum of its own state, is strictly
+    interior to its cone, merged regions included."""
+    for atlas in (atlas2, atlas3, atlas4):
+        for region in atlas.regions:
+            assert contains_strictly(region.cone, region.witness)
 
 
 def test_atlas_covers_space(atlas3):
