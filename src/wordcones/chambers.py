@@ -104,9 +104,8 @@ def _render_ascii(word: ReducedWord) -> str:
     n, k = word.rank, len(word.letters)
     width = 4 * k + 4
     grid = [[" "] * width for _ in range(2 * n + 1)]
-    order = list(range(1, n + 2))
     for p in range(n + 1):
-        grid[2 * p][0] = str(order[p]) if n + 1 <= 9 else "*"
+        grid[2 * p][0] = str(p + 1) if n + 1 <= 9 else "*"
         for c in range(2, width):
             grid[2 * p][c] = "-"
     for t, g in enumerate(word.letters):
@@ -120,7 +119,6 @@ def _render_ascii(word: ReducedWord) -> str:
         grid[r + 2][c0 + 1] = " "
         grid[r][c0 - 1] = grid[r + 2][c0 - 1] = "."
         grid[r][c0 + 2] = grid[r + 2][c0 + 2] = "."
-        order[g - 1], order[g] = order[g], order[g - 1]
     for cs in chamber_sets(word):
         label = members_str(cs.members, word.rank)
         mid = 4 * ((cs.start + cs.end) // 2)

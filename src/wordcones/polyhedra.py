@@ -308,15 +308,16 @@ def solve_inequalities(rows: Sequence[Vector], rhs: Sequence[int], dim: int
 # Double description, and the cone questions its generators answer
 # ---------------------------------------------------------------------------
 
-#: A cone during double description, (lines, zeros, bit): its lines, its
-#: rays mapped to zero-set masks (bit i: the i-th processed normal vanishes)
-#: in output order, and the bit of the next normal.  dd_step never mutates one.
-DDState = tuple[tuple[Vector, ...], dict[Vector, int], int]
+#: A cone during double description, (normals, lines, zeros): the primitive
+#: non-zero normals cut so far, in order, its lines, and its rays mapped to
+#: zero-set masks in output order (bit i: normals[i] vanishes; the next
+#: normal takes bit len(normals)).  dd_step never mutates one.
+DDState = tuple[tuple[Vector, ...], tuple[Vector, ...], dict[Vector, int]]
 
 
 def dd_whole(dim: int) -> DDState:
-    """The state of R^dim: a basis of lines and no ray."""
-    return identity(dim), {}, 1
+    """The state of R^dim: no normal, a basis of lines and no ray."""
+    return (), identity(dim), {}
 
 
 def dd_step(state: DDState, a: Sequence) -> DDState:
@@ -328,12 +329,15 @@ def dd_step(state: DDState, a: Sequence) -> DDState:
     Masks are set as rays are made, never recomputed: lines vanish on every
     processed normal, and a paired ray vanishes exactly where both parents
     do.  An adjacent pair shares at least dim - len(lines) - 2 zeros
-    (Fukuda-Prodon).  A zero normal changes nothing and takes no bit.
+    (Fukuda-Prodon).  a joins the normals in primitive form; a zero normal
+    changes nothing and takes no bit.
     """
     a = primitive(a)
     if not any(a):
         return state
-    lines, zeros, bit = state
+    normals, lines, zeros = state
+    bit = 1 << len(normals)
+    normals += (a,)
     dl = [dot(a, l) for l in lines]
     pivot = next((i for i, d in enumerate(dl) if d != 0), None)
     if pivot is not None:
@@ -347,7 +351,7 @@ def dd_step(state: DDState, a: Sequence) -> DDState:
                            if i != pivot])
         projected = {project(r, dot(a, r)): m | bit for r, m in zeros.items()}
         projected[z] = bit - 1
-        return new_lines, projected, bit << 1
+        return normals, new_lines, projected
     ds = {r: dot(a, r) for r in zeros}
     pos = [r for r, d in ds.items() if d > 0]
     zero = [r for r, d in ds.items() if d == 0]
@@ -355,7 +359,7 @@ def dd_step(state: DDState, a: Sequence) -> DDState:
     if not neg:  # nothing is cut off; the rays on the hyperplane gain its bit
         if zero:
             zeros = {r: m | bit if ds[r] == 0 else m for r, m in zeros.items()}
-        return lines, zeros, bit << 1
+        return normals, lines, zeros
     kept = {r: zeros[r] for r in pos}
     kept.update((r, zeros[r] | bit) for r in zero)
     need = len(a) - len(lines) - 2
@@ -368,14 +372,14 @@ def dd_step(state: DDState, a: Sequence) -> DDState:
                 continue
             kept[primitive(ds[p] * x - ds[n] * y
                            for x, y in zip(n, p))] = common | bit
-    return lines, kept, bit << 1
+    return normals, lines, kept
 
 
 def double_description(ineqs: Sequence[Vector], dim: int
                        ) -> tuple[list[Vector], list[Vector]]:
     """Generators (lines, rays) of {x : a . x >= 0 for a in ineqs}: one
     dd_step per normal, in order, from the whole space."""
-    lines, zeros, _ = reduce(dd_step, ineqs, dd_whole(dim))
+    _, lines, zeros = reduce(dd_step, ineqs, dd_whole(dim))
     return list(lines), list(zeros)
 
 
@@ -394,9 +398,9 @@ def dd_cut(state: DDState, ineqs: Iterable[Sequence]) -> Optional[DDState]:
     line a is non-zero on becomes one, and else dd_step keeps the rays a is
     positive on and puts every other ray on a . x = 0."""
     for a in ineqs:
-        bit = state[2]
+        n = len(state[0])
         state = dd_step(state, a)
-        if state[2] != bit and all(m & bit for m in state[1].values()):
+        if len(state[0]) > n and all(m >> n & 1 for m in state[2].values()):
             return None
     return state
 
@@ -404,8 +408,8 @@ def dd_cut(state: DDState, ineqs: Iterable[Sequence]) -> Optional[DDState]:
 def holds_on(a: Sequence, state: DDState) -> bool:
     """Does a . x >= 0 hold on the cone with this double-description state:
     does a vanish on its lines and stay non-negative on its rays?"""
-    return (all(dot(a, l) == 0 for l in state[0])
-            and all(dot(a, r) >= 0 for r in state[1]))
+    return (all(dot(a, l) == 0 for l in state[1])
+            and all(dot(a, r) >= 0 for r in state[2]))
 
 
 def interior_point(ineqs: Sequence[Vector], dim: int) -> Optional[Vector]:
@@ -418,47 +422,45 @@ def interior_point(ineqs: Sequence[Vector], dim: int) -> Optional[Vector]:
     if not all(map(any, ineqs)):  # 0 . x > 0 has no solution
         return None
     cut = dd_cut(dd_whole(dim), ineqs)
-    return None if cut is None else ray_sum_witness(ineqs, cut, dim)
+    return None if cut is None else ray_sum_witness(cut, dim)
 
 
-def ray_sum_witness(ineqs: Sequence[Vector], state: DDState, dim: int
-                    ) -> Vector:
+def ray_sum_witness(state: DDState, dim: int) -> Vector:
     """The primitive sum of the rays of a full-dimensional cone, given by
-    its double-description state, checked to satisfy every inequality
-    strictly (InvariantError if not)."""
-    point = primitive(sum(r[i] for r in state[1]) for i in range(dim))
-    if not all(dot(a, point) > 0 for a in ineqs):
-        raise InvariantError(f"ray sum {point} is not interior to {ineqs}")
+    its double-description state, checked to satisfy every normal of the
+    state strictly (InvariantError if not)."""
+    point = primitive(sum(r[i] for r in state[2]) for i in range(dim))
+    if not all(dot(a, point) > 0 for a in state[0]):
+        raise InvariantError(f"ray sum {point} is not interior to {state[0]}")
     return point
 
 
 def irredundant_h(cone: HCone) -> HCone:
     """Facet list of a full-dimensional cone, primitive and sorted.
 
-    Raises DegenerateConeError when dd_cut finds the cone's interior empty.
+    dd_step makes the normals primitive and skips zero ones.  Raises
+    DegenerateConeError when dd_cut finds the cone's interior empty.
     """
-    normals = [a for a in map(primitive, cone.ineqs) if any(a)]
-    state = dd_cut(dd_whole(cone.dim), normals)
+    state = dd_cut(dd_whole(cone.dim), cone.ineqs)
     if state is None:
         raise DegenerateConeError(
             f"cone is not full-dimensional ({len(cone.ineqs)} inequalities in "
             f"dimension {cone.dim})")
-    return zero_set_facets(normals, state, cone.dim)
+    return zero_set_facets(state, cone.dim)
 
 
-def zero_set_facets(normals: Sequence[Vector], state: DDState, dim: int
-                    ) -> HCone:
-    """Facet list, primitive and sorted, of a full-dimensional cone
-    {x : a . x >= 0 for a in normals}, from the zero-set masks of the rays
-    in its double-description state: the normals are primitive, non-zero
-    and in the order they were cut, so bit i of a mask is normals[i].
+def zero_set_facets(state: DDState, dim: int) -> HCone:
+    """Facet list, primitive and sorted, of a full-dimensional cone, read
+    off the zero-set masks of the rays in its double-description state:
+    bit i of a mask is the state's normals[i].
 
     The face a cuts out is spanned by the lines, on which every normal
     vanishes, and the rays a vanishes on.  So faces compare by zero sets,
     and a facet, a maximal proper face, is a normal whose zero set no other
     normal's strictly contains (Ziegler, Lectures on Polytopes, ch. 2).
     """
-    faces = [sum(1 << j for j, m in enumerate(state[1].values()) if m >> i & 1)
+    normals, _, zeros = state
+    faces = [sum(1 << j for j, m in enumerate(zeros.values()) if m >> i & 1)
              for i in range(len(normals))]
     return HCone(dim, tuple(sorted(
         {a for a, f in zip(normals, faces)

@@ -15,7 +15,7 @@ coordinates of the source word; it is independent of the chosen move path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import prod
@@ -24,9 +24,9 @@ from typing import Iterable, Optional, Sequence
 
 from .polyhedra import (DDState, DegenerateConeError, HCone, InvariantError,
                         NonPointedError, Vector, VCone, cone_from_rays, dd_cut,
-                        dd_step, dd_whole, det, dot, hcone, holds_on, identity,
-                        irredundant_h, nonneg_orthant, primitive,
-                        ray_sum_witness, vneg, zero_set_facets)
+                        dd_step, dd_whole, det, dot, holds_on, identity,
+                        nonneg_orthant, primitive, ray_sum_witness, vneg,
+                        zero_set_facets)
 from .words import (BRAID, COMMUTATION, Letters, Move, ReducedWord,
                     apply_move_path, braids, class_graph, commutation_classes,
                     commutes, find_move_path, legal_moves, standard_words)
@@ -131,26 +131,26 @@ class Cell:
     ``bits`` records the branch taken at every braid move along the path
     ('1' for the a <= c branch), which makes locating a point's cell a plain
     numeric walk plus one dictionary lookup.  ``state`` is the
-    double-description state of {x : g . x >= 0 for g in guards}, the fold
-    of dd_step over the guards from dd_whole: its lines, its rays in order
-    with their zero-set masks (bit i is set where guards[i] vanishes), and
-    the next bit.
+    double-description state of the cell, the fold of dd_step over its
+    guards from dd_whole: the guards, taken on the branch in order, are its
+    normals ``state[0]``, and its rays carry their zero sets among them.
     """
 
     rows: tuple[Vector, ...]
-    guards: tuple[Vector, ...]
     bits: str
     state: DDState
 
 
 @dataclass(frozen=True)
 class Region:
-    """A maximal cone of linearity with its matrix, its irredundant facets
-    and one interior witness, the ray sum of its double-description state."""
+    """A maximal cone of linearity: its matrix, its irredundant facets and
+    one interior witness, both read off its double-description state, which
+    it keeps for later cuts, outside equality, hashing and repr."""
 
     matrix: tuple[Vector, ...]
     cone: HCone
     witness: Vector
+    state: DDState = field(compare=False, repr=False)
 
     @property
     def facet_count(self) -> int:
@@ -227,16 +227,16 @@ def enumerate_cells(src: ReducedWord, moves: Sequence[Move]) -> list[Cell]:
     Each branch carries its cell's double-description state, and a leaf
     hands it to its Cell whole.  A braid guard's side {g . x >= 0} is dd_cut
     from it, which also says whether that side keeps an interior, so the
-    state stays equal to double description of the guards from scratch.  A
-    guard already on the branch, or its negation, decides the branch with
-    no cut (guards are primitive).  The moves are taken to be legal for
-    src; transition_atlas checks them.
+    state stays equal to double description of the guards, its normals,
+    from scratch.  A guard already on the branch, or its negation, decides
+    the branch with no cut (guards are primitive).  The moves are taken to
+    be legal for src; transition_atlas checks them.
     """
     k = len(src.letters)
     cells: list[Cell] = []
-    stack = [(0, identity(k), (), dd_whole(k), "")]
+    stack = [(0, identity(k), dd_whole(k), "")]
     while stack:
-        idx, rows, guards, state, bits = stack.pop()
+        idx, rows, state, bits = stack.pop()
         while idx < len(moves):
             mv = moves[idx]
             t = mv.position - 1
@@ -249,11 +249,11 @@ def enumerate_cells(src: ReducedWord, moves: Sequence[Move]) -> list[Cell]:
             if not any(g):
                 raise InvariantError("degenerate braid guard")
             idx += 1
-            if g in guards:
+            if g in state[0]:
                 rows = _braid_rows(rows, t, low=True)
                 bits += "1"
                 continue
-            if vneg(g) in guards:
+            if vneg(g) in state[0]:
                 rows = _braid_rows(rows, t, low=False)
                 bits += "0"
                 continue
@@ -261,33 +261,31 @@ def enumerate_cells(src: ReducedWord, moves: Sequence[Move]) -> list[Cell]:
             for bit, gg in (("1", g), ("0", vneg(g))):
                 side = dd_cut(state, (gg,))
                 if side is not None:
-                    sides.append((_braid_rows(rows, t, bit == "1"),
-                                  guards + (gg,), side, bits + bit))
+                    sides.append((_braid_rows(rows, t, bit == "1"), side,
+                                  bits + bit))
             if not sides:
                 raise InvariantError("both braid branches are empty")
             # continue along the first option; push the rest
             stack += [(idx,) + s for s in sides[1:]]
-            rows, guards, state, bits = sides[0]
-        cells.append(Cell(rows, guards, bits, state))
+            rows, state, bits = sides[0]
+        cells.append(Cell(rows, bits, state))
     return cells
 
 
 def _off_path_siblings(cells: list[Cell]) -> list[tuple[Vector, ...]]:
     """Guard tuples p + (-h,) where p + (h,) is a prefix of a member's guards
     and p + (-h,) is not, in first-seen order."""
-    prefixes = {c.guards[:j] for c in cells for j in range(len(c.guards) + 1)}
-    return [sib for sib in dict.fromkeys(c.guards[:j] + (vneg(c.guards[j]),)
-                                         for c in cells
-                                         for j in range(len(c.guards)))
+    guards = [c.state[0] for c in cells]
+    prefixes = {g[:j] for g in guards for j in range(len(g) + 1)}
+    return [sib for sib in dict.fromkeys(g[:j] + (vneg(g[j]),)
+                                         for g in guards for j in range(len(g)))
             if sib not in prefixes]
 
 
-def _merge_cells(cells: list[Cell], k: int) -> tuple[HCone, Vector]:
-    """Certified-convex union of same-matrix cells, as an irredundant cone.
-
-    Returns the facets and one witness, both read off one double-description
-    state: a single cell's own, with its guards as the normals, or for
-    several cells that of the candidate cone C.  C is cut out by the
+def _merge_cells(cells: list[Cell], k: int) -> DDState:
+    """Certified-convex union of same-matrix cells, as a double-description
+    state: a single cell's own, or for several cells that of the candidate
+    cone C, raising if C is not the union.  C is cut out by the
     member-cell inequalities valid on every member's state (a member's own
     guard holds on it, and the negation of one fails on the full-dimensional
     member), so C contains the union.  If the union is convex, C is exactly
@@ -307,30 +305,29 @@ def _merge_cells(cells: list[Cell], k: int) -> tuple[HCone, Vector]:
     region.
     """
     if len(cells) == 1:
-        valid, state = cells[0].guards, cells[0].state
-    else:
-        normals = dict.fromkeys(g for c in cells for g in c.guards)
-        valid = tuple(g for g in normals if all(
-            g in c.guards or vneg(g) not in c.guards and holds_on(g, c.state)
-            for c in cells))
-        state = dd_cut(dd_whole(k), valid)
-        if state is None:
-            raise InvariantError(f"the {len(valid)} shared-valid inequalities "
-                                 f"of {len(cells)} full-dimensional cells cut "
-                                 f"out a cone with empty interior")
-        held = set(valid)
-        opposed = {vneg(g) for g in valid}
-        for sib in _off_path_siblings(cells):
-            if any(h in opposed for h in sib):
-                continue
-            cut = dd_cut(state, (h for h in sib if h not in held))
-            if cut is not None:
-                raise RegionConvexityError(
-                    f"union of {len(cells)} same-matrix cells is not the "
-                    f"convex cone cut out by its {len(valid)} shared-valid "
-                    f"inequalities: {ray_sum_witness(valid + sib, cut, k)} is "
-                    f"interior to it and to an off-path sibling")
-    return zero_set_facets(valid, state, k), ray_sum_witness(valid, state, k)
+        return cells[0].state
+    normals = dict.fromkeys(g for c in cells for g in c.state[0])
+    valid = tuple(g for g in normals if all(
+        g in c.state[0] or vneg(g) not in c.state[0] and holds_on(g, c.state)
+        for c in cells))
+    state = dd_cut(dd_whole(k), valid)
+    if state is None:
+        raise InvariantError(f"the {len(valid)} shared-valid inequalities "
+                             f"of {len(cells)} full-dimensional cells cut "
+                             f"out a cone with empty interior")
+    held = set(valid)
+    opposed = {vneg(g) for g in valid}
+    for sib in _off_path_siblings(cells):
+        if any(h in opposed for h in sib):
+            continue
+        cut = dd_cut(state, (h for h in sib if h not in held))
+        if cut is not None:
+            raise RegionConvexityError(
+                f"union of {len(cells)} same-matrix cells is not the "
+                f"convex cone cut out by its {len(valid)} shared-valid "
+                f"inequalities: {ray_sum_witness(cut, k)} is "
+                f"interior to it and to an off-path sibling")
+    return state
 
 
 def _checked_path(src: ReducedWord, dst: ReducedWord,
@@ -355,27 +352,29 @@ def transition_atlas(src: ReducedWord, dst: ReducedWord,
     The 144-region standard-word atlas of rank 4 comes from 214 leaf cells.
     Rank 5 is slow: the peel path has 20 braids, and its 18,273 cells merge
     into 6,608 regions in 12-20 s under python -O (CPython 3.11, 2 vCPUs).
+    A group is popped as it merges, freeing its cells; its region keeps only
+    the state _merge_cells returns.
     """
     moves = _checked_path(src, dst, moves)
     k = len(src.letters)
-    cells = enumerate_cells(src, moves)
     groups: dict[tuple[Vector, ...], list[Cell]] = {}
-    for cell in cells:
+    for cell in enumerate_cells(src, moves):
         groups.setdefault(cell.rows, []).append(cell)
     regions = []
     bits_index: dict[str, int] = {}
     for matrix in sorted(groups):
-        cone, witness = _merge_cells(groups[matrix], k)
-        for cell in groups[matrix]:
+        group = groups.pop(matrix)
+        state = _merge_cells(group, k)
+        for cell in group:
             bits_index[cell.bits] = len(regions)
-        regions.append(Region(matrix, cone, witness))
+        regions.append(Region(matrix, zero_set_facets(state, k),
+                              ray_sum_witness(state, k), state))
     return RegionAtlas(src, dst, tuple(moves), tuple(regions), bits_index)
 
 
-def standard_atlas(rank: int, moves: Optional[Sequence[Move]] = None) -> RegionAtlas:
+def standard_atlas(rank: int) -> RegionAtlas:
     """Atlas of the map between the two standard words of the given rank."""
-    j, jp = standard_words(rank)
-    return transition_atlas(j, jp, moves)
+    return transition_atlas(*standard_words(rank))
 
 
 def evaluate(src: ReducedWord, dst: ReducedWord, point: Sequence,
@@ -480,15 +479,15 @@ class OrthantRestriction:
 
 def orthant_restriction_analysis(atlas: RegionAtlas) -> list[OrthantRestriction]:
     """Irredundant restriction of every region meeting the orthant in its
-    interior."""
-    orth = nonneg_orthant(atlas.dim)
+    interior: the region's state dd_cut by the orthant, which is None when
+    the restriction has no interior, and the facets read off the cut."""
+    orth = identity(atlas.dim)
     out = []
     for idx, region in enumerate(atlas.regions):
-        restricted = hcone(region.cone.ineqs + orth.ineqs, atlas.dim)
-        try:
-            reduced = irredundant_h(restricted)
-        except DegenerateConeError:
+        cut = dd_cut(region.state, orth)
+        if cut is None:
             continue
+        reduced = zero_set_facets(cut, atlas.dim)
         out.append(OrthantRestriction(idx, region.facet_count,
                                       len(reduced.ineqs), reduced))
     return out
@@ -544,9 +543,9 @@ def simplicial_decomposition(cone: HCone) -> Decomposition:
     state = dd_cut(dd_whole(k), cone.ineqs)
     if state is None:
         raise DegenerateConeError("cone is not full-dimensional")
-    if state[0]:
-        raise NonPointedError(state[0][0])
-    rays = tuple(sorted(state[1]))
+    if state[1]:
+        raise NonPointedError(state[1][0])
+    rays = tuple(sorted(state[2]))
     c = tuple(map(sum, zip(*cone.ineqs)))
     total = sum(_volume(s, c) for s in _pulling_simplices(rays, cone.ineqs))
     pieces = [s for s in combinations(rays, k) if det(s) != 0]
@@ -581,11 +580,10 @@ def region_graph(atlas: RegionAtlas, minimal_only: bool = False
 
     Such a face lies on the hyperplane of a facet g of one region where -g
     is a facet of the other: the first region's face there, dd_step of its
-    state by -g, keeps a relative interior under dd_cut by the other's
-    remaining normals.  None of those is parallel to g, or the other region
+    kept state by -g, keeps a relative interior under dd_cut by the other's
+    remaining facets.  None of those is parallel to g, or the other region
     would lie in the hyperplane, so none vanishes on it, as dd_cut needs.
     """
-    k = atlas.dim
     minimal = min(r.facet_count for r in atlas.regions)
     idxs = [i for i, r in enumerate(atlas.regions)
             if not minimal_only or r.facet_count == minimal]
@@ -595,10 +593,9 @@ def region_graph(atlas: RegionAtlas, minimal_only: bool = False
             by_facet.setdefault(g, []).append(i)
     adj: dict[int, set[int]] = {i: set() for i in idxs}
     for i in idxs:
-        ineqs = atlas.regions[i].cone.ineqs
-        state = dd_cut(dd_whole(k), ineqs)
-        for g in ineqs:
-            face = dd_step(state, vneg(g))
+        region = atlas.regions[i]
+        for g in region.cone.ineqs:
+            face = dd_step(region.state, vneg(g))
             for jdx in by_facet.get(vneg(g), ()):
                 if jdx <= i or jdx in adj[i]:
                     continue

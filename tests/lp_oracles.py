@@ -13,6 +13,10 @@ products, as the library did before it read them off the double-description
 masks (``polyhedra.zero_set_facets``), and ``positive_somewhere`` is the
 scan ``polyhedra.dd_cut`` ran before it read emptiness off the cut state.
 
+``assert_state_invariants`` checks that a double-description state
+describes itself: its normals, its masks and its lines agree by dot
+products.
+
 ``scanned_region_index`` is the class-to-region match by a scan over all
 regions and two double descriptions per comparison, the way
 ``regions.match_spanned_regions`` matched before it looked the probe up.
@@ -37,6 +41,18 @@ from wordcones.polyhedra import (DegenerateConeError, HCone, VCone, _bareiss,
 
 def matrix_rank(rows):
     return _bareiss(rows)[0]
+
+
+def assert_state_invariants(state, cut):
+    """The state's normals are the non-zero normals of cut, made primitive,
+    in order; bit i of each ray's mask is set iff normals[i] vanishes on
+    the ray; and every line vanishes on every normal."""
+    normals, lines, zeros = state
+    assert normals == tuple(a for a in map(primitive, cut) if any(a)), cut
+    for r, mask in zeros.items():
+        assert mask == sum(1 << i for i, a in enumerate(normals)
+                           if dot(a, r) == 0), (normals, r)
+    assert all(dot(a, l) == 0 for a in normals for l in lines), normals
 
 
 def positive_somewhere(a, lines, rays):

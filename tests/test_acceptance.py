@@ -190,7 +190,7 @@ def test_criterion_09_property_suites(atlas2, atlas3, atlas4):
         by_matrix = {r.matrix: r for r in atlas.regions}
         for cell in cells:
             region = by_matrix[cell.rows]
-            witness = ray_sum_witness(cell.guards, cell.state, atlas.dim)
+            witness = ray_sum_witness(cell.state, atlas.dim)
             if not contains_strictly(region.cone, witness):
                 ok = False
     report(9, "property suites: 10^4-point bijectivity + atlas agreement "

@@ -5,6 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from wordcones.lusztig import lusztig_cone, spanning_rays
+from wordcones.words import parse_word
+
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
 
 
@@ -75,6 +78,21 @@ def test_cone_lusztig():
     with_rays = json.loads(run_cli("cone", "lusztig", "--word", "121", "--rays"))
     rays = {tuple(int(x) for x in r) for r in with_rays["rays"]["rays"]}
     assert rays == {(0, 1, 0), (1, 1, 0), (0, 1, 1)}
+
+
+def test_cone_payloads_match_their_schemas(atlas4):
+    """HCone and VCone payloads: the Lusztig cone of 132132, its spanning
+    rays, and the rank-4 region with the most facets."""
+    jsonschema = pytest.importorskip("jsonschema")
+    word = parse_word("132132")
+    rays = spanning_rays(word).to_json()
+    region = max(atlas4.regions, key=lambda r: r.facet_count)
+    for cone in (lusztig_cone(word).cone, region.cone):
+        validate(cone.to_json(), "hcone")
+    validate(rays, "vcone")
+    assert len(rays["rays"]) > 1 and region.facet_count == 11
+    with pytest.raises(jsonschema.ValidationError):
+        validate(rays, "hcone")
 
 
 def test_rectangles_rank10():

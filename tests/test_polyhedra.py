@@ -7,7 +7,8 @@ from math import gcd
 import pytest
 
 from lp_oracles import (_lp_feasible, _lp_implies, _lp_interior_point,
-                        _lp_irredundant_h, _rank_facets, facets_from_generators,
+                        _lp_irredundant_h, _rank_facets,
+                        assert_state_invariants, facets_from_generators,
                         implies, lp_feasible, matrix_rank)
 from wordcones.lusztig import lusztig_cone
 from wordcones.polyhedra import (DegenerateConeError, HCone, NonPointedError,
@@ -125,8 +126,8 @@ def test_generator_predicates_match_lp_oracles_on_random_cones():
 
 
 def _state_items(state):
-    lines, zeros, bit = state
-    return lines, list(zeros.items()), bit
+    normals, lines, zeros = state
+    return normals, lines, list(zeros.items())
 
 
 def test_dd_cut_matches_lp_and_the_plain_fold():
@@ -154,12 +155,38 @@ def test_dd_cut_matches_lp_and_the_plain_fold():
             tail = dd_cut(head, rows[split:])
             assert (tail is None) == (cut is None), (rows, split)
             assert tail is None or _state_items(tail) == _state_items(cut)
-        shapes.add((cut is not None, bool(cut and cut[0]),
+        shapes.add((cut is not None, bool(cut and cut[1]),
                     len(nonzero) < len(rows), 0 < split < len(rows)))
     # with and without interior, lines and zero normals; split mid-system
     assert {(True, True, True, True), (True, False, True, True),
             (True, False, False, True), (False, False, False, True),
             (False, False, True, True)} <= shapes, shapes
+
+
+def test_dd_states_describe_themselves_on_seeded_folds():
+    """After every dd_step of seeded systems with repeated, scaled and zero
+    normals, and after every dd_cut that keeps an interior, the state's
+    normals are the non-zero normals cut, made primitive, its masks are its
+    rays' zero sets among them, and its lines vanish on all of them."""
+    rng = random.Random(41)
+    shapes = set()
+    for _ in range(150):
+        dim = rng.randrange(2, 6)
+        rows = _random_system(rng, dim)
+        a = rng.choice(rows)
+        rows += [a, tuple(2 * x for x in a), (0,) * dim]
+        rng.shuffle(rows)
+        state = dd_whole(dim)
+        for j, a in enumerate(rows):
+            state = dd_step(state, a)
+            assert_state_invariants(state, rows[:j + 1])
+        cut = dd_cut(dd_whole(dim), rows)
+        if cut is not None:
+            assert_state_invariants(cut, rows)
+        shapes.add((cut is not None, bool(state[1])))
+    # with and without interior, with and without lines
+    assert shapes == {(True, True), (True, False), (False, True),
+                      (False, False)}, shapes
 
 
 def test_interior_point_rejects_zero_normals():
@@ -390,11 +417,11 @@ def test_dd_step_loop_matches_reference_on_every_prefix():
             rows.insert(rng.randrange(len(rows) + 1), (0,) * dim)
             state = dd_whole(dim)
             for j, a in enumerate(rows):
-                before = (state[0], list(state[1].items()), state[2])
+                before = _state_items(state)
                 new = dd_step(state, a)
-                assert (state[0], list(state[1].items()), state[2]) == before
+                assert _state_items(state) == before
                 state = new
-                lines, zeros, _ = state
+                _, lines, zeros = state
                 assert (list(lines), list(zeros)) == \
                     _reference_double_description(rows[:j + 1], dim)
                 normals = [primitive(b) for b in rows[:j + 1] if any(b)]

@@ -11,17 +11,17 @@ import pytest
 from lp_oracles import (_lp_implies, _lp_interior_point, _lp_irredundant_h,
                         _lp_is_disjoint_cover, _lp_min_simplicial_cover,
                         _lp_subtract_full_dim, _rank_facets,
-                        _rank_pulling_simplices, contains_strictly,
-                        facets_from_generators, implies, matrix_rank,
-                        positive_somewhere, regions_containing,
+                        _rank_pulling_simplices, assert_state_invariants,
+                        contains_strictly, facets_from_generators, implies,
+                        matrix_rank, positive_somewhere, regions_containing,
                         scanned_region_index)
-from wordcones import cli, rectangles, regions
+from wordcones import cli, polyhedra, rectangles, regions
 from wordcones.polyhedra import (DegenerateConeError, HCone, InvariantError,
                                  NonPointedError, cone_equal,
                                  cone_from_rays, dd_cut, dd_step, dd_whole,
                                  dot, double_description, extreme_rays, hcone,
-                                 interior_point, irredundant_h,
-                                 nonneg_orthant, ray_sum_witness,
+                                 identity, interior_point, irredundant_h,
+                                 nonneg_orthant, primitive, ray_sum_witness,
                                  solve_inequalities, vcone, vneg,
                                  zero_set_facets)
 from wordcones.regions import (RegionConvexityError, _merge_cells,
@@ -102,12 +102,12 @@ def _subtraction_merge(cells, k):
     """Reference certificate: the candidate cone minus every member cell has
     no full-dimensional part.  Every decision is an LP, so the reference
     shares no code with the double-description merge."""
-    normals = dict.fromkeys(g for c in cells for g in c.guards)
+    normals = dict.fromkeys(g for c in cells for g in c.state[0])
     valid = tuple(g for g in normals
-                  if all(_lp_implies(c.guards, g, k) for c in cells))
+                  if all(_lp_implies(c.state[0], g, k) for c in cells))
     pieces = [valid]
     for cell in cells:
-        pieces = _lp_subtract_full_dim(pieces, cell.guards, k)
+        pieces = _lp_subtract_full_dim(pieces, cell.state[0], k)
     if pieces:
         raise RegionConvexityError("candidate cone exceeds the union")
     return _lp_irredundant_h(HCone(k, valid))
@@ -129,7 +129,7 @@ def test_merge_certificate_agrees_with_subtraction_on_rank3_pairs():
         if expected is None:
             assert got is None
         else:
-            assert got is not None and got[0] == expected
+            assert got is not None and zero_set_facets(got, k) == expected
             accepted += 1
     assert len(cells) == 11 and accepted == 13
 
@@ -143,7 +143,7 @@ def test_merge_certificate_accepts_every_rank4_group(atlas4):
     merged = [g for g in groups.values() if len(g) > 1]
     assert len(groups) == 144 and len(merged) == 48
     for group in merged:
-        cone = _merge_cells(group, k)[0]
+        cone = zero_set_facets(_merge_cells(group, k), k)
         assert cone == cones[group[0].rows] == _subtraction_merge(group, k)
 
 
@@ -152,10 +152,9 @@ def test_merge_validity_counts_lines():
     first but not on its line, so no normal is valid and the union, R^2
     minus an open quadrant, is refused."""
     def cell(*guards):
-        return regions.Cell(((1, 0), (0, 1)), guards, "",
-                            dd_cut(dd_whole(2), guards))
+        return regions.Cell(((1, 0), (0, 1)), "", dd_cut(dd_whole(2), guards))
     group = [cell((1, 0)), cell((-1, 0), (0, 1))]
-    assert group[0].state[0] == ((0, 1),)
+    assert group[0].state[:2] == (((1, 0),), ((0, 1),))
     for merge in (_merge_cells, _subtraction_merge):
         with pytest.raises(RegionConvexityError):
             merge(group, 2)
@@ -163,8 +162,8 @@ def test_merge_validity_counts_lines():
 
 def _valid_normals(cells, k):
     """The group's guards implied on every member, from scratch."""
-    return tuple(g for g in dict.fromkeys(g for c in cells for g in c.guards)
-                 if all(implies(c.guards, g, k) for c in cells))
+    return tuple(g for g in dict.fromkeys(g for c in cells for g in c.state[0])
+                 if all(implies(c.state[0], g, k) for c in cells))
 
 
 def _multi_cell_groups(cells):
@@ -182,24 +181,79 @@ def _zero_sets(normals, rays):
 
 def test_zero_set_facets_match_rank_and_lp_on_cells_and_groups():
     """Every rank-3 and rank-4 cell carries its rays' zero sets as masks, and
-    so does the dd_cut fold of every multi-cell group's valid normals; the
-    facets read off those masks are those of the dot-product, rank and LP
-    rules."""
+    so does the dd_cut fold of every multi-cell group's valid normals, which
+    are that fold's normals; the facets read off those masks are those of
+    the dot-product, rank and LP rules."""
     for rank in (3, 4):
         cells, k = _standard_cells(rank)
-        cones = [(c.guards, c.state) for c in cells]
+        states = [c.state for c in cells]
         for group in _multi_cell_groups(cells):
             valid = _valid_normals(group, k)
-            cones.append((valid, dd_cut(dd_whole(k), valid)))
-        assert len(cones) == {3: 12, 4: 262}[rank]
-        for normals, state in cones:
-            lines, rays = state[0], tuple(state[1])
-            assert tuple(state[1].values()) == _zero_sets(normals, rays), \
+            states.append(dd_cut(dd_whole(k), valid))
+            assert states[-1][0] == valid
+        assert len(states) == {3: 12, 4: 262}[rank]
+        for state in states:
+            normals, lines, rays = state[0], state[1], tuple(state[2])
+            assert tuple(state[2].values()) == _zero_sets(normals, rays), \
                 normals
-            assert zero_set_facets(normals, state, k) == \
+            assert zero_set_facets(state, k) == \
                 facets_from_generators(normals, rays, k) == \
                 _rank_facets(normals, lines, rays, k) == \
                 _lp_irredundant_h(HCone(k, normals)), normals
+
+
+def _branch_guards(src, moves, bits):
+    """The guards of the cell with these branch bits, walked from the move
+    path alone: at each braid the primitive c - a of the rows, or its
+    negation on a '0' bit, each kept once, in order."""
+    rows, bits, guards = identity(len(src.letters)), iter(bits), {}
+    for mv in moves:
+        t = mv.position - 1
+        if mv.kind == COMMUTATION:
+            rows = regions._swap_rows(rows, t)
+            continue
+        low = next(bits) == "1"
+        g = primitive(tuple(z - x for x, z in zip(rows[t], rows[t + 2])))
+        guards.setdefault(g if low else vneg(g))
+        rows = regions._braid_rows(rows, t, low)
+    return tuple(guards)
+
+
+def test_cell_and_region_states_describe_themselves(atlas2, atlas3, atlas4):
+    """Every rank-2 to rank-4 cell's state has as its normals the guards its
+    branch bits walk to, and every region keeps the state of its one cell
+    or the dd_cut fold of its group's valid normals; in each state the masks
+    are the rays' zero sets among its normals, and the lines vanish on
+    every normal."""
+    for atlas in (atlas2, atlas3, atlas4):
+        k = atlas.dim
+        groups = {}
+        for cell in enumerate_cells(atlas.src, atlas.moves):
+            guards = _branch_guards(atlas.src, atlas.moves, cell.bits)
+            assert_state_invariants(cell.state, guards)
+            groups.setdefault(cell.rows, []).append((cell, guards))
+        for region in atlas.regions:
+            group = groups[region.matrix]
+            cut = group[0][1] if len(group) == 1 else \
+                _valid_normals([c for c, _ in group], k)
+            assert_state_invariants(region.state, cut)
+
+
+def test_region_graph_and_orthant_restriction_cut_from_kept_states(
+        monkeypatch, atlas3, atlas4):
+    """On prebuilt atlases neither facet adjacency nor orthant restriction
+    rebuilds a state from the whole space: with dd_whole refused they give
+    the pinned edge counts and restriction shapes."""
+    def refuse(dim):
+        raise AssertionError("a state rebuilt from the whole space")
+    monkeypatch.setattr(regions, "dd_whole", refuse)
+    monkeypatch.setattr(polyhedra, "dd_whole", refuse)
+    for minimal_only, expected in ((False, 482), (True, 100)):
+        graph = region_graph(atlas4, minimal_only)
+        assert sum(map(len, graph.values())) == 2 * expected
+    restricted = sorted((r.region_facets, r.restricted_facets)
+                        for r in orthant_restriction_analysis(atlas3))
+    assert restricted == [(3, 6)] * 8 + [(4, 8), (4, 9)]
 
 
 def test_stepped_sibling_verdicts_match_interior_point():
@@ -220,7 +274,8 @@ def test_stepped_sibling_verdicts_match_interior_point():
             assert (got is None) == \
                 (_lp_interior_point(valid + sib, k) is None), (valid, sib)
             if got is not None:
-                ray_sum_witness(valid + sib, got, k)
+                assert got[0] == valid + sib
+                ray_sum_witness(got, k)
             answers[got is not None] += 1
     assert answers[True] and answers[False], answers
 
@@ -350,16 +405,17 @@ def test_cell_predicates_match_lp_oracles():
             groups.setdefault(cell.rows, []).append(cell)
         answers = set()
         for cell in cells:
-            cone = HCone(k, cell.guards)
-            assert contains_strictly(cone, interior_point(cell.guards, k))
+            guards = cell.state[0]
+            cone = HCone(k, guards)
+            assert contains_strictly(cone, interior_point(guards, k))
             assert irredundant_h(cone) == _lp_irredundant_h(cone)
-            for g in dict.fromkeys(g for c in groups[cell.rows] for g in c.guards
-                                   if g not in cell.guards):
-                got = implies(cell.guards, g, k)
-                assert got == _lp_implies(cell.guards, g, k)
+            for g in dict.fromkeys(g for c in groups[cell.rows]
+                                   for g in c.state[0] if g not in guards):
+                got = implies(guards, g, k)
+                assert got == _lp_implies(guards, g, k)
                 answers.add(("implies", got))
-            if cell.guards:
-                other = cell.guards[:-1] + (vneg(cell.guards[-1]),)
+            if guards:
+                other = guards[:-1] + (vneg(guards[-1]),)
                 got = interior_point(other, k) is not None
                 assert got == (_lp_interior_point(other, k) is not None)
                 answers.add(("interior", got))
@@ -396,25 +452,26 @@ def test_region_graph_matches_lp_face_test(atlas3):
 
 def test_carried_generators_match_double_description():
     """Every rank-2 to rank-4 cell carries the state a dd_step fold of its
-    guards gives: its lines, its rays in order, their masks and the next
-    bit.  Its facets from them are those of its guards.  On every branch of
-    the rank-3 and rank-4 trees the side test on the parent's generators,
-    and dd_cut of the parent's state by the side, agree with the LP, and
-    both answers occur."""
+    guards gives: its guards as the normals, its lines, its rays in order
+    and their masks.  Its facets from them are those of its guards.  On
+    every branch of the rank-3 and rank-4 trees the side test on the
+    parent's generators, and dd_cut of the parent's state by the side,
+    agree with the LP, and both answers occur."""
     for rank in (2, 3, 4):
         cells, k = _standard_cells(rank)
         for cell in cells:
-            lines, zeros, bit = reduce(dd_step, cell.guards, dd_whole(k))
-            assert cell.state[0] == lines and cell.state[2] == bit
-            assert list(cell.state[1].items()) == list(zeros.items())
-            assert (list(lines), list(zeros)) == \
-                double_description(cell.guards, k)
-            assert facets_from_generators(cell.guards, tuple(zeros), k) == \
-                irredundant_h(HCone(k, cell.guards))
+            guards = cell.state[0]
+            normals, lines, zeros = reduce(dd_step, guards, dd_whole(k))
+            assert cell.state[:2] == (normals, lines) and normals == guards
+            assert list(cell.state[2].items()) == list(zeros.items())
+            assert (list(lines), list(zeros)) == double_description(guards, k)
+            assert facets_from_generators(guards, tuple(zeros), k) == \
+                irredundant_h(HCone(k, guards))
         if rank == 2:
             continue
-        branches = dict.fromkeys((c.guards[:j], c.guards[j])
-                                 for c in cells for j in range(len(c.guards)))
+        branches = dict.fromkeys((c.state[0][:j], c.state[0][j])
+                                 for c in cells
+                                 for j in range(len(c.state[0])))
         answers = set()
         for prefix, g in branches:
             gens = double_description(prefix, k)
@@ -518,10 +575,15 @@ def test_interior_points_in_exactly_one_region(atlas3):
 
 def test_region_witnesses_are_interior(atlas2, atlas3, atlas4):
     """Each region's witness, the ray sum of its own state, is strictly
-    interior to its cone, merged regions included."""
+    interior to its cone, merged regions included; its facets are those
+    read off the state it keeps, and the state leaves it hashable."""
     for atlas in (atlas2, atlas3, atlas4):
         for region in atlas.regions:
             assert contains_strictly(region.cone, region.witness)
+            assert zero_set_facets(region.state, atlas.dim) == region.cone
+            bare = replace(region, state=None)
+            assert bare == region and hash(bare) == hash(region)
+            assert repr(bare) == repr(region)
 
 
 def test_atlas_covers_space(atlas3):
