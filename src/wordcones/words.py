@@ -11,7 +11,6 @@ Words serialise as digit strings without separators while rank <= 9
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -241,21 +240,6 @@ class CommutationClass:
     size: int
 
 
-def commutation_orbit(letters: Letters) -> frozenset[Letters]:
-    """All words reachable from the given one by commutation moves."""
-    seen = {letters}
-    stack = [letters]
-    while stack:
-        w = stack.pop()
-        for t in range(len(w) - 1):
-            if commutes(w, t):
-                w2 = w[:t] + (w[t + 1], w[t]) + w[t + 2:]
-                if w2 not in seen:
-                    seen.add(w2)
-                    stack.append(w2)
-    return frozenset(seen)
-
-
 def class_canonical(word: ReducedWord) -> Letters:
     """Reproducible class key: the lexicographic minimum over the orbit.
 
@@ -279,49 +263,73 @@ def class_canonical(word: ReducedWord) -> Letters:
     return tuple(out)
 
 
-def _class_keys(rank: int) -> dict[Letters, Letters]:
-    """Every reduced word for w0 mapped to its class canonical (rank <= 5)."""
-    _check_enumeration_rank(rank)
-    key: dict[Letters, Letters] = {}
-    for w in iter_reduced_words(rank):
-        if w not in key:
-            orbit = commutation_orbit(w)
-            key.update(dict.fromkeys(orbit, min(orbit)))
-    return key
+def _braid_neighbours(w: Letters) -> Iterator[Letters]:
+    """A member of each class one braid move away from the class of w: where
+    consecutive occurrences x < z of a letter s enclose exactly one letter
+    t = s +- 1, at y, the other letters between them commute with s, so
+    s t s can be made consecutive and turned into t s t.
+
+    >>> list(_braid_neighbours((1, 2, 1)))
+    [(2, 1, 2)]
+    """
+    last: dict[int, int] = {}
+    for z, s in enumerate(w):
+        x, last[s] = last.get(s, z), z
+        ys = [y for y in range(x + 1, z) if abs(w[y] - s) == 1]
+        if len(ys) == 1:
+            y, t = ys[0], w[ys[0]]
+            yield w[:x] + w[x + 1:y] + (t, s, t) + w[y + 1:z] + w[z + 1:]
+
+
+def _linear_extensions(w: Letters) -> int:
+    """Number of linear extensions of the heap of w, the size of its class,
+    counted level by level over the heap's order ideals held as bit masks."""
+    below = {1 << i: sum(1 << j for j in range(i) if abs(w[j] - g) <= 1)
+             for i, g in enumerate(w)}
+    full, ways = (1 << len(w)) - 1, {0: 1}
+    for _ in w:
+        grown: dict[int, int] = {}
+        for ideal, n in ways.items():
+            rest = full ^ ideal
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                if below[bit] & ideal == below[bit]:
+                    grown[ideal | bit] = grown.get(ideal | bit, 0) + n
+        ways = grown
+    return ways[full]
 
 
 def commutation_classes(rank: int) -> list[CommutationClass]:
     """Partition of all reduced words into commutation classes (rank <= 5)."""
-    sizes = Counter(_class_keys(rank).values())
-    return [CommutationClass(rank, c, n) for c, n in sorted(sizes.items())]
+    return [CommutationClass(rank, c, _linear_extensions(c))
+            for c in sorted(class_graph(rank))]
 
 
 def class_graph(rank: int) -> dict[Letters, frozenset[Letters]]:
-    """Graph on commutation classes: edge = single braid move between members."""
-    key = _class_keys(rank)
-    adj: dict[Letters, set[Letters]] = {c: set() for c in set(key.values())}
-    for w, canon in key.items():
-        for t in range(len(w) - 2):
-            if braids(w, t):
-                other = key[apply_move_letters(w, Move(BRAID, t + 1))]
-                if other != canon:
-                    adj[canon].add(other)
-                    adj[other].add(canon)
-    return {c: frozenset(nb) for c, nb in adj.items()}
+    """Graph on commutation classes: edge = single braid move between members.
 
+    The braid graph is connected (Tits), so one search over classes finds
+    them all.  A class is keyed by its members' common restrictions to the
+    letter pairs {g, g+1} (Cartier-Foata): one class_canonical per class.
+    """
+    _check_enumeration_rank(rank)
+    canonical: dict[tuple, Letters] = {}
+    found: list[Letters] = []
 
-def is_connected(graph: dict) -> bool:
-    if not graph:
-        return True
-    start = next(iter(graph))
-    seen = {start}
-    stack = [start]
-    while stack:
-        for nb in graph[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == len(graph)
+    def canon(w: Letters) -> Letters:
+        pairs: list[list[int]] = [[] for _ in range(rank + 1)]
+        for g in w:
+            pairs[g - 1].append(g)
+            pairs[g].append(g)
+        key = tuple(map(tuple, pairs))
+        if key not in canonical:
+            canonical[key] = class_canonical(ReducedWord(rank, w))
+            found.append(canonical[key])
+        return canonical[key]
+
+    canon(standard_words(rank)[0].letters)  # found grows as the search goes
+    return {c: frozenset(map(canon, _braid_neighbours(c))) for c in found}
 
 
 # ---------------------------------------------------------------------------

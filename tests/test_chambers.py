@@ -2,10 +2,10 @@ import random
 
 import pytest
 
+from class_oracles import commutation_orbit
 from wordcones.chambers import chamber_sets, members_str, render_wiring
-from wordcones.words import (ReducedWord, apply_move, commutation_orbit,
-                             enumerate_reduced_words, legal_moves, parse_word,
-                             random_reduced_word)
+from wordcones.words import (ReducedWord, apply_move, enumerate_reduced_words,
+                             legal_moves, parse_word, random_reduced_word)
 
 GOLDEN_WORD = "2343121324"
 

@@ -2,10 +2,11 @@ import itertools
 
 import pytest
 
+from class_oracles import commutation_orbit
 from wordcones.quivers import (PartialQuiver, chamber_set_from_quiver,
                                chamber_quiver_pairs, enumerate_partial_quivers,
                                quiver_from_chamber_set, quivers_for_word)
-from wordcones.words import ReducedWord, commutation_orbit, parse_word
+from wordcones.words import ReducedWord, parse_word
 
 # the 22 type-A4 partial quivers as listed (text order: edge 4, 3, 2)
 A4_QUIVERS = [

@@ -8,6 +8,7 @@ from itertools import combinations
 
 import pytest
 
+from class_oracles import is_connected
 from lp_oracles import (_lp_implies, _lp_interior_point, _lp_irredundant_h,
                         _lp_is_disjoint_cover, _lp_min_simplicial_cover,
                         _lp_subtract_full_dim, _rank_facets,
@@ -34,7 +35,7 @@ from wordcones.regions import (RegionConvexityError, _merge_cells,
                                simplicial_decomposition, standard_atlas,
                                transition_atlas)
 from wordcones.words import (BRAID, COMMUTATION, Move, ReducedWord,
-                             commutation_classes, find_move_path, is_connected,
+                             commutation_classes, find_move_path,
                              random_reduced_word, standard_words)
 
 

@@ -1,14 +1,17 @@
 import random
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
+import class_oracles
+from class_oracles import (commutation_orbit, is_connected, orbit_class_graph,
+                           orbit_commutation_classes)
 from wordcones import words
 from wordcones.words import (BRAID, COMMUTATION, Move, ReducedWord,
                              apply_move, apply_move_path, braids,
                              class_canonical, class_graph, commutation_classes,
-                             commutation_orbit, commutes, enumerate_reduced_words,
-                             find_move_path, is_connected, is_reduced,
+                             commutes, enumerate_reduced_words,
+                             find_move_path, is_reduced,
                              iter_reduced_words, legal_moves,
                              longest_word_length, parse_word,
                              positive_root_order, random_reduced_word,
@@ -72,6 +75,16 @@ def test_commutation_class_counts():
     assert len(commutation_classes(2)) == 2
     assert len(commutation_classes(3)) == 8
     assert len(commutation_classes(4)) == 62
+    # the sizes sum to Stanley's count k! / prod (2i - 1)^(n + 1 - i) of
+    # reduced words for w0, computed from the formula
+    for rank, n_classes, n_words in [(1, 1, 1), (2, 2, 2), (3, 8, 16),
+                                     (4, 62, 768), (5, 908, 292864)]:
+        k = longest_word_length(rank)
+        hooks = prod((2 * i - 1) ** (rank + 1 - i) for i in range(1, rank + 1))
+        assert factorial(k) // hooks == n_words
+        classes = commutation_classes(rank)
+        assert len(classes) == n_classes
+        assert sum(c.size for c in classes) == n_words
 
 
 def test_classes_partition_words():
@@ -255,8 +268,28 @@ def test_class_canonical_walks_no_orbit(monkeypatch):
     def no_orbit(letters):
         raise AssertionError("class_canonical walked the commutation orbit")
 
-    monkeypatch.setattr(words, "commutation_orbit", no_orbit)
+    monkeypatch.setattr(class_oracles, "commutation_orbit", no_orbit)
     assert class_canonical(w) == want
+
+
+def test_class_functions_enumerate_no_word(monkeypatch):
+    def no_words(rank):
+        raise AssertionError("a class function enumerated the reduced words")
+
+    monkeypatch.setattr(words, "iter_reduced_words", no_words)
+    classes = commutation_classes(5)
+    graph = class_graph(5)
+    assert len(classes) == 908
+    assert set(graph) == {c.canonical for c in classes}
+    assert all(a in graph[b] for a in graph for b in graph[a])
+    assert sum(len(nb) for nb in graph.values()) == 2 * 2144
+    assert sum(c.size for c in classes) == 292864
+
+
+def test_class_search_matches_every_word_oracle():
+    for rank in (1, 2, 3, 4):
+        assert commutation_classes(rank) == orbit_commutation_classes(rank)
+        assert class_graph(rank) == orbit_class_graph(rank)
 
 
 def test_class_graph():
@@ -267,6 +300,11 @@ def test_class_graph():
     assert len(g3) == 8 and is_connected(g3)
     g4 = class_graph(4)
     assert len(g4) == 62 and is_connected(g4)
+    for rank, n_classes, n_edges in [(1, 1, 0), (2, 2, 1), (3, 8, 8),
+                                     (4, 62, 100), (5, 908, 2144)]:
+        graph = class_graph(rank)
+        assert len(graph) == n_classes
+        assert sum(len(nb) for nb in graph.values()) == 2 * n_edges
 
 
 def test_word_serialisation():
