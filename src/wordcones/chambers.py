@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .polyhedra import InvariantError
-from .words import ReducedWord, format_letters
+from .words import ReducedWord, bounded_chambers, format_letters, wiring
 
 
 @dataclass(frozen=True)
@@ -35,23 +35,16 @@ class ChamberSet:
 
 def chamber_sets(word: ReducedWord) -> list[ChamberSet]:
     """The n(n-1)/2 bounded-chamber sets of a reduced word's wiring diagram."""
-    n = word.rank
-    order = list(range(1, n + 2))  # order[pos-1] = label at position pos
-    below_since: dict[int, tuple[int, frozenset[int]]] = {}
-    counts = {g: 0 for g in range(1, n + 1)}
+    n, w = word.rank, word.letters
+    orders = wiring(w, n)
     out = []
-    for t, g in enumerate(word.letters, start=1):
-        below_now = frozenset(order[g:])
-        if g in below_since:
-            t0, recorded = below_since[g]
-            if recorded != below_now:
-                raise InvariantError("below-set drifted between crossings")
-            counts[g] += 1
-            out.append(ChamberSet(g, counts[g], recorded, t0, t))
-        order[g - 1], order[g] = order[g], order[g - 1]
-        below_since[g] = (t, frozenset(order[g:]))
-    for cs in out:
-        _check_not_initial_terminal(cs.members, n)
+    for x, z, _ in bounded_chambers(w):
+        g = w[z]
+        members = frozenset(orders[x + 1][g:])  # below the gap after crossing x
+        if members != frozenset(orders[z][g:]):
+            raise InvariantError("below-set drifted between crossings")
+        _check_not_initial_terminal(members, n)
+        out.append(ChamberSet(g, w[:z].count(g), members, x + 1, z + 1))
     if len(out) != n * (n - 1) // 2:
         raise InvariantError(f"{len(out)} chamber sets at rank {n}")
     return out
@@ -79,25 +72,6 @@ def render_wiring(word: ReducedWord, fmt: str = "ascii") -> str:
     if fmt == "svg":
         return _render_svg(word)
     raise ValueError(f"unknown format {fmt!r} (want 'ascii' or 'svg')")
-
-
-def _string_positions(word: ReducedWord) -> list[list[int]]:
-    """positions[t][label-1] = position of the label after t crossings."""
-    n = word.rank
-    order = list(range(1, n + 2))
-    snapshots = []
-
-    def pos_of() -> list[int]:
-        inv = [0] * (n + 1)
-        for p, label in enumerate(order, start=1):
-            inv[label - 1] = p
-        return inv
-
-    snapshots.append(pos_of())
-    for g in word.letters:
-        order[g - 1], order[g] = order[g], order[g - 1]
-        snapshots.append(pos_of())
-    return snapshots
 
 
 def _render_ascii(word: ReducedWord) -> str:
@@ -132,7 +106,7 @@ def _render_ascii(word: ReducedWord) -> str:
 
 def _render_svg(word: ReducedWord) -> str:
     n, k = word.rank, len(word.letters)
-    snapshots = _string_positions(word)
+    orders = wiring(word.letters, n)
     xstep, ystep, pad = 40, 30, 20
     width = pad * 2 + xstep * (k + 1)
     height = pad * 2 + ystep * (n + 1)
@@ -148,17 +122,14 @@ def _render_svg(word: ReducedWord) -> str:
     ]
     for label in range(1, n + 2):
         pts = []
-        for t in range(k + 1):
-            x, y = xy(t, snapshots[t][label - 1])
-            if t == 0:
-                pts.append(f"{x},{y}")
-            else:
-                xprev, yprev = xy(t - 1, snapshots[t - 1][label - 1])
-                if y != yprev:
-                    pts.append(f"{x - xstep // 4 * 3},{yprev}")
-                    pts.append(f"{x - xstep // 4},{y}")
-                pts.append(f"{x},{y}")
-        x0, y0 = xy(0, snapshots[0][label - 1])
+        for t, order in enumerate(orders):
+            x, y = xy(t, order.index(label) + 1)
+            if t and y != yprev:
+                pts.append(f"{x - xstep // 4 * 3},{yprev}")
+                pts.append(f"{x - xstep // 4},{y}")
+            pts.append(f"{x},{y}")
+            yprev = y
+        x0, y0 = xy(0, label)
         parts.append(f'<text x="{x0 - 14}" y="{y0 + 4}">{label}</text>')
         parts.append(f'<polyline points="{" ".join(pts)}"/>')
     for cs in chamber_sets(word):

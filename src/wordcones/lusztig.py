@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .polyhedra import (HCone, InvariantError, VCone, Vector, extreme_rays,
                         hcone, intersect, nonneg_orthant)
-from .words import BRAID, Move, ReducedWord
+from .words import BRAID, Move, ReducedWord, bounded_chambers
 
 
 @dataclass(frozen=True)
@@ -41,21 +41,14 @@ def lusztig_cone(word: ReducedWord) -> LusztigCone:
     >>> [sum(c for c in a if c > 0) for a in lusztig_cone(parse_word("121")).cone.ineqs]
     [1]
     """
-    letters = word.letters
-    k = len(letters)
+    k = len(word.letters)
     ineqs: list[Vector] = []
-    last_seen: dict[int, int] = {}
-    for t2, g in enumerate(letters):
-        if g in last_seen:
-            t1 = last_seen[g]
-            row = [0] * k
-            row[t1] = -1
-            row[t2] = -1
-            for p in range(t1 + 1, t2):
-                if abs(letters[p] - g) == 1:
-                    row[p] = 1
-            ineqs.append(tuple(row))
-        last_seen[g] = t2
+    for x, z, sides in bounded_chambers(word.letters):
+        row = [0] * k
+        row[x] = row[z] = -1
+        for y in sides:
+            row[y] = 1
+        ineqs.append(tuple(row))
     result = LusztigCone(word, HCone(k, tuple(ineqs)))
     if len(ineqs) != k - word.rank:
         raise InvariantError(f"{len(ineqs)} inequalities, not {k - word.rank}")

@@ -125,8 +125,7 @@ def chamber_set_from_quiver(quiver: PartialQuiver) -> frozenset[int]:
 def quivers_for_word(word: ReducedWord) -> list[PartialQuiver]:
     """The set of n(n-1)/2 partial quivers attached to a reduced word,
     in chamber-set order (see chamber_sets)."""
-    out = [quiver_from_chamber_set(cs.members, word.rank)
-           for cs in chamber_sets(word)]
+    out = [q for _, q in chamber_quiver_pairs(word)]
     if len(set(out)) != len(out):
         raise InvariantError("chamber quivers must be distinct")
     return out

@@ -27,24 +27,37 @@ def longest_word_length(rank: int) -> int:
     return rank * (rank + 1) // 2
 
 
-def permutation_of(letters: Sequence[int], rank: int) -> tuple[int, ...]:
-    """One-line permutation of {1..rank+1} given by the product of the s_i."""
-    perm = list(range(1, rank + 2))
+def wiring(letters: Sequence[int], rank: int) -> list[tuple[int, ...]]:
+    """The string orders of a word's wiring diagram: the labels at positions
+    1..rank+1 before each crossing, then after the last one (the one-line
+    form of the word's permutation).  Letters out of range raise ValueError.
+
+    >>> wiring((1, 2, 1), 2)
+    [(1, 2, 3), (2, 1, 3), (2, 3, 1), (3, 2, 1)]
+    """
+    order = list(range(1, rank + 2))
+    orders = [tuple(order)]
     for g in letters:
         if not 1 <= g <= rank:
             raise ValueError(f"letter {g} out of range [1, {rank}]")
-        perm[g - 1], perm[g] = perm[g], perm[g - 1]
-    return tuple(perm)
+        order[g - 1], order[g] = order[g], order[g - 1]
+        orders.append(tuple(order))
+    return orders
 
 
-def inversion_count(perm: Sequence[int]) -> int:
-    n = len(perm)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+def bounded_chambers(letters: Sequence[int]) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """The bounded chambers of a word's wiring diagram, in order of z: for
+    consecutive occurrences x < z (0-based) of a letter, (x, z, sides) with
+    sides the positions between them whose letter differs from it by one.
 
-
-def is_longest_permutation(perm: Sequence[int]) -> bool:
-    n = len(perm)
-    return all(perm[i] == n - i for i in range(n))
+    >>> list(bounded_chambers((1, 2, 1, 3, 2)))
+    [(0, 2, (1,)), (1, 4, (2, 3))]
+    """
+    last: dict[int, int] = {}
+    for z, g in enumerate(letters):
+        x, last[g] = last.get(g), z
+        if x is not None:
+            yield x, z, tuple([y for y in range(x + 1, z) if abs(letters[y] - g) == 1])
 
 
 class WordCheck(NamedTuple):
@@ -53,7 +66,8 @@ class WordCheck(NamedTuple):
 
 
 def is_reduced(letters: Sequence[int], rank: int) -> WordCheck:
-    """Check reducedness (length == inversion count) of an arbitrary word.
+    """Check reducedness of an arbitrary word: each crossing must swap an
+    increasing label pair, since l(w s_g) = l(w) + 1 iff w(g) < w(g+1).
 
     The second flag reports whether the permutation is the order-reversing
     longest element.  Letters out of range raise ValueError.
@@ -63,9 +77,9 @@ def is_reduced(letters: Sequence[int], rank: int) -> WordCheck:
     >>> is_reduced((1, 1), 2)
     WordCheck(reduced=False, is_longest=False)
     """
-    perm = permutation_of(letters, rank)
-    return WordCheck(inversion_count(perm) == len(letters),
-                     is_longest_permutation(perm))
+    orders = wiring(letters, rank)
+    return WordCheck(all(o[g - 1] < o[g] for o, g in zip(orders, letters)),
+                     orders[-1] == tuple(range(rank + 1, 0, -1)))
 
 
 @dataclass(frozen=True, order=True)
@@ -265,20 +279,17 @@ def class_canonical(word: ReducedWord) -> Letters:
 
 def _braid_neighbours(w: Letters) -> Iterator[Letters]:
     """A member of each class one braid move away from the class of w: where
-    consecutive occurrences x < z of a letter s enclose exactly one letter
-    t = s +- 1, at y, the other letters between them commute with s, so
-    s t s can be made consecutive and turned into t s t.
+    a bounded chamber x < z of a letter s has exactly one side y, of letter
+    t = s +- 1, the other letters between them commute with s, so s t s can
+    be made consecutive and turned into t s t.
 
     >>> list(_braid_neighbours((1, 2, 1)))
     [(2, 1, 2)]
     """
-    last: dict[int, int] = {}
-    for z, s in enumerate(w):
-        x, last[s] = last.get(s, z), z
-        ys = [y for y in range(x + 1, z) if abs(w[y] - s) == 1]
-        if len(ys) == 1:
-            y, t = ys[0], w[ys[0]]
-            yield w[:x] + w[x + 1:y] + (t, s, t) + w[y + 1:z] + w[z + 1:]
+    for x, z, sides in bounded_chambers(w):
+        if len(sides) == 1:
+            s, y = w[x], sides[0]
+            yield w[:x] + w[x + 1:y] + (w[y], s, w[y]) + w[y + 1:z] + w[z + 1:]
 
 
 def _linear_extensions(w: Letters) -> int:
@@ -313,7 +324,9 @@ def class_graph(rank: int) -> dict[Letters, frozenset[Letters]]:
     them all.  A class is keyed by its members' common restrictions to the
     letter pairs {g, g+1} (Cartier-Foata): one class_canonical per class.
     """
-    _check_enumeration_rank(rank)
+    if rank > _ENUM_RANK_LIMIT:  # bounds the search; standard_words checks >= 1
+        raise ValueError(
+            f"the commutation class search is limited to rank <= {_ENUM_RANK_LIMIT}")
     canonical: dict[tuple, Letters] = {}
     found: list[Letters] = []
 
@@ -341,11 +354,8 @@ def _shift(moves: list[Move], offset: int) -> list[Move]:
 
 
 def _is_left_descent(letters: Letters, rank: int, g: int) -> bool:
-    perm = permutation_of(letters, rank)
-    inv = [0] * (rank + 2)
-    for pos, val in enumerate(perm, start=1):
-        inv[val] = pos
-    return inv[g] > inv[g + 1]
+    perm = wiring(letters, rank)[-1]
+    return perm.index(g) > perm.index(g + 1)
 
 
 def _surface(letters: Letters, rank: int, g: int) -> tuple[list[Move], Letters]:
@@ -414,15 +424,11 @@ def positive_root_order(word: ReducedWord) -> tuple[Root, ...]:
     product of the first t-1 reflections; for reduced words for w0 the
     sequence is a bijection onto all n(n+1)/2 roots.
     """
-    n = word.rank
-    perm = list(range(1, n + 2))  # one-line form of s_{i_1}...s_{i_{t-1}}
     roots = []
-    for g in word.letters:
-        a, b = perm[g - 1], perm[g]
-        if a >= b:
+    for order, g in zip(wiring(word.letters, word.rank), word.letters):
+        if order[g - 1] > order[g]:
             raise InvariantError("reduced word produced a negative root")
-        roots.append((a, b - 1))
-        perm[g - 1], perm[g] = perm[g], perm[g - 1]
+        roots.append((order[g - 1], order[g] - 1))
     if len(set(roots)) != len(roots):
         raise InvariantError("a root appears twice")
     return tuple(roots)

@@ -175,6 +175,20 @@ def test_regions_rejects_ranks_above_enumeration_limit():
     assert result.stderr == "error: regions supports ranks 1 to 5\n"
 
 
+@pytest.mark.parametrize("action, message", [
+    ("list", "exhaustive enumeration is limited to rank <= 5; use "
+             "find_move_path for individual words at larger ranks"),
+    # the class search enumerates no word, so its guard names the search
+    ("classes", "the commutation class search is limited to rank <= 5"),
+], ids=["list", "classes"])
+def test_words_rank_guards_say_what_is_limited(action, message):
+    result = subprocess.run(
+        [sys.executable, "-m", "wordcones.cli", "words", action, "--rank", "6"],
+        capture_output=True, text=True, timeout=60)
+    assert result.returncode == 1 and result.stdout == ""
+    assert result.stderr == f"error: {message}\n"
+
+
 def test_verify_a2_passes():
     out = json.loads(run_cli("verify", "a2"))
     assert out["pass"] is True

@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 from math import factorial, prod
 
 import pytest
@@ -7,8 +8,11 @@ import class_oracles
 from class_oracles import (commutation_orbit, is_connected, orbit_class_graph,
                            orbit_commutation_classes)
 from wordcones import words
+from wordcones.chambers import chamber_sets
+from wordcones.lusztig import lusztig_cone
 from wordcones.words import (BRAID, COMMUTATION, Move, ReducedWord,
-                             apply_move, apply_move_path, braids,
+                             _braid_neighbours, apply_move, apply_move_path,
+                             bounded_chambers, braids,
                              class_canonical, class_graph, commutation_classes,
                              commutes, enumerate_reduced_words,
                              find_move_path, is_reduced,
@@ -37,6 +41,54 @@ def test_is_reduced_examples():
     assert is_reduced((1, 1), 2) == (False, False)
     assert is_reduced((2, 3, 4, 3, 1, 2, 1, 3, 2, 4), 4) == (True, True)
     assert is_reduced((1,), 2) == (True, False)
+
+
+def _reduced_by_inversions(letters, rank):
+    """Oracle: a word is reduced iff its length is its permutation's
+    inversion count, and longest iff that permutation reverses 1..rank+1."""
+    perm = reduce(lambda p, g: p[:g - 1] + (p[g], p[g - 1]) + p[g + 1:],
+                  letters, tuple(range(1, rank + 2)))
+    return (sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:]) == len(letters),
+            perm == tuple(range(rank + 1, 0, -1)))
+
+
+def test_is_reduced_matches_inversion_count_oracle():
+    assert is_reduced((1, 2, 1, 3), 3) == (True, False)
+    rng = random.Random(29)
+    seen = set()
+    for rank in range(1, 7):
+        for _ in range(60):
+            # a reduced prefix plus a few random letters: reduced, longest
+            # and non-reduced words all occur
+            w = random_reduced_word(rank, rng).letters
+            w = w[:rng.randrange(len(w) + 1)] + tuple(
+                rng.randint(1, rank) for _ in range(rng.randrange(3)))
+            check = is_reduced(w, rank)
+            assert check == _reduced_by_inversions(w, rank), (rank, w)
+            seen.add(tuple(check))
+    assert {(True, True), (True, False), (False, False)} <= seen
+
+
+def test_bounded_chambers_index_chamber_sets_cones_and_braids():
+    for rank in (1, 2, 3, 4):
+        for word in enumerate_reduced_words(rank):
+            w = word.letters
+            chambers = list(bounded_chambers(w))
+            assert [(x, z) for x, z, _ in chambers] == \
+                [(cs.start - 1, cs.end - 1) for cs in chamber_sets(word)]
+            for (x, z, sides), row in zip(chambers, lusztig_cone(word).cone.ineqs,
+                                          strict=True):
+                assert [p for p, c in enumerate(row) if c == -1] == [x, z]
+                assert tuple(p for p, c in enumerate(row) if c == 1) == sides
+                assert set(row) <= {-1, 0, 1}
+            one_sided = [(x, z, sides[0]) for x, z, sides in chambers
+                         if len(sides) == 1]
+            braided = list(_braid_neighbours(w))
+            assert len(braided) == len(one_sided)
+            for (x, z, y), other in zip(one_sided, braided):
+                # s t s now sits at y-1, y, y+1 and becomes t s t
+                assert other[y - 1:y + 2] == (w[y], w[x], w[y])
+                assert is_reduced(other, rank) == (True, True)
 
 
 def test_is_reduced_rejects_out_of_range_letters():
@@ -252,13 +304,21 @@ def test_class_canonical_consistency():
 
 
 def test_class_canonical_is_orbit_minimum():
+    minimum = {}  # every member of an orbit walked so far -> the orbit's minimum
+
+    def orbit_minimum(w):
+        if w not in minimum:
+            orbit = commutation_orbit(w)
+            minimum.update(dict.fromkeys(orbit, min(orbit)))
+        return minimum[w]
+
     for rank in (1, 2, 3, 4):
         for w in iter_reduced_words(rank):
-            assert class_canonical(ReducedWord(rank, w)) == min(commutation_orbit(w))
+            assert class_canonical(ReducedWord(rank, w)) == orbit_minimum(w)
     rng = random.Random(11)
     for _ in range(300):
         w = random_reduced_word(5, rng)
-        assert class_canonical(w) == min(commutation_orbit(w.letters))
+        assert class_canonical(w) == orbit_minimum(w.letters)
 
 
 def test_class_canonical_walks_no_orbit(monkeypatch):
