@@ -9,9 +9,10 @@ neighbours, |i_p - i_t| = 1) must be at least a_t + a_{t'}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
-from .polyhedra import (HCone, InvariantError, VCone, Vector, extreme_rays,
-                        hcone, intersect, nonneg_orthant)
+from .polyhedra import (HCone, InvariantError, VCone, Vector, dd_orthant,
+                        dd_step, hcone, intersect, nonneg_orthant)
 from .words import BRAID, Move, ReducedWord, bounded_chambers
 
 
@@ -20,8 +21,9 @@ class LusztigCone:
     """Consecutive-occurrence inequality system of a reduced word.
 
     ``cone`` holds exactly the k - n pair inequalities; the lattice points of
-    the object itself live in N^k, so predicates about the *set* (membership,
-    rays, full-dimensionality) go through ``with_nonneg``.
+    the object itself live in N^k, so predicates about the *set* take the
+    orthant too: ``contains`` and ``with_nonneg`` add it, ``spanning_rays``
+    cuts from its state.
     """
 
     word: ReducedWord
@@ -56,8 +58,14 @@ def lusztig_cone(word: ReducedWord) -> LusztigCone:
 
 
 def spanning_rays(word: ReducedWord) -> VCone:
-    """Extreme rays of the Lusztig cone as a subset of the orthant."""
-    return extreme_rays(lusztig_cone(word).with_nonneg())
+    """Extreme rays of the Lusztig cone as a subset of the orthant, sorted:
+    one dd_step per pair row from dd_orthant(k), which has no line, in a
+    stable order by chamber length z - x, so few rays are made on the way."""
+    k = len(word.letters)
+    lengths = [z - x for x, z, _ in bounded_chambers(word.letters)]
+    rows = sorted(zip(lengths, lusztig_cone(word).cone.ineqs), key=lambda p: p[0])
+    zeros = reduce(dd_step, (a for _, a in rows), dd_orthant(k))[2]
+    return VCone(k, tuple(sorted(zeros)))
 
 
 def transport_under_commutation(word: ReducedWord, move: Move) -> tuple[int, ...]:

@@ -320,6 +320,14 @@ def dd_whole(dim: int) -> DDState:
     return (), identity(dim), {}
 
 
+def dd_orthant(dim: int) -> DDState:
+    """The state of the orthant x >= 0, written down, not cut: the unit
+    normals, no line, and each unit ray e_i vanishing on all normals but the
+    i-th.  It equals reduce(dd_step, identity(dim), dd_whole(dim))."""
+    basis, full = identity(dim), (1 << dim) - 1
+    return basis, (), {e: full ^ (1 << i) for i, e in enumerate(basis)}
+
+
 def dd_step(state: DDState, a: Sequence) -> DDState:
     """The state of the cone cut by one more inequality a . x >= 0.
 

@@ -356,22 +356,24 @@ def corner_root_sets(quiver: PartialQuiver
     rectangle with an odd column count puts its middle column on the midpoint
     centre, and that column still belongs to the quiver's root set (dropping
     it would make the spanned cone degenerate); it is assigned to the left
-    corner.
+    corner.  Columns compare, at 2 doubled_x, with 4 line_x = 2(u0 + w0) in Z.
     """
     config = configuration_for_quiver(quiver)
     _, line_x = centre_and_central_line(config)
-    line_2x = 2 * line_x
+    if (4 * line_x).denominator != 1:
+        raise InvariantError(f"central line at x = {line_x} is not in Z/4")
+    line_4x = int(4 * line_x)
     lone_rectangle = len(config.placed) == 1
     out = []
     for corner in corner_points(config):
-        cx2 = Fraction(corner.doubled_x)
-        if cx2 == line_2x:
+        cx4 = 2 * corner.doubled_x
+        if cx4 == line_4x:
             out.append((corner, ()))
             continue
         keep = tuple(
             root for x2, root in roots_of_box(corner.box)
-            if (x2 != line_2x and (x2 < line_2x) == (cx2 < line_2x))
-            or (x2 == line_2x and lone_rectangle and corner.side == "left"))
+            if (2 * x2 != line_4x and (2 * x2 < line_4x) == (cx4 < line_4x))
+            or (2 * x2 == line_4x and lone_rectangle and corner.side == "left"))
         out.append((corner, keep))
     return out
 
@@ -394,11 +396,15 @@ def phi_plus(quiver: PartialQuiver) -> frozenset[Root]:
     return frozenset(union)
 
 
+@cache
+def _standard_root_order(rank: int) -> tuple[Root, ...]:
+    return positive_root_order(standard_words(rank)[0])  # fixed by the rank
+
+
 def quiver_vector(quiver: PartialQuiver) -> tuple[int, ...]:
     """0/1 vector marking the roots of the quiver in the standard-word order."""
-    j_word, _ = standard_words(quiver.rank)
     roots = phi_plus(quiver)
-    return tuple(1 if r in roots else 0 for r in positive_root_order(j_word))
+    return tuple(1 if r in roots else 0 for r in _standard_root_order(quiver.rank))
 
 
 def generator_vector(gen: int, rank: int) -> tuple[int, ...]:
@@ -419,10 +425,9 @@ def spanning_vectors_of(words: Sequence[ReducedWord]) -> list[list[tuple[int, ..
     """spanning_vectors of each word, computing each quiver's vector once."""
     from .quivers import quivers_for_word
     quiver_vec = cache(quiver_vector)
-    generator_vecs = cache(lambda rank: [generator_vector(g, rank)
-                                         for g in range(1, rank + 1)])
     return [[quiver_vec(q) for q in quivers_for_word(word)]
-            + generator_vecs(word.rank) for word in words]
+            + [generator_vector(g, word.rank) for g in range(1, word.rank + 1)]
+            for word in words]
 
 
 # ---------------------------------------------------------------------------

@@ -277,7 +277,8 @@ def _off_path_siblings(cells: list[Cell]) -> list[tuple[Vector, ...]]:
     and p + (-h,) is not, in first-seen order."""
     guards = [c.state[0] for c in cells]
     prefixes = {g[:j] for g in guards for j in range(len(g) + 1)}
-    return [sib for sib in dict.fromkeys(g[:j] + (vneg(g[j]),)
+    neg = {h: vneg(h) for h in set().union(*guards)}
+    return [sib for sib in dict.fromkeys(g[:j] + (neg[g[j]],)
                                          for g in guards for j in range(len(g)))
             if sib not in prefixes]
 

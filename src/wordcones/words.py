@@ -12,6 +12,7 @@ Words serialise as digit strings without separators while rank <= 9
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .polyhedra import InvariantError
@@ -434,8 +435,10 @@ def positive_root_order(word: ReducedWord) -> tuple[Root, ...]:
     return tuple(roots)
 
 
+@cache
 def standard_words(rank: int) -> tuple[ReducedWord, ReducedWord]:
-    """The odd-even word j = 1 3 5... 2 4 6... (repeated) and its even-odd twin."""
+    """The odd-even word j = 1 3 5... 2 4 6... (repeated) and its even-odd
+    twin, built once per rank; a rank below 1 raises on every call."""
     if rank < 1:
         raise ValueError("rank must be >= 1")
     odds = list(range(1, rank + 1, 2))

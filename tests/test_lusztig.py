@@ -6,8 +6,8 @@ from wordcones.lusztig import (lusztig_cone, permute_cone, spanning_rays,
                                transport_under_commutation)
 from wordcones.polyhedra import cone_equal, extreme_rays, interior_point
 from wordcones.words import (BRAID, COMMUTATION, Move, ReducedWord,
-                             commutation_classes, legal_moves, parse_word,
-                             random_reduced_word)
+                             commutation_classes, iter_reduced_words,
+                             legal_moves, parse_word, random_reduced_word)
 
 
 def test_golden_a3_inequalities():
@@ -46,6 +46,18 @@ def test_spanning_rays_rank2():
 
 def test_spanning_rays_rank1():
     assert spanning_rays(ReducedWord(1, (1,))).rays == ((1,),)
+
+
+def test_spanning_rays_match_double_description_of_the_orthant_intersection():
+    # the cut from the orthant's written-down state, shortest chambers first,
+    # against double description of the pair rows and the orthant rows from
+    # the whole space
+    words = [ReducedWord(rank, letters) for rank in range(1, 5)
+             for letters in iter_reduced_words(rank)]
+    rng = random.Random(18)
+    words += [random_reduced_word(5, rng) for _ in range(200)]
+    for word in words:
+        assert spanning_rays(word) == extreme_rays(lusztig_cone(word).with_nonneg())
 
 
 def test_rank4_cone_is_simplicial_with_ten_rays():

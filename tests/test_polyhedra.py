@@ -12,10 +12,10 @@ from lp_oracles import (_lp_feasible, _lp_implies, _lp_interior_point,
                         implies, lp_feasible, matrix_rank)
 from wordcones.lusztig import lusztig_cone
 from wordcones.polyhedra import (DegenerateConeError, HCone, NonPointedError,
-                                 cone_equal, cone_from_rays, dd_cut, dd_step,
-                                 dd_whole, det, dot, double_description,
-                                 extreme_rays, hcone, intersect, interior_point,
-                                 irredundant_h,
+                                 cone_equal, cone_from_rays, dd_cut, dd_orthant,
+                                 dd_step, dd_whole, det, dot, double_description,
+                                 extreme_rays, hcone, identity, intersect,
+                                 interior_point, irredundant_h,
                                  nonneg_orthant, primitive, solve_inequalities,
                                  subtract_full_dim, vcone, vneg)
 from wordcones.rectangles import spanning_vectors
@@ -277,6 +277,14 @@ def test_zero_set_facets_match_rank_and_lp_on_seeded_cones():
 def test_extreme_rays_orthant():
     assert extreme_rays(nonneg_orthant(3)).rays == \
         ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+
+
+def test_dd_orthant_is_the_unit_normal_fold_from_the_whole_space():
+    for dim in range(1, 16):
+        normals, lines, zeros = dd_orthant(dim)
+        folded = reduce(dd_step, identity(dim), dd_whole(dim))
+        assert (normals, lines) == folded[:2] == (identity(dim), ())
+        assert list(zeros.items()) == list(folded[2].items())  # order too
 
 
 def test_extreme_rays_halfplane_wedge():

@@ -1,9 +1,11 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from lp_oracles import matrix_rank
 from wordcones import rectangles
+from wordcones.polyhedra import InvariantError
 from wordcones.quivers import PartialQuiver, enumerate_partial_quivers
 from wordcones.rectangles import (AmbiguousCentreError, Component, Rectangle,
                                   centre_and_central_line, components,
@@ -218,6 +220,59 @@ def test_phi_plus_disjoint_union_ranks_up_to_8():
     for rank in range(2, 9):
         for quiver in enumerate_partial_quivers(rank):
             phi_plus(quiver)  # raises on any overlap or range escape
+
+
+def _fraction_corner_root_sets(quiver):
+    """corner_root_sets with the central line and each column's doubled x
+    compared as Fractions."""
+    config = configuration_for_quiver(quiver)
+    _, line_x = centre_and_central_line(config)
+    line_2x = 2 * line_x
+    lone_rectangle = len(config.placed) == 1
+    out = []
+    for corner in corner_points(config):
+        cx2 = Fraction(corner.doubled_x)
+        if cx2 == line_2x:
+            out.append((corner, ()))
+            continue
+        out.append((corner, tuple(
+            root for x2, root in roots_of_box(corner.box)
+            if (x2 != line_2x and (x2 < line_2x) == (cx2 < line_2x))
+            or (x2 == line_2x and lone_rectangle and corner.side == "left"))))
+    return out
+
+
+def test_corner_root_sets_match_the_fraction_oracle():
+    for rank in range(2, 9):
+        for quiver in enumerate_partial_quivers(rank):
+            assert corner_root_sets(quiver) == _fraction_corner_root_sets(quiver)
+
+
+def test_corner_root_sets_reject_a_central_line_off_the_quarter_grid(monkeypatch):
+    monkeypatch.setattr(rectangles, "centre_and_central_line",
+                        lambda config: ((Fraction(0), Fraction(1, 4)), Fraction(1, 8)))
+    with pytest.raises(InvariantError, match="not in Z/4"):
+        corner_root_sets(P10)
+
+
+# sha256 over repr((text, sorted phi_plus, quiver_vector)) of every quiver of
+# the rank, in enumerate_partial_quivers order
+QUIVER_ROOTS_SHA256 = {
+    2: "400c6d0e0f6bc63eaebe6471f16142484ee16f859b2e6f0c276ebad7f98280ea",
+    3: "eb504a6bad4995ace42afaf6bde1155fe82e2adff58a6a58e6fedb61d4b69ac9",
+    4: "3ec9ae8a06c519838f7720d0b10a02de727803b7dfbdabd6152e78962d52efb2",
+    5: "96e6825e8000a150bbaa5638a0af9d46b4ed03ae598daa533996e23a84e3f1f6",
+    6: "55c969ea40b221f2c009a199efdd6eba32790757e23087b0dd7158b9eec40ab8",
+    7: "6e0f878935047fa3170b2a8b4259d8ec096ad73b493df260db054a6f3ece72a5",
+}
+
+
+def test_phi_plus_and_quiver_vectors_golden():
+    for rank, digest in QUIVER_ROOTS_SHA256.items():
+        h = hashlib.sha256()
+        for q in enumerate_partial_quivers(rank):
+            h.update(repr((q.text, sorted(phi_plus(q)), quiver_vector(q))).encode())
+        assert h.hexdigest() == digest, rank
 
 
 def test_quiver_vector():

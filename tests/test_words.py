@@ -294,6 +294,14 @@ def test_standard_words():
         assert is_reduced(jp.letters, rank) == (True, True)
 
 
+def test_standard_words_are_built_once_per_rank():
+    for rank in range(1, 7):
+        assert standard_words(rank) is standard_words(rank)
+    for rank in (0, -1, 0, -1):  # a failed call leaves nothing cached
+        with pytest.raises(ValueError, match="rank must be >= 1"):
+            standard_words(rank)
+
+
 def test_class_canonical_consistency():
     rng = random.Random(3)
     for rank in (3, 4):
