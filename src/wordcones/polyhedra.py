@@ -337,8 +337,12 @@ def dd_step(state: DDState, a: Sequence) -> DDState:
     Masks are set as rays are made, never recomputed: lines vanish on every
     processed normal, and a paired ray vanishes exactly where both parents
     do.  An adjacent pair shares at least dim - len(lines) - 2 zeros
-    (Fukuda-Prodon).  a joins the normals in primitive form; a zero normal
-    changes nothing and takes no bit.
+    (Fukuda-Prodon).  A pair that does is adjacent iff at most two masks
+    contain its common zeros (p's and n's always do); the count stops at the
+    third.  It is never exactly 3: the smallest face holding two non-adjacent
+    extreme rays is not simplicial, so it has at least 4.  a joins the
+    normals in primitive form; a zero normal changes nothing and takes no
+    bit.
     """
     a = primitive(a)
     if not any(a):
@@ -371,16 +375,28 @@ def dd_step(state: DDState, a: Sequence) -> DDState:
     kept = {r: zeros[r] for r in pos}
     kept.update((r, zeros[r] | bit) for r in zero)
     need = len(a) - len(lines) - 2
+    masks = list(zeros.values())
     for p in pos:
+        dp, mp = ds[p], zeros[p]
         for n in neg:
-            common = zeros[p] & zeros[n]
-            if common.bit_count() < need or any(
-                    common & m == common for r, m in zeros.items()
-                    if r is not p and r is not n):
+            common = mp & zeros[n]
+            if common.bit_count() < need or _shared_by_three(common, masks):
                 continue
-            kept[primitive(ds[p] * x - ds[n] * y
-                           for x, y in zip(n, p))] = common | bit
+            dn = ds[n]
+            kept[primitive([dp * x - dn * y
+                            for x, y in zip(n, p)])] = common | bit
     return normals, lines, kept
+
+
+def _shared_by_three(common: int, masks: list[int]) -> bool:
+    """Whether more than two masks contain common, stopping at the third."""
+    hits = 0
+    for m in masks:
+        if common & m == common:
+            hits += 1
+            if hits > 2:
+                return True
+    return False
 
 
 def double_description(ineqs: Sequence[Vector], dim: int

@@ -401,8 +401,14 @@ def _standard_root_order(rank: int) -> tuple[Root, ...]:
     return positive_root_order(standard_words(rank)[0])  # fixed by the rank
 
 
+@cache
 def quiver_vector(quiver: PartialQuiver) -> tuple[int, ...]:
-    """0/1 vector marking the roots of the quiver in the standard-word order."""
+    """0/1 vector marking the roots of the quiver in the standard-word order.
+
+    Memoised per process, so a quiver's rectangles are placed at most once
+    and only for the quivers asked about (rank 5 has 52).  A call that
+    raises caches nothing.
+    """
     roots = phi_plus(quiver)
     return tuple(1 if r in roots else 0 for r in _standard_root_order(quiver.rank))
 
@@ -422,10 +428,11 @@ def spanning_vectors(word: ReducedWord) -> list[tuple[int, ...]]:
 
 
 def spanning_vectors_of(words: Sequence[ReducedWord]) -> list[list[tuple[int, ...]]]:
-    """spanning_vectors of each word, computing each quiver's vector once."""
+    """spanning_vectors of each word.  Each quiver's vector comes from
+    quiver_vector's per-process memo, so it is computed at most once; a
+    quiver whose vector fails is not cached and fails again."""
     from .quivers import quivers_for_word
-    quiver_vec = cache(quiver_vector)
-    return [[quiver_vec(q) for q in quivers_for_word(word)]
+    return [[quiver_vector(q) for q in quivers_for_word(word)]
             + [generator_vector(g, word.rank) for g in range(1, word.rank + 1)]
             for word in words]
 

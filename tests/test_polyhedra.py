@@ -10,6 +10,7 @@ from lp_oracles import (_lp_feasible, _lp_implies, _lp_interior_point,
                         _lp_irredundant_h, _rank_facets,
                         assert_state_invariants, facets_from_generators,
                         implies, lp_feasible, matrix_rank)
+from wordcones import polyhedra
 from wordcones.lusztig import lusztig_cone
 from wordcones.polyhedra import (DegenerateConeError, HCone, NonPointedError,
                                  cone_equal, cone_from_rays, dd_cut, dd_orthant,
@@ -436,6 +437,34 @@ def test_dd_step_loop_matches_reference_on_every_prefix():
                 for r, mask in zeros.items():
                     assert mask == sum(1 << i for i, b in enumerate(normals)
                                        if dot(b, r) == 0)
+
+
+def test_dd_step_pairing_rejects_a_pair_by_the_mask_count(monkeypatch):
+    """K x R^2_+ in R^5, K the 3-dim cone over a square, with the redundant
+    x4 + x5 >= 0 so that K's four rays share three zeros, then cut by
+    2 x2 + x3 >= 0.  Both diagonals of the square pass the bit-count filter
+    (3 >= 5 - 2 zeros) and are rejected because all four rays of K contain
+    their common zeros; the two edges the hyperplane crosses are paired."""
+    real, verdicts = polyhedra._shared_by_three, []
+    monkeypatch.setattr(polyhedra, "_shared_by_three",
+                        lambda common, masks:
+                        verdicts.append(real(common, masks)) or verdicts[-1])
+    rows = [(1, 1, 0, 0, 0), (1, -1, 0, 0, 0), (1, 0, 1, 0, 0), (1, 0, -1, 0, 0),
+            (0, 0, 0, 1, 0), (0, 0, 0, 0, 1), (0, 0, 0, 1, 1), (0, 2, 1, 0, 0)]
+    state = dd_whole(5)
+    for j, a in enumerate(rows):
+        state = dd_step(state, a)
+        normals, lines, zeros = state
+        assert normals == tuple(rows[:j + 1])
+        assert (list(lines), list(zeros)) == \
+            _reference_double_description(rows[:j + 1], 5)
+        for r, mask in zeros.items():
+            assert mask == sum(1 << i for i, b in enumerate(normals)
+                               if dot(b, r) == 0)
+    # the square's first cut pairs two edges; the last pairs the two edges
+    # it crosses and rejects both diagonals
+    assert verdicts == [False, False, False, True, True, False]
+    assert not lines and len(zeros) == 6
 
 
 def test_double_description_matches_reference_on_rank5_words():

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from wordcones.rectangles import (AmbiguousCentreError, Component, Rectangle,
                                   rectangle_for_component,
                                   render_configuration_svg, roots_of_box,
                                   spanning_vectors)
-from wordcones.words import ReducedWord, commutation_classes
+from wordcones.words import ReducedWord, commutation_classes, random_reduced_word
 
 P10 = PartialQuiver(10, "-LLRRRLRR")
 
@@ -305,18 +306,49 @@ def test_spanning_vectors_independent_for_all_rank4_classes():
         assert matrix_rank(vecs) == 10
 
 
-def test_spanning_vectors_of_computes_each_quiver_once(monkeypatch):
+@pytest.fixture
+def empty_quiver_memo():
+    """quiver_vector's per-process memo, empty before and after the test."""
+    rectangles.quiver_vector.cache_clear()
+    yield rectangles.quiver_vector
+    rectangles.quiver_vector.cache_clear()
+
+
+def test_spanning_vectors_of_computes_each_quiver_once(monkeypatch,
+                                                       empty_quiver_memo):
     words = [ReducedWord(4, cls.canonical) for cls in commutation_classes(4)]
     one_by_one = [spanning_vectors(w) for w in words]
+    empty_quiver_memo.cache_clear()
     calls = []
-    real = rectangles.quiver_vector
-    monkeypatch.setattr(rectangles, "quiver_vector",
+    real = rectangles.phi_plus
+    monkeypatch.setattr(rectangles, "phi_plus",
                         lambda q: calls.append(q) or real(q))
     assert rectangles.spanning_vectors_of(words) == one_by_one
     assert len(calls) == len(set(calls)) == 22
-    # nothing carries over from one call to the next
-    assert rectangles.spanning_vectors_of(words[:1]) == one_by_one[:1]
-    assert len(calls) == 22 + 6
+    # the memo outlives the call: a second batch places no rectangles
+    assert rectangles.spanning_vectors_of(words) == one_by_one
+    assert len(calls) == 22
+
+
+def test_quiver_memo_caches_no_failure_and_stays_bounded(monkeypatch,
+                                                         empty_quiver_memo):
+    quiver = PartialQuiver(4, "--L")
+
+    def broken(q):
+        raise InvariantError("corner root sets overlap")
+    monkeypatch.setattr(rectangles, "phi_plus", broken)
+    with pytest.raises(InvariantError):
+        quiver_vector(quiver)
+    monkeypatch.undo()
+    assert quiver_vector(quiver) == (1, 0, 0, 0, 1, 0, 0, 0, 0, 0)
+
+    empty_quiver_memo.cache_clear()
+    rng = random.Random(5)
+    for _ in range(200):
+        spanning_vectors(random_reduced_word(5, rng))
+    # the memo holds no more than the rank's partial quivers
+    assert 0 < empty_quiver_memo.cache_info().currsize \
+        <= len(enumerate_partial_quivers(5)) == 52
 
 
 def test_render_configuration_svg():
