@@ -26,10 +26,9 @@ from .regions import (braid_move_count, class_region_isomorphism_report,
                       detour_move_path, match_spanned_regions,
                       orthant_restriction_analysis, simplicial_decomposition,
                       standard_atlas, transition_atlas)
-from .words import (_ENUM_RANK_LIMIT, ReducedWord, commutation_classes,
-                    enumerate_reduced_words, format_letters, is_reduced,
-                    longest_word_length, parse_letters, parse_word,
-                    standard_words)
+from .words import (ReducedWord, commutation_classes, enumerate_reduced_words,
+                    format_letters, is_reduced, longest_word_length,
+                    parse_letters, parse_word, standard_words)
 
 
 def _emit(payload) -> None:
@@ -193,10 +192,6 @@ def cmd_rectangles(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_regions(args) -> int:
-    if args.rank < 1:
-        raise ValueError("rank must be >= 1")
-    if args.rank > _ENUM_RANK_LIMIT:  # bounds the atlas build
-        raise ValueError(f"regions supports ranks 1 to {_ENUM_RANK_LIMIT}")
     atlas = standard_atlas(args.rank)
     payload = {
         "rank": args.rank,
@@ -208,8 +203,9 @@ def cmd_regions(args) -> int:
     if args.histogram or not (args.match_classes or args.orthant
                               or args.isomorphism or args.json_file):
         payload["histogram"] = {str(k): v for k, v in atlas.histogram().items()}
-    if args.match_classes:
+    if args.match_classes or args.isomorphism:
         report = match_spanned_regions(atlas)
+    if args.match_classes:
         payload["match"] = {
             "ok": report.ok,
             "minimal_facets": report.minimal_facets,
@@ -226,33 +222,13 @@ def cmd_regions(args) -> int:
              "restricted_facets": r.restricted_facets}
             for r in orthant_restriction_analysis(atlas)]
     if args.isomorphism:
-        payload["isomorphism"] = class_region_isomorphism_report(atlas)
+        payload["isomorphism"] = class_region_isomorphism_report(atlas, report)
     if args.json_file:
         with open(args.json_file, "w", encoding="utf-8") as fh:
             json.dump(atlas.to_json(), fh, indent=2, sort_keys=True)
             fh.write("\n")
         payload["written"] = args.json_file
     _emit(payload)
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# render
-# ---------------------------------------------------------------------------
-
-def cmd_render(args) -> int:
-    if args.word:
-        word = parse_word(args.word, args.rank)
-        sys.stdout.write(render_wiring(word, args.format))
-    elif args.quiver:
-        if args.rank is None:
-            raise ValueError("--quiver rendering needs --rank")
-        quiver = PartialQuiver(args.rank, args.quiver)
-        if args.format != "svg":
-            raise ValueError("rectangle configurations render as svg only")
-        sys.stdout.write(render_configuration_svg(quiver))
-    else:
-        raise ValueError("render needs --word or --quiver")
     return 0
 
 
@@ -443,13 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exploratory class-graph vs region-graph comparison")
     p.add_argument("--json", dest="json_file", metavar="FILE")
     p.set_defaults(func=cmd_regions)
-
-    p = sub.add_parser("render", help="render a wiring diagram or configuration")
-    p.add_argument("--word")
-    p.add_argument("--quiver")
-    p.add_argument("--rank", type=int)
-    p.add_argument("--format", choices=["ascii", "svg"], default="ascii")
-    p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("verify", help="run the golden verification suites")
     p.add_argument("suites", nargs="*", metavar="suite",

@@ -423,18 +423,11 @@ def generator_vector(gen: int, rank: int) -> tuple[int, ...]:
 
 def spanning_vectors(word: ReducedWord) -> list[tuple[int, ...]]:
     """The k candidate spanning vectors of a word's linearity region:
-    one per attached quiver plus one per generator."""
-    return spanning_vectors_of([word])[0]
-
-
-def spanning_vectors_of(words: Sequence[ReducedWord]) -> list[list[tuple[int, ...]]]:
-    """spanning_vectors of each word.  Each quiver's vector comes from
-    quiver_vector's per-process memo, so it is computed at most once; a
-    quiver whose vector fails is not cached and fails again."""
+    one per attached quiver plus one per generator.  Each quiver's vector
+    comes from quiver_vector's per-process memo."""
     from .quivers import quivers_for_word
-    return [[quiver_vector(q) for q in quivers_for_word(word)]
-            + [generator_vector(g, word.rank) for g in range(1, word.rank + 1)]
-            for word in words]
+    return ([quiver_vector(q) for q in quivers_for_word(word)]
+            + [generator_vector(g, word.rank) for g in range(1, word.rank + 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,8 @@ from .polyhedra import (DDState, DegenerateConeError, HCone, InvariantError,
                         nonneg_orthant, primitive, ray_sum_witness, vneg,
                         zero_set_facets)
 from .words import (BRAID, COMMUTATION, Letters, Move, ReducedWord,
-                    apply_move_path, braids, class_graph, commutation_classes,
-                    commutes, find_move_path, legal_moves, standard_words)
+                    apply_move_path, braids, class_graph, commutes,
+                    find_move_path, legal_moves, standard_words)
 
 
 class RegionConvexityError(InvariantError):
@@ -354,8 +354,11 @@ def transition_atlas(src: ReducedWord, dst: ReducedWord,
     Rank 5 is slow: the peel path has 20 braids, and its 18,273 cells merge
     into 6,608 regions in 12-20 s under python -O (CPython 3.11, 2 vCPUs).
     A group is popped as it merges, freeing its cells; its region keeps only
-    the state _merge_cells returns.
+    the state _merge_cells returns.  A rank above 5 raises before any
+    cell is enumerated.
     """
+    if src.rank > 5:
+        raise ValueError("regions supports ranks 1 to 5")
     moves = _checked_path(src, dst, moves)
     k = len(src.letters)
     groups: dict[tuple[Vector, ...], list[Cell]] = {}
@@ -440,25 +443,24 @@ def match_spanned_regions(atlas: RegionAtlas) -> MatchReport:
     each class looks up the region containing its probe, and _spans
     compares S with it in integer dot products, with no DD.
     """
-    from .rectangles import spanning_vectors_of
+    from .rectangles import spanning_vectors
     rank = atlas.src.rank
     orth = nonneg_orthant(atlas.dim).ineqs
     minimal = min(r.facet_count for r in atlas.regions)
-    words = [ReducedWord(rank, cls.canonical)
-             for cls in commutation_classes(rank)]
     matches, unmatched = [], []
     used: set[int] = set()
-    for word, vecs in zip(words, spanning_vectors_of(words)):
+    for canonical in sorted(class_graph(rank)):  # no class sizes needed
+        vecs = spanning_vectors(ReducedWord(rank, canonical))
         if det(vecs) == 0:
             raise InvariantError(
-                f"spanning vectors of class {word.letters} are dependent")
+                f"spanning vectors of class {canonical} are dependent")
         idx = atlas._index_containing(tuple(map(sum, zip(*vecs))))
         region = atlas.regions[idx]
         if not _spans(vecs, region.cone.ineqs + orth):
-            unmatched.append(word.letters)
+            unmatched.append(canonical)
             continue
         used.add(idx)
-        matches.append(ClassRegionMatch(word.letters, idx, region.facet_count))
+        matches.append(ClassRegionMatch(canonical, idx, region.facet_count))
     injective = len(used) == len(matches)
     covers = used == {i for i, r in enumerate(atlas.regions)
                       if r.facet_count == minimal}
@@ -607,12 +609,13 @@ def region_graph(atlas: RegionAtlas, minimal_only: bool = False
     return {i: frozenset(nb) for i, nb in adj.items()}
 
 
-def class_region_isomorphism_report(atlas: RegionAtlas) -> dict:
+def class_region_isomorphism_report(atlas: RegionAtlas,
+                                    match: MatchReport) -> dict:
     """Compare the class graph and the minimal-region adjacency graph under
-    the spanned-cone matching.  Exploratory: both edge notions are stated
-    interpretations, so the result is reported, not asserted."""
+    the spanned-cone matching, match_spanned_regions(atlas).  Exploratory:
+    both edge notions are stated interpretations, so the result is
+    reported, not asserted."""
     rank = atlas.src.rank
-    match = match_spanned_regions(atlas)
     mapping = {m.canonical: m.region_index for m in match.matches}
     cgraph = class_graph(rank)
     rgraph = region_graph(atlas, minimal_only=True)

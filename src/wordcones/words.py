@@ -92,6 +92,8 @@ class ReducedWord:
 
     def __post_init__(self):
         object.__setattr__(self, "letters", tuple(self.letters))
+        if self.rank < 1:
+            raise ValueError("rank must be >= 1")
         check = is_reduced(self.letters, self.rank)
         if not check.reduced or not check.is_longest:
             raise ValueError(

@@ -122,10 +122,10 @@ def test_regions_json_artifact(tmp_path):
 
 
 def test_render_outputs():
-    ascii_art = run_cli("render", "--word", "121", "--format", "ascii")
+    ascii_art = run_cli("chambers", "--word", "121", "--render", "ascii")
     assert ascii_art.count("X") == 3
-    svg = run_cli("render", "--quiver=-LLRRRLRR", "--rank", "10",
-                  "--format", "svg")
+    svg = run_cli("rectangles", "--quiver=-LLRRRLRR", "--rank", "10",
+                  "--render", "svg")
     assert svg.startswith("<svg ") and svg.rstrip().endswith("</svg>")
     wiring_svg = run_cli("chambers", "--word", "2343121324", "--render", "svg")
     assert wiring_svg.count("<polyline") == 5

@@ -314,19 +314,19 @@ def empty_quiver_memo():
     rectangles.quiver_vector.cache_clear()
 
 
-def test_spanning_vectors_of_computes_each_quiver_once(monkeypatch,
-                                                       empty_quiver_memo):
+def test_spanning_vectors_computes_each_quiver_once(monkeypatch,
+                                                    empty_quiver_memo):
     words = [ReducedWord(4, cls.canonical) for cls in commutation_classes(4)]
-    one_by_one = [spanning_vectors(w) for w in words]
+    expected = [spanning_vectors(w) for w in words]
     empty_quiver_memo.cache_clear()
     calls = []
     real = rectangles.phi_plus
     monkeypatch.setattr(rectangles, "phi_plus",
                         lambda q: calls.append(q) or real(q))
-    assert rectangles.spanning_vectors_of(words) == one_by_one
+    assert [spanning_vectors(w) for w in words] == expected
     assert len(calls) == len(set(calls)) == 22
-    # the memo outlives the call: a second batch places no rectangles
-    assert rectangles.spanning_vectors_of(words) == one_by_one
+    # the memo outlives the calls: a second pass places no rectangles
+    assert [spanning_vectors(w) for w in words] == expected
     assert len(calls) == 22
 
 

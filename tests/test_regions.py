@@ -88,6 +88,13 @@ def test_rank1_atlas_is_trivial():
     assert atlas.regions[0].matrix == ((1,),)
 
 
+def test_atlas_rejects_ranks_above_five_before_enumerating(monkeypatch):
+    monkeypatch.setattr(regions, "enumerate_cells",
+                        lambda *a: pytest.fail("cells enumerated"))
+    with pytest.raises(ValueError, match="regions supports ranks 1 to 5"):
+        standard_atlas(6)
+
+
 def test_default_path_braid_counts():
     for rank, expected in ((2, 1), (3, 4), (4, 10), (5, 20)):
         j, jp = standard_words(rank)
@@ -298,15 +305,15 @@ def test_match_reports_a_class_with_no_region(monkeypatch, atlas3, capsys):
 
 
 def test_match_raises_on_dependent_spanning_vectors(monkeypatch, atlas2):
-    monkeypatch.setattr(rectangles, "spanning_vectors_of",
-                        lambda words: [[(1, 0, 0)] * 3 for _ in words])
+    monkeypatch.setattr(rectangles, "spanning_vectors",
+                        lambda word: [(1, 0, 0)] * 3)
     with pytest.raises(InvariantError, match="dependent"):
         match_spanned_regions(atlas2)
 
 
 def _class_vectors(rank):
-    return rectangles.spanning_vectors_of(
-        [ReducedWord(rank, cls.canonical) for cls in commutation_classes(rank)])
+    return [rectangles.spanning_vectors(ReducedWord(rank, cls.canonical))
+            for cls in commutation_classes(rank)]
 
 
 def _probe(vecs):
@@ -708,14 +715,16 @@ def test_region_graph_rank4(atlas4):
 
 def test_isomorphism_report_small(atlas2, atlas3):
     for atlas in (atlas2, atlas3):
-        report = class_region_isomorphism_report(atlas)
+        report = class_region_isomorphism_report(
+            atlas, match_spanned_regions(atlas))
         assert report["match_ok"]
         assert report["class_vertices"] == report["region_vertices"]
         assert report["is_isomorphism"]
 
 
 def test_isomorphism_report_rank4(atlas4):
-    report = class_region_isomorphism_report(atlas4)
+    report = class_region_isomorphism_report(atlas4,
+                                             match_spanned_regions(atlas4))
     assert report["class_vertices"] == report["region_vertices"] == 62
     assert report["class_edges"] == report["region_edges"] == 100
     assert report["match_ok"] and report["is_isomorphism"]

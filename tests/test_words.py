@@ -103,6 +103,16 @@ def test_reduced_word_validates():
         ReducedWord(2, (1, 2, 1, 2))
 
 
+def test_reduced_word_rejects_ranks_below_one(monkeypatch):
+    # the rank is checked before the word is read
+    monkeypatch.setattr(words, "is_reduced", lambda *a: pytest.fail("read"))
+    for rank in (0, -2):
+        with pytest.raises(ValueError, match="rank must be >= 1"):
+            ReducedWord(rank, ())
+    with pytest.raises(ValueError, match="rank must be >= 1"):
+        random_reduced_word(0, random.Random(0))
+
+
 def test_enumeration_counts():
     assert len(enumerate_reduced_words(2)) == 2
     assert len(enumerate_reduced_words(3)) == 16
