@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from math import gcd, lcm
+from functools import cache, reduce
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -139,8 +139,9 @@ def vcone(rays: Iterable[Sequence], dim: int) -> VCone:
     return VCone(dim, tuple(out))
 
 
+@cache
 def identity(dim: int) -> tuple[Vector, ...]:
-    """The unit vectors of R^dim, in order."""
+    """The unit vectors of R^dim, in order, built once per dim."""
     return tuple(tuple(1 if i == j else 0 for j in range(dim))
                  for i in range(dim))
 
@@ -157,39 +158,49 @@ def intersect(a: HCone, b: HCone) -> HCone:
 
 
 # ---------------------------------------------------------------------------
-# Determinant (fraction-free elimination)
+# Determinant and simplicial facets (fraction-free Gauss-Jordan)
 # ---------------------------------------------------------------------------
 
-def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
-    """Fraction-free (Bareiss) row echelon form: (rank, signed last pivot).
+def _gauss_jordan(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[Vector, ...]]:
+    """(det, facets) of k integer rows r_1..r_k in R^k.  facets is () when
+    det is 0; else facet i is primitive, zero on each r_j, j != i, and
+    positive on r_i.
 
-    Rows are swapped to bring up a pivot and columns without one are
-    skipped.  Each entry below the pivots is a minor of the input, so every
-    division is exact.  For a square matrix of full rank the signed last
-    pivot is the determinant.
+    Gauss-Jordan on [R^T | I]: a row with 0 in the pivot column is skipped,
+    any other becomes piv * row - f * pivot row over its gcd.  The end
+    [D | E] has E R^T = D diagonal.  det is prod(D) times the gcds over the
+    pivots, signed by the swaps; an inexact division is an InvariantError.
     """
-    m = [list(map(int, row)) for row in rows]
-    rank, sign, prev = 0, 1, 1
-    for col in range(len(m[0]) if m else 0):
-        p = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+    k = len(rows)
+    m = [[*col, *(int(i == j) for j in range(k))]
+         for i, col in enumerate(zip(*rows))]
+    num, den = 1, 1
+    for c in range(k):
+        p = next((r for r in range(c, k) if m[r][c]), None)
         if p is None:
-            continue
-        if p != rank:
-            m[rank], m[p] = m[p], m[rank]
-            sign = -sign
-        piv, prow = m[rank][col], m[rank]
-        for r in range(rank + 1, len(m)):
-            f = m[r][col]
-            m[r] = [(piv * x - f * y) // prev for x, y in zip(m[r], prow)]
-        prev = piv
-        rank += 1
-    return rank, sign * prev
+            return 0, ()
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            num = -num
+        prow, piv = m[c], m[c][c]
+        for r, row in enumerate(m):
+            f = row[c]
+            if f and r != c:
+                new = [piv * x - f * y for x, y in zip(row, prow)]
+                g = gcd(*new)
+                m[r] = [x // g for x in new]
+                num, den = num * g, den * piv
+    num *= prod(row[i] for i, row in enumerate(m))
+    d, rest = divmod(num, den)
+    if rest:
+        raise InvariantError(f"determinant {num}/{den} is not an integer")
+    return d, tuple(primitive(row[k:] if row[i] > 0 else vneg(row[k:]))
+                    for i, row in enumerate(m))
 
 
 def det(matrix: Sequence[Sequence[int]]) -> int:
     """Exact determinant of a square integer matrix."""
-    rank, pivot = _bareiss(matrix)
-    return pivot if rank == len(matrix) else 0
+    return _gauss_jordan(matrix)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -502,11 +513,17 @@ def extreme_rays(cone: HCone) -> VCone:
 def cone_from_rays(rays: VCone) -> HCone:
     """H-description of the conic hull of the given rays.
 
-    The dual cone {a : a . r >= 0 for all rays r} is computed by double
-    description; its lines (one pair of inequalities each) and rays become
-    the inequalities.  Round-trips with extreme_rays on pointed
-    full-dimensional inputs.
+    dim independent rays span a simplicial cone: its facets, one dual to
+    each ray in ray order, come from one exact elimination, as double
+    description would give them.  Otherwise the dual cone {a : a . r >= 0
+    for all rays r} is computed by double description; its lines (one pair
+    of inequalities each) and rays become the inequalities.  Round-trips
+    with extreme_rays on pointed full-dimensional inputs.
     """
+    if len(rays.rays) == rays.dim:
+        d, facets = _gauss_jordan(rays.rays)
+        if d:
+            return HCone(rays.dim, facets)
     lines, dual_rays = double_description(rays.rays, rays.dim)
     ineqs: list[Vector] = []
     for l in lines:

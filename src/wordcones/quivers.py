@@ -9,6 +9,7 @@ edge n down to edge 2, as in "-RL" (rank 4: edge 4 blank, edge 3 R, edge 2 L).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Optional
 
 from .chambers import chamber_sets
@@ -70,9 +71,13 @@ def quiver_from_chamber_set(members: Iterable[int], rank: int) -> PartialQuiver:
     1..i makes edge i+1 the rightmost labelled edge with label R; a terminal
     run i..n+1 makes edge i-1 the leftmost labelled edge with label R;
     unlabelled edges strictly between labelled ones are filled with R.
+    Memoised per process by subset and rank; a raising call caches nothing.
     """
-    s = set(members)
-    n = rank
+    return _quiver_of(frozenset(members), rank)
+
+
+@cache
+def _quiver_of(s: frozenset[int], n: int) -> PartialQuiver:
     if not s.issubset(range(1, n + 2)):
         raise ValueError(f"members {sorted(s)} not within 1..{n + 1}")
     labels: dict[int, str] = {}
@@ -100,7 +105,7 @@ def quiver_from_chamber_set(members: Iterable[int], rank: int) -> PartialQuiver:
     lo, hi = min(labels), max(labels)
     for e in range(lo + 1, hi):
         labels.setdefault(e, "R")
-    return quiver_from_labels(rank, labels)
+    return quiver_from_labels(n, labels)
 
 
 def chamber_set_from_quiver(quiver: PartialQuiver) -> frozenset[int]:

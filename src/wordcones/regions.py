@@ -23,7 +23,7 @@ from operator import add, sub
 from typing import Iterable, Optional, Sequence
 
 from .polyhedra import (DDState, DegenerateConeError, HCone, InvariantError,
-                        NonPointedError, Vector, VCone, cone_from_rays, dd_cut,
+                        NonPointedError, Vector, VCone, _gauss_jordan, dd_cut,
                         dd_step, dd_whole, det, dot, holds_on, identity,
                         nonneg_orthant, primitive, ray_sum_witness, vneg,
                         zero_set_facets)
@@ -406,6 +406,8 @@ class MatchReport:
     injective: bool
     covers_all_minimal: bool
     unmatched: tuple[Letters, ...]  # canonical words of classes with no region
+    class_graph: dict[Letters, frozenset[Letters]] = field(compare=False,
+                                                           repr=False)
 
     @property
     def ok(self) -> bool:
@@ -449,7 +451,8 @@ def match_spanned_regions(atlas: RegionAtlas) -> MatchReport:
     minimal = min(r.facet_count for r in atlas.regions)
     matches, unmatched = [], []
     used: set[int] = set()
-    for canonical in sorted(class_graph(rank)):  # no class sizes needed
+    cgraph = class_graph(rank)
+    for canonical in sorted(cgraph):  # no class sizes needed
         vecs = spanning_vectors(ReducedWord(rank, canonical))
         if det(vecs) == 0:
             raise InvariantError(
@@ -465,7 +468,7 @@ def match_spanned_regions(atlas: RegionAtlas) -> MatchReport:
     covers = used == {i for i, r in enumerate(atlas.regions)
                       if r.facet_count == minimal}
     return MatchReport(rank, minimal, tuple(matches), injective, covers,
-                       tuple(unmatched))
+                       tuple(unmatched), cgraph)
 
 
 # ---------------------------------------------------------------------------
@@ -524,10 +527,10 @@ def _pulling_simplices(face: tuple[Vector, ...], normals: Sequence[Vector]
             for s in _pulling_simplices(z, normals)]
 
 
-def _volume(rays: Sequence[Vector], c: Vector) -> Fraction:
+def _volume(d: int, rays: Sequence[Vector], c: Vector) -> Fraction:
     """k! times the volume of cone(rays) cut by {c . x <= 1}, for k rays in
-    dimension k with c positive on each."""
-    return Fraction(abs(det(rays)), prod(dot(c, r) for r in rays))
+    dimension k with determinant d and c positive on each."""
+    return Fraction(abs(d), prod(dot(c, r) for r in rays))
 
 
 def simplicial_decomposition(cone: HCone) -> Decomposition:
@@ -550,10 +553,15 @@ def simplicial_decomposition(cone: HCone) -> Decomposition:
         raise NonPointedError(state[1][0])
     rays = tuple(sorted(state[2]))
     c = tuple(map(sum, zip(*cone.ineqs)))
-    total = sum(_volume(s, c) for s in _pulling_simplices(rays, cone.ineqs))
-    pieces = [s for s in combinations(rays, k) if det(s) != 0]
-    hforms = [cone_from_rays(VCone(k, s)).ineqs for s in pieces]
-    vols = [_volume(s, c) for s in pieces]
+    total = sum(_volume(det(s), s, c)
+                for s in _pulling_simplices(rays, cone.ineqs))
+    pieces, hforms, vols = [], [], []
+    for s in combinations(rays, k):
+        d, facets = _gauss_jordan(s)
+        if d:
+            pieces.append(s)
+            hforms.append(facets)
+            vols.append(_volume(d, s, c))
     # pieces overlap iff cutting one by the other's normals leaves an interior
     states = [dd_cut(dd_whole(k), h) for h in hforms]
     overlap = {(i, j) for i, j in combinations(range(len(pieces)), 2)
@@ -612,12 +620,12 @@ def region_graph(atlas: RegionAtlas, minimal_only: bool = False
 def class_region_isomorphism_report(atlas: RegionAtlas,
                                     match: MatchReport) -> dict:
     """Compare the class graph and the minimal-region adjacency graph under
-    the spanned-cone matching, match_spanned_regions(atlas).  Exploratory:
-    both edge notions are stated interpretations, so the result is
-    reported, not asserted."""
+    the spanned-cone matching, match_spanned_regions(atlas), whose class
+    graph it reads.  Exploratory: both edge notions are stated
+    interpretations, so the result is reported, not asserted."""
     rank = atlas.src.rank
     mapping = {m.canonical: m.region_index for m in match.matches}
-    cgraph = class_graph(rank)
+    cgraph = match.class_graph
     rgraph = region_graph(atlas, minimal_only=True)
     class_edges = {frozenset((mapping[a], mapping[b]))
                    for a, nbs in cgraph.items() for b in nbs}

@@ -22,8 +22,9 @@ regions and two double descriptions per comparison, the way
 ``regions.match_spanned_regions`` matched before it looked the probe up.
 
 The predicates without an underscore have no caller in the library; the
-tests still use them: ``matrix_rank`` is the Bareiss elimination that
-``det`` rests on, and ``implies`` and ``lp_feasible`` answer from double
+tests still use them: ``matrix_rank`` and ``bareiss_det`` read the Bareiss
+elimination that ``det`` rested on before it read the library's one
+Gauss-Jordan pass, and ``implies`` and ``lp_feasible`` answer from double
 description generators what ``_lp_implies`` and ``_lp_feasible`` answer
 by LP.
 """
@@ -31,7 +32,7 @@ by LP.
 from functools import reduce
 from itertools import combinations
 
-from wordcones.polyhedra import (DegenerateConeError, HCone, VCone, _bareiss,
+from wordcones.polyhedra import (DegenerateConeError, HCone, VCone,
                                  cone_equal, cone_from_rays, dd_step,
                                  dd_whole, det, dot, double_description,
                                  extreme_rays, hcone, holds_on,
@@ -39,8 +40,40 @@ from wordcones.polyhedra import (DegenerateConeError, HCone, VCone, _bareiss,
                                  solve_inequalities, vcone, vneg)
 
 
+def _bareiss(rows):
+    """Fraction-free (Bareiss) row echelon form: (rank, signed last pivot).
+
+    Rows are swapped to bring up a pivot and columns without one are
+    skipped.  Each entry below the pivots is a minor of the input, so every
+    division is exact.  For a square matrix of full rank the signed last
+    pivot is the determinant.
+    """
+    m = [list(map(int, row)) for row in rows]
+    rank, sign, prev = 0, 1, 1
+    for col in range(len(m[0]) if m else 0):
+        p = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if p is None:
+            continue
+        if p != rank:
+            m[rank], m[p] = m[p], m[rank]
+            sign = -sign
+        piv, prow = m[rank][col], m[rank]
+        for r in range(rank + 1, len(m)):
+            f = m[r][col]
+            m[r] = [(piv * x - f * y) // prev for x, y in zip(m[r], prow)]
+        prev = piv
+        rank += 1
+    return rank, sign * prev
+
+
 def matrix_rank(rows):
     return _bareiss(rows)[0]
+
+
+def bareiss_det(matrix):
+    """Determinant of a square integer matrix by Bareiss elimination."""
+    rank, pivot = _bareiss(matrix)
+    return pivot if rank == len(matrix) else 0
 
 
 def assert_state_invariants(state, cut):

@@ -8,12 +8,13 @@ import pytest
 
 from lp_oracles import (_lp_feasible, _lp_implies, _lp_interior_point,
                         _lp_irredundant_h, _rank_facets,
-                        assert_state_invariants, facets_from_generators,
-                        implies, lp_feasible, matrix_rank)
+                        assert_state_invariants, bareiss_det,
+                        facets_from_generators, implies, lp_feasible,
+                        matrix_rank)
 from wordcones import polyhedra
 from wordcones.lusztig import lusztig_cone
 from wordcones.polyhedra import (DegenerateConeError, HCone, NonPointedError,
-                                 cone_equal, cone_from_rays, dd_cut, dd_orthant,
+                                 VCone, cone_equal, cone_from_rays, dd_cut, dd_orthant,
                                  dd_step, dd_whole, det, dot, double_description,
                                  extreme_rays, hcone, identity, intersect,
                                  interior_point, irredundant_h,
@@ -21,7 +22,7 @@ from wordcones.polyhedra import (DegenerateConeError, HCone, NonPointedError,
                                  subtract_full_dim, vcone, vneg)
 from wordcones.rectangles import spanning_vectors
 from wordcones.regions import orthant_restriction_analysis
-from wordcones.words import random_reduced_word
+from wordcones.words import ReducedWord, class_graph, random_reduced_word
 
 
 def test_primitive_normalisation():
@@ -673,3 +674,93 @@ def test_det_against_fraction_elimination():
         assert det(mat) == _fraction_det(mat)
     singular = [[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 1], [5, 0, 5, 0]]
     assert det(singular) == _fraction_det(singular) == 0
+
+
+def _random_square(rng, n):
+    """An n x n matrix with entries -3..3; one in three is made singular by
+    replacing a row with a combination of two others, or with zeros."""
+    mat = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(n)]
+    if n and rng.randrange(3) == 0:
+        i, j, l = (rng.randrange(n) for _ in range(3))
+        mat[i] = ([0] * n if n < 3 or len({i, j, l}) < 3 else
+                  [2 * x - y for x, y in zip(mat[j], mat[l])])
+    return mat
+
+
+def test_det_matches_bareiss_oracle_at_dimensions_0_to_8():
+    rng = random.Random(2024)
+    singular = 0
+    for n in range(9):
+        for _ in range(60):
+            mat = _random_square(rng, n)
+            assert det(mat) == bareiss_det(mat), mat
+            singular += det(mat) == 0
+    assert singular > 100
+
+
+def _dd_dual(rays, dim):
+    """The facets double description gives for the cone on dim independent
+    rays: the rays of the dual cone, in output order, and no line."""
+    lines, dual = double_description(rays, dim)
+    assert lines == []
+    return tuple(dual)
+
+
+def test_cone_from_rays_on_independent_rays_equals_the_dd_dual(monkeypatch):
+    gcds = []  # (entries, gcd) of each gcd cone_from_rays takes
+
+    def recorded(*xs):
+        gcds.append((len(xs), gcd(*xs)))
+        return gcds[-1][1]
+
+    rng = random.Random(99)
+    non_unimodular = divided = 0
+    for k in range(1, 8):
+        for _ in range(40):
+            mat = [[rng.randrange(-3, 4) for _ in range(k)] for _ in range(k)]
+            d = det(mat)
+            if d == 0:
+                continue
+            non_unimodular += abs(d) > 1
+            rays = VCone(k, tuple(map(primitive, mat)))
+            gcds.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(polyhedra, "gcd", recorded)
+                h = cone_from_rays(rays)
+            # a row of [R^T | I] has 2k entries, a facet k
+            divided += any(n == 2 * k and g > 1 for n, g in gcds)
+            assert h.ineqs == _dd_dual(rays.rays, k), mat
+            # facet i is zero on every other ray and positive on ray i
+            assert all((dot(a, r) > 0) == (i == j)
+                       for i, a in enumerate(h.ineqs)
+                       for j, r in enumerate(rays.rays))
+    assert non_unimodular > 100 and divided > 20
+
+
+def test_cone_from_rays_on_rank5_class_spanning_sets_equals_the_dd_dual():
+    classes = sorted(class_graph(5))
+    assert len(classes) == 908
+    for canonical in classes:
+        vecs = spanning_vectors(ReducedWord(5, canonical))
+        spanned = vcone(vecs, 15)
+        assert cone_from_rays(spanned).ineqs == _dd_dual(spanned.rays, 15)
+
+
+def test_cone_from_rays_takes_dd_off_independent_sets(monkeypatch):
+    calls = []
+
+    def counted(ineqs, dim):
+        calls.append(len(ineqs))
+        return double_description(ineqs, dim)
+
+    monkeypatch.setattr(polyhedra, "double_description", counted)
+    independent = vcone([(1, 0, 1), (0, 2, 1), (1, 1, 0)], 3)
+    singular = vcone([(1, 0, 1), (0, 1, 1), (1, 1, 2)], 3)
+    extra = vcone([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], 3)
+    assert cone_from_rays(independent).ineqs == _dd_dual(independent.rays, 3)
+    assert calls == []
+    expected = hcone([(1, 1, -1), (-1, -1, 1), (1, 0, 0), (0, 1, 0)], 3)
+    assert cone_equal(cone_from_rays(singular), expected)
+    assert calls == [3]
+    assert set(cone_from_rays(extra).ineqs) == set(identity(3))
+    assert calls == [3, 4]

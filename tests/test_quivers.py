@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from class_oracles import commutation_orbit
+from wordcones import quivers
 from wordcones.quivers import (PartialQuiver, chamber_set_from_quiver,
                                chamber_quiver_pairs, enumerate_partial_quivers,
                                quiver_from_chamber_set, quivers_for_word)
@@ -76,6 +77,37 @@ def test_round_trip_exhaustive_ranks_up_to_6():
         for quiver in enumerate_partial_quivers(rank):
             s = chamber_set_from_quiver(quiver)
             assert quiver_from_chamber_set(s, rank) == quiver
+
+
+@pytest.fixture
+def empty_chamber_set_memo():
+    """quiver_from_chamber_set's per-process memo, empty before and after
+    the test."""
+    quivers._quiver_of.cache_clear()
+    yield quivers._quiver_of
+    quivers._quiver_of.cache_clear()
+
+
+def test_chamber_set_memo_equals_construction_and_stays_bounded(
+        empty_chamber_set_memo):
+    build = empty_chamber_set_memo.__wrapped__  # the unmemoised construction
+    for rank in range(2, 7):
+        empty_chamber_set_memo.cache_clear()
+        subsets = [frozenset(s) for r in range(rank + 2)
+                   for s in itertools.combinations(range(1, rank + 2), r)]
+        for s in subsets * 2:
+            members = sorted(s)
+            if members in (list(range(1, len(s) + 1)),
+                           list(range(rank + 2 - len(s), rank + 2))):
+                # initial or terminal: raises on every call, caches nothing
+                with pytest.raises(ValueError, match="initial|terminal"):
+                    quiver_from_chamber_set(members, rank)
+                with pytest.raises(ValueError, match="initial|terminal"):
+                    build(s, rank)
+                continue
+            assert quiver_from_chamber_set(members, rank) == build(s, rank)
+        size = empty_chamber_set_memo.cache_info().currsize
+        assert size == len(enumerate_partial_quivers(rank)) <= 2 ** (rank + 1)
 
 
 def test_enumerate_counts():

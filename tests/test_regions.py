@@ -722,6 +722,17 @@ def test_isomorphism_report_small(atlas2, atlas3):
         assert report["is_isomorphism"]
 
 
+def test_match_and_report_search_the_class_graph_once(monkeypatch, atlas3):
+    calls = []
+    real = regions.class_graph
+    monkeypatch.setattr(regions, "class_graph",
+                        lambda rank: calls.append(rank) or real(rank))
+    match = match_spanned_regions(atlas3)
+    report = class_region_isomorphism_report(atlas3, match)
+    assert calls == [3] and match.class_graph == real(3)
+    assert report["class_vertices"] == 8 and report["is_isomorphism"]
+
+
 def test_isomorphism_report_rank4(atlas4):
     report = class_region_isomorphism_report(atlas4,
                                              match_spanned_regions(atlas4))
