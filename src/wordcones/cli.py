@@ -16,8 +16,8 @@ from . import __version__
 from .chambers import chamber_sets, render_wiring
 from .lusztig import lusztig_cone, spanning_rays
 from .polyhedra import InvariantError
-from .quivers import (PartialQuiver, chamber_quiver_pairs,
-                      enumerate_partial_quivers, quivers_for_word)
+from .quivers import (PartialQuiver, enumerate_partial_quivers,
+                      quivers_for_word)
 from .rectangles import (centre_and_central_line, components,
                          configuration_for_quiver, corner_root_sets,
                          diagonal_counts, phi_plus, quiver_vector,
@@ -27,8 +27,9 @@ from .regions import (braid_move_count, class_region_isomorphism_report,
                       orthant_restriction_analysis, simplicial_decomposition,
                       standard_atlas, transition_atlas)
 from .words import (ReducedWord, commutation_classes, enumerate_reduced_words,
-                    format_letters, is_reduced, longest_word_length,
-                    parse_letters, parse_word, standard_words)
+                    find_move_path, format_letters, is_reduced,
+                    longest_word_length, parse_letters, parse_word,
+                    standard_words)
 
 
 def _emit(payload) -> None:
@@ -109,7 +110,7 @@ def cmd_chambers(args) -> int:
 def cmd_quivers(args) -> int:
     word = _parse_word_arg(args)
     if args.with_chamber_sets:
-        pairs = chamber_quiver_pairs(word)
+        pairs = zip(chamber_sets(word), quivers_for_word(word))
         _emit({
             "word": str(word),
             "rank": word.rank,
@@ -298,14 +299,14 @@ def _verify_a4(checks):
 def _verify_properties(checks):
     import random
 
-    from .regions import default_move_path, evaluate_along
+    from .regions import evaluate_along
     rng = random.Random(20260808)
     for rank in (2, 3, 4):
         j, jp = standard_words(rank)
         atlas = standard_atlas(rank)
         k = longest_word_length(rank)
         fwd = list(atlas.moves)
-        bwd = default_move_path(jp, j)
+        bwd = find_move_path(jp, j)
         bad = 0
         for _ in range(10_000):
             x = tuple(rng.randrange(0, 50) for _ in range(k))

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from .polyhedra import (HCone, InvariantError, VCone, Vector, dd_orthant,
-                        dd_step, hcone, intersect, nonneg_orthant)
-from .words import BRAID, Move, ReducedWord, bounded_chambers
+from .polyhedra import (HCone, InvariantError, VCone, Vector, dd_simplex,
+                        dd_step, identity)
+from .words import ReducedWord, bounded_chambers
 
 
 @dataclass(frozen=True)
@@ -21,19 +21,12 @@ class LusztigCone:
     """Consecutive-occurrence inequality system of a reduced word.
 
     ``cone`` holds exactly the k - n pair inequalities; the lattice points of
-    the object itself live in N^k, so predicates about the *set* take the
-    orthant too: ``contains`` and ``with_nonneg`` add it, ``spanning_rays``
-    cuts from its state.
+    the object itself live in N^k, so ``spanning_rays`` cuts from the
+    orthant's state.
     """
 
     word: ReducedWord
     cone: HCone
-
-    def with_nonneg(self) -> HCone:
-        return intersect(self.cone, nonneg_orthant(self.cone.dim))
-
-    def contains(self, point) -> bool:
-        return all(x >= 0 for x in point) and self.cone.contains(point)
 
 
 def lusztig_cone(word: ReducedWord) -> LusztigCone:
@@ -59,34 +52,12 @@ def lusztig_cone(word: ReducedWord) -> LusztigCone:
 
 def spanning_rays(word: ReducedWord) -> VCone:
     """Extreme rays of the Lusztig cone as a subset of the orthant, sorted:
-    one dd_step per pair row from dd_orthant(k), which has no line, in a
+    one dd_step per pair row from the orthant's written-down state, in a
     stable order by chamber length z - x, so few rays are made on the way."""
     k = len(word.letters)
     lengths = [z - x for x, z, _ in bounded_chambers(word.letters)]
     rows = sorted(zip(lengths, lusztig_cone(word).cone.ineqs), key=lambda p: p[0])
-    zeros = reduce(dd_step, (a for _, a in rows), dd_orthant(k))[2]
+    zeros = reduce(dd_step, (a for _, a in rows),
+                   dd_simplex(identity(k), identity(k)))[2]
     return VCone(k, tuple(sorted(zeros)))
 
-
-def transport_under_commutation(word: ReducedWord, move: Move) -> tuple[int, ...]:
-    """Coordinate permutation relating the cones of word and its commutation.
-
-    Returned as a 0-based mapping new_index -> old_index (a transposition of
-    the two swapped positions); the cone of the moved word equals the cone of
-    the original with coordinates permuted accordingly.
-    """
-    if move.kind == BRAID:
-        raise ValueError("braid moves do not transport Lusztig cones coordinatewise")
-    t = move.position - 1
-    k = len(word.letters)
-    if t + 1 >= k:
-        raise ValueError(f"commutation at {move.position} out of range")
-    perm = list(range(k))
-    perm[t], perm[t + 1] = perm[t + 1], perm[t]
-    return tuple(perm)
-
-
-def permute_cone(cone: HCone, perm: tuple[int, ...]) -> HCone:
-    """Apply a coordinate permutation (new_index -> old_index) to an HCone."""
-    return hcone([tuple(a[perm[i]] for i in range(cone.dim)) for a in cone.ineqs],
-                 cone.dim)

@@ -150,13 +150,6 @@ def nonneg_orthant(dim: int) -> HCone:
     return HCone(dim, identity(dim))
 
 
-def intersect(a: HCone, b: HCone) -> HCone:
-    """Concatenated inequality lists; not reduced to irredundant form."""
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
-    return hcone(a.ineqs + b.ineqs, a.dim)
-
-
 # ---------------------------------------------------------------------------
 # Determinant and simplicial facets (fraction-free Gauss-Jordan)
 # ---------------------------------------------------------------------------
@@ -331,12 +324,13 @@ def dd_whole(dim: int) -> DDState:
     return (), identity(dim), {}
 
 
-def dd_orthant(dim: int) -> DDState:
-    """The state of the orthant x >= 0, written down, not cut: the unit
-    normals, no line, and each unit ray e_i vanishing on all normals but the
-    i-th.  It equals reduce(dd_step, identity(dim), dd_whole(dim))."""
-    basis, full = identity(dim), (1 << dim) - 1
-    return basis, (), {e: full ^ (1 << i) for i, e in enumerate(basis)}
+def dd_simplex(rays: Sequence[Vector], facets: tuple[Vector, ...]) -> DDState:
+    """The state of the simplicial cone on k independent primitive rays in
+    R^k, written down from their _gauss_jordan facets, not cut: facet i
+    vanishes on every ray but ray i, and there is no line.  It equals
+    reduce(dd_step, facets, dd_whole(k)) but for the order of its rays."""
+    full = (1 << len(facets)) - 1
+    return facets, (), {r: full ^ (1 << i) for i, r in enumerate(rays)}
 
 
 def dd_step(state: DDState, a: Sequence) -> DDState:
@@ -502,14 +496,6 @@ def zero_set_facets(state: DDState, dim: int) -> HCone:
          if not any(o & f == f and o != f for o in faces)})))
 
 
-def extreme_rays(cone: HCone) -> VCone:
-    """Complete set of primitive extreme rays of a pointed cone."""
-    lines, rays = double_description(cone.ineqs, cone.dim)
-    if lines:
-        raise NonPointedError(lines[0])
-    return VCone(cone.dim, tuple(sorted(rays)))
-
-
 def cone_from_rays(rays: VCone) -> HCone:
     """H-description of the conic hull of the given rays.
 
@@ -517,8 +503,7 @@ def cone_from_rays(rays: VCone) -> HCone:
     each ray in ray order, come from one exact elimination, as double
     description would give them.  Otherwise the dual cone {a : a . r >= 0
     for all rays r} is computed by double description; its lines (one pair
-    of inequalities each) and rays become the inequalities.  Round-trips
-    with extreme_rays on pointed full-dimensional inputs.
+    of inequalities each) and rays become the inequalities.
     """
     if len(rays.rays) == rays.dim:
         d, facets = _gauss_jordan(rays.rays)

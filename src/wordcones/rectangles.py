@@ -189,17 +189,6 @@ def place_configuration(comps: Sequence[Component], rank: int) -> Configuration:
     return _configuration_from_placed(rank, placed)
 
 
-def mirror_configuration(config: Configuration) -> Configuration:
-    """Reflect a configuration through a vertical axis (x -> -x): left and
-    right corner levels swap, u and w trade places with a sign flip."""
-    mirrored = [
-        PlacedRectangle(Rectangle(p.rect.top, p.rect.right, p.rect.left,
-                                  p.rect.bottom),
-                        u_lo=-p.w_hi, w_lo=-p.u_hi)
-        for p in config.placed]
-    return _configuration_from_placed(config.rank, mirrored)
-
-
 def configuration_for_quiver(quiver: PartialQuiver) -> Configuration:
     return place_configuration(components(quiver), quiver.rank)
 
@@ -217,21 +206,6 @@ def diagonal_counts(config: Configuration) -> tuple[tuple[int, ...], tuple[int, 
                      for wi in range(nw))
     if not all(c > 0 for c in u_counts + w_counts):
         raise InvariantError("a band of the configuration has no cell")
-    return u_counts, w_counts
-
-
-def rectangle_diagonal_counts(config: Configuration
-                              ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Placed rectangles per band (the alternative count model; used as a
-    cross-check, agrees with diagonal_counts on all tested quivers)."""
-    u_counts = tuple(
-        sum(1 for p in config.placed
-            if p.u_lo <= lo and hi <= p.u_hi)
-        for lo, hi in zip(config.u_cuts, config.u_cuts[1:]))
-    w_counts = tuple(
-        sum(1 for p in config.placed
-            if p.w_lo <= lo and hi <= p.w_hi)
-        for lo, hi in zip(config.w_cuts, config.w_cuts[1:]))
     return u_counts, w_counts
 
 

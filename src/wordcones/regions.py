@@ -24,9 +24,9 @@ from typing import Iterable, Optional, Sequence
 
 from .polyhedra import (DDState, DegenerateConeError, HCone, InvariantError,
                         NonPointedError, Vector, VCone, _gauss_jordan, dd_cut,
-                        dd_step, dd_whole, det, dot, holds_on, identity,
-                        nonneg_orthant, primitive, ray_sum_witness, vneg,
-                        zero_set_facets)
+                        dd_simplex, dd_step, dd_whole, det, dot, holds_on,
+                        identity, nonneg_orthant, primitive, ray_sum_witness,
+                        vneg, zero_set_facets)
 from .words import (BRAID, COMMUTATION, Letters, Move, ReducedWord,
                     apply_move_path, braids, class_graph, commutes,
                     find_move_path, legal_moves, standard_words)
@@ -50,19 +50,6 @@ def apply_braid_triple(a, b, c):
     """
     m = a if a <= c else c
     return (b + c - m, m, a + b - m)
-
-
-#: The two linear branches of the braid map, as 3x3 integer matrices acting
-#: on the local triple; BRAID_LOW applies where a <= c, BRAID_HIGH where
-#: a >= c, and both agree on the guard boundary a = c.
-BRAID_LOW = ((-1, 1, 1), (1, 0, 0), (0, 1, 0))
-BRAID_HIGH = ((0, 1, 0), (0, 0, 1), (1, 1, -1))
-
-
-def braid_move_map():
-    """The guard direction and matrix of each branch: (sign, matrix) pairs,
-    where sign +1 means the branch applies on {c - a >= 0}."""
-    return ((+1, BRAID_LOW), (-1, BRAID_HIGH))
 
 
 def _walk(point: Sequence, letters: Letters, moves: Iterable[Move]
@@ -213,8 +200,8 @@ def _swap_rows(rows: tuple[Vector, ...], t: int) -> tuple[Vector, ...]:
 
 
 def _braid_rows(rows: tuple[Vector, ...], t: int, low: bool) -> tuple[Vector, ...]:
-    """Apply BRAID_LOW, giving (b + c - a, a, b), or BRAID_HIGH, giving
-    (b, c, a + b - c), to the row triple (a, b, c) at t."""
+    """Apply the a <= c branch (low), giving (b + c - a, a, b), or the other,
+    giving (b, c, a + b - c), to the row triple (a, b, c) at t."""
     a, b, c = rows[t:t + 3]
     triple = ((tuple(map(sub, map(add, b, c), a)), a, b) if low
               else (b, c, tuple(map(sub, map(add, a, b), c))))
@@ -555,15 +542,15 @@ def simplicial_decomposition(cone: HCone) -> Decomposition:
     c = tuple(map(sum, zip(*cone.ineqs)))
     total = sum(_volume(det(s), s, c)
                 for s in _pulling_simplices(rays, cone.ineqs))
-    pieces, hforms, vols = [], [], []
+    pieces, hforms, states, vols = [], [], [], []
     for s in combinations(rays, k):
         d, facets = _gauss_jordan(s)
         if d:
             pieces.append(s)
             hforms.append(facets)
+            states.append(dd_simplex(s, facets))
             vols.append(_volume(d, s, c))
     # pieces overlap iff cutting one by the other's normals leaves an interior
-    states = [dd_cut(dd_whole(k), h) for h in hforms]
     overlap = {(i, j) for i, j in combinations(range(len(pieces)), 2)
                if dd_cut(states[i], hforms[j]) is not None}
     # pairwise-disjoint index-increasing subsets of one size, with the

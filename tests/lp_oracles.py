@@ -26,16 +26,18 @@ tests still use them: ``matrix_rank`` and ``bareiss_det`` read the Bareiss
 elimination that ``det`` rested on before it read the library's one
 Gauss-Jordan pass, and ``implies`` and ``lp_feasible`` answer from double
 description generators what ``_lp_implies`` and ``_lp_feasible`` answer
-by LP.
+by LP.  ``extreme_rays`` is double description from the whole space,
+sorted, the reference for the rays the library cuts from written-down
+states (``lusztig.spanning_rays``, ``regions.simplicial_decomposition``).
 """
 
 from functools import reduce
 from itertools import combinations
 
-from wordcones.polyhedra import (DegenerateConeError, HCone, VCone,
-                                 cone_equal, cone_from_rays, dd_step,
-                                 dd_whole, det, dot, double_description,
-                                 extreme_rays, hcone, holds_on,
+from wordcones.polyhedra import (DegenerateConeError, HCone,
+                                 NonPointedError, VCone, cone_equal,
+                                 cone_from_rays, dd_step, dd_whole, det, dot,
+                                 double_description, hcone, holds_on,
                                  nonneg_orthant, primitive,
                                  solve_inequalities, vcone, vneg)
 
@@ -109,6 +111,14 @@ def facets_from_generators(normals, rays, dim):
     return HCone(dim, tuple(sorted(
         a for a, m in masks.items()
         if not any(f & m == m and f != m for f in faces))))
+
+
+def extreme_rays(cone):
+    """Complete set of primitive extreme rays of a pointed cone."""
+    lines, rays = double_description(cone.ineqs, cone.dim)
+    if lines:
+        raise NonPointedError(lines[0])
+    return VCone(cone.dim, tuple(sorted(rays)))
 
 
 def implies(ineqs, a, dim):

@@ -8,18 +8,19 @@ import pytest
 
 from lp_oracles import (_lp_feasible, _lp_implies, _lp_interior_point,
                         _lp_irredundant_h, _rank_facets,
-                        assert_state_invariants, bareiss_det,
+                        assert_state_invariants, bareiss_det, extreme_rays,
                         facets_from_generators, implies, lp_feasible,
                         matrix_rank)
 from wordcones import polyhedra
 from wordcones.lusztig import lusztig_cone
 from wordcones.polyhedra import (DegenerateConeError, HCone, NonPointedError,
-                                 VCone, cone_equal, cone_from_rays, dd_cut, dd_orthant,
-                                 dd_step, dd_whole, det, dot, double_description,
-                                 extreme_rays, hcone, identity, intersect,
-                                 interior_point, irredundant_h,
-                                 nonneg_orthant, primitive, solve_inequalities,
-                                 subtract_full_dim, vcone, vneg)
+                                 VCone, _gauss_jordan, cone_equal,
+                                 cone_from_rays, dd_cut, dd_simplex, dd_step,
+                                 dd_whole, det, dot, double_description,
+                                 hcone, identity, interior_point,
+                                 irredundant_h, nonneg_orthant, primitive,
+                                 solve_inequalities, subtract_full_dim, vcone,
+                                 vneg)
 from wordcones.rectangles import spanning_vectors
 from wordcones.regions import orthant_restriction_analysis
 from wordcones.words import ReducedWord, class_graph, random_reduced_word
@@ -283,7 +284,7 @@ def test_extreme_rays_orthant():
 
 def test_dd_orthant_is_the_unit_normal_fold_from_the_whole_space():
     for dim in range(1, 16):
-        normals, lines, zeros = dd_orthant(dim)
+        normals, lines, zeros = dd_simplex(identity(dim), identity(dim))
         folded = reduce(dd_step, identity(dim), dd_whole(dim))
         assert (normals, lines) == folded[:2] == (identity(dim), ())
         assert list(zeros.items()) == list(folded[2].items())  # order too
@@ -472,7 +473,8 @@ def test_double_description_matches_reference_on_rank5_words():
     rng = random.Random(5)
     for _ in range(100):
         w = random_reduced_word(5, rng)
-        h = lusztig_cone(w).with_nonneg()
+        lc = lusztig_cone(w)
+        h = hcone(lc.cone.ineqs + identity(lc.cone.dim), lc.cone.dim)
         _same_as_reference(h.ineqs, h.dim)
         v = vcone(spanning_vectors(w), len(w.letters))
         _same_as_reference(v.rays, v.dim)
@@ -489,6 +491,10 @@ def test_double_description_matches_reference_on_simplicial_candidates(atlas3):
         for subset in combinations(extreme_rays(cone).rays, k):
             if det(subset) != 0:
                 _same_as_reference(subset, k)
+                # the written-down state of the piece is its facets' fold
+                facets = _gauss_jordan(subset)[1]
+                assert dd_simplex(subset, facets) == \
+                    reduce(dd_step, facets, dd_whole(k))
                 seen += 1
     assert seen == 20
 
@@ -564,7 +570,7 @@ def test_cone_equal_examples():
     assert cone_equal(orth, extreme_rays(orth))
     from wordcones.lusztig import lusztig_cone
     from wordcones.words import parse_word
-    c = lusztig_cone(parse_word("132132")).with_nonneg()
+    c = hcone(lusztig_cone(parse_word("132132")).cone.ineqs + identity(6), 6)
     assert not cone_equal(c, nonneg_orthant(6))
     # witness: e_1 is in the orthant but violates c >= a + d
     assert not c.contains((1, 0, 0, 0, 0, 0))
@@ -578,14 +584,6 @@ def test_cone_equal_mixed_forms():
     redundant = hcone([(1, 0), (0, 1), (1, 1)], 2)
     assert cone_equal(redundant, orth) and cone_equal(orth, redundant)
     assert not cone_equal(hcone([(1, 0)], 2), orth)
-
-
-def test_intersect():
-    orth = nonneg_orthant(2)
-    assert cone_equal(intersect(orth, orth), orth)
-    free = hcone([], 2)
-    c = hcone([(1, -1)], 2)
-    assert cone_equal(intersect(c, free), c)
 
 
 def test_subtract_full_dim_covers():
@@ -734,6 +732,9 @@ def test_cone_from_rays_on_independent_rays_equals_the_dd_dual(monkeypatch):
             assert all((dot(a, r) > 0) == (i == j)
                        for i, a in enumerate(h.ineqs)
                        for j, r in enumerate(rays.rays))
+            # and dd_simplex writes down the state their fold gives
+            assert dd_simplex(rays.rays, h.ineqs) == \
+                reduce(dd_step, h.ineqs, dd_whole(k))
     assert non_unimodular > 100 and divided > 20
 
 

@@ -4,8 +4,9 @@ import pytest
 
 from class_oracles import commutation_orbit
 from wordcones import quivers
+from wordcones.chambers import chamber_sets
 from wordcones.quivers import (PartialQuiver, chamber_set_from_quiver,
-                               chamber_quiver_pairs, enumerate_partial_quivers,
+                               enumerate_partial_quivers,
                                quiver_from_chamber_set, quivers_for_word)
 from wordcones.words import ReducedWord, parse_word
 
@@ -125,7 +126,7 @@ def test_quivers_for_golden_word():
     word = parse_word("2343121324")
     assert sorted(str(q) for q in quivers_for_word(word)) == \
         sorted(["RRL", "-RL", "--L", "LRL", "-R-", "LR-"])
-    pairs = chamber_quiver_pairs(word)
+    pairs = zip(chamber_sets(word), quivers_for_word(word))
     by_set = {frozenset(cs.members): str(q) for cs, q in pairs}
     assert by_set[frozenset({1, 2, 4, 5})] == "-R-"
 

@@ -8,13 +8,14 @@ from lp_oracles import matrix_rank
 from wordcones import rectangles
 from wordcones.polyhedra import InvariantError
 from wordcones.quivers import PartialQuiver, enumerate_partial_quivers
-from wordcones.rectangles import (AmbiguousCentreError, Component, Rectangle,
+from wordcones.rectangles import (AmbiguousCentreError, Component,
+                                  PlacedRectangle, Rectangle,
+                                  _configuration_from_placed,
                                   centre_and_central_line, components,
                                   configuration_for_quiver, corner_points,
                                   corner_root_sets, diagonal_counts,
-                                  generator_vector, mirror_configuration, parity_boundary,
+                                  generator_vector, parity_boundary,
                                   phi_plus, place_configuration, quiver_vector,
-                                  rectangle_diagonal_counts,
                                   rectangle_for_component,
                                   render_configuration_svg, roots_of_box,
                                   spanning_vectors)
@@ -105,6 +106,21 @@ def test_diagonal_counts_single_rectangle():
     assert diagonal_counts(config) == ((1,), (1,))
 
 
+def rectangle_diagonal_counts(config):
+    """Placed rectangles per band, the count model diagonal_counts is
+    checked against: a band's count is the number of rectangles spanning
+    it, where diagonal_counts counts its cells."""
+    u_counts = tuple(
+        sum(1 for p in config.placed
+            if p.u_lo <= lo and hi <= p.u_hi)
+        for lo, hi in zip(config.u_cuts, config.u_cuts[1:]))
+    w_counts = tuple(
+        sum(1 for p in config.placed
+            if p.w_lo <= lo and hi <= p.w_hi)
+        for lo, hi in zip(config.w_cuts, config.w_cuts[1:]))
+    return u_counts, w_counts
+
+
 def test_cell_and_rectangle_count_models_agree():
     for rank in range(2, 9):
         for quiver in enumerate_partial_quivers(rank):
@@ -152,10 +168,17 @@ def test_centre_single_rectangle_midpoint():
 
 
 def test_mirrored_configuration_has_mirrored_centre():
+    """Reflecting a configuration through a vertical axis (x -> -x) swaps
+    the left and right corner levels of each rectangle, and u and w trade
+    places with a sign flip; its centre and central line reflect too."""
     for rank in (3, 4, 6, 8):
         for quiver in enumerate_partial_quivers(rank):
             config = configuration_for_quiver(quiver)
-            mirrored = mirror_configuration(config)
+            mirrored = _configuration_from_placed(config.rank, [
+                PlacedRectangle(Rectangle(p.rect.top, p.rect.right,
+                                          p.rect.left, p.rect.bottom),
+                                u_lo=-p.w_hi, w_lo=-p.u_hi)
+                for p in config.placed])
             (u0, w0), line_x = centre_and_central_line(config)
             (u0m, w0m), line_m = centre_and_central_line(mirrored)
             assert (u0m, w0m) == (-w0, -u0)

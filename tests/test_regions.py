@@ -13,21 +13,21 @@ from lp_oracles import (_lp_implies, _lp_interior_point, _lp_irredundant_h,
                         _lp_is_disjoint_cover, _lp_min_simplicial_cover,
                         _lp_subtract_full_dim, _rank_facets,
                         _rank_pulling_simplices, assert_state_invariants,
-                        contains_strictly, facets_from_generators, implies,
-                        matrix_rank, positive_somewhere, regions_containing,
+                        contains_strictly, extreme_rays,
+                        facets_from_generators, implies, matrix_rank,
+                        positive_somewhere, regions_containing,
                         scanned_region_index)
 from wordcones import cli, polyhedra, rectangles, regions
 from wordcones.polyhedra import (DegenerateConeError, HCone, InvariantError,
                                  NonPointedError, cone_equal,
                                  cone_from_rays, dd_cut, dd_step, dd_whole,
-                                 dot, double_description, extreme_rays, hcone,
+                                 dot, double_description, hcone,
                                  identity, interior_point, irredundant_h,
                                  nonneg_orthant, primitive, ray_sum_witness,
                                  solve_inequalities, vcone, vneg,
                                  zero_set_facets)
 from wordcones.regions import (RegionConvexityError, _merge_cells,
-                               _pulling_simplices,
-                               apply_braid_triple, braid_move_map,
+                               _pulling_simplices, apply_braid_triple,
                                braid_move_count, class_region_isomorphism_report,
                                default_move_path, det, detour_move_path,
                                enumerate_cells, evaluate, match_spanned_regions,
@@ -51,27 +51,40 @@ def test_braid_triple_involution_random():
         assert apply_braid_triple(*apply_braid_triple(*triple)) == triple
 
 
+def _branch_matrix(low):
+    """The 3x3 matrix of one braid branch: _braid_rows on the identity."""
+    return regions._braid_rows(identity(3), 0, low)
+
+
 def test_braid_branch_matrices_agree_on_guard():
-    (sign_low, low), (sign_high, high) = braid_move_map()
-    assert sign_low == 1 and sign_high == -1
     for a, b in ((0, 0), (3, -1), (2, 7)):
         triple = (a, b, a)  # guard boundary a = c
-        via_low = tuple(sum(m * t for m, t in zip(row, triple)) for row in low)
-        via_high = tuple(sum(m * t for m, t in zip(row, triple)) for row in high)
+        via_low = tuple(dot(row, triple) for row in _branch_matrix(True))
+        via_high = tuple(dot(row, triple) for row in _branch_matrix(False))
         assert via_low == via_high == apply_braid_triple(*triple)
 
 
 def test_braid_rows_apply_the_branch_matrices():
+    """For integer rows R, a point x and a site t: the rows _braid_rows
+    gives on the branch (R . x)[t:t+3] lies on take x to R . x with
+    apply_braid_triple applied at t."""
     rng = random.Random(3)
-    rows = tuple(tuple(rng.randrange(-5, 6) for _ in range(4)) for _ in range(5))
-    for t in range(3):
-        for low, matrix in ((True, regions.BRAID_LOW),
-                            (False, regions.BRAID_HIGH)):
-            triple = tuple(tuple(sum(m * row[j] for m, row in
-                                     zip(coeffs, rows[t:t + 3]))
-                                 for j in range(4)) for coeffs in matrix)
-            assert regions._braid_rows(rows, t, low) == \
-                rows[:t] + triple + rows[t + 3:]
+    checked = {True: 0, False: 0}
+    for _ in range(200):
+        rows = tuple(tuple(rng.randrange(-5, 6) for _ in range(4))
+                     for _ in range(5))
+        x = tuple(rng.randrange(-9, 10) for _ in range(4))
+        y = tuple(dot(row, x) for row in rows)
+        for t in range(3):
+            a, b, c = y[t:t + 3]
+            for low, holds in ((True, a <= c), (False, a >= c)):
+                if not holds:
+                    continue
+                moved = regions._braid_rows(rows, t, low)
+                assert tuple(dot(row, x) for row in moved) == \
+                    y[:t] + apply_braid_triple(a, b, c) + y[t + 3:]
+                checked[low] += 1
+    assert min(checked.values()) > 200
 
 
 def test_atlas_region_counts(atlas2, atlas3):
@@ -644,15 +657,31 @@ def test_simplicial_decomposition_rejects_flat_and_non_pointed_cones():
         simplicial_decomposition(hcone([(1, 0, 0), (0, 1, 0)], 3))
 
 
+#: The pieces of the two rank-3 decompositions, by restricted facet count:
+#: each piece's rays, sorted, one digit string per ray.
+DECOMPOSITION_PIECES_RANK3 = {
+    8: ["001000 001001 010000 010010 100000 100100",
+        "001001 010000 010010 100000 100100 110001"],
+    9: ["000001 000010 000100 001001 010001 100001",
+        "000010 000100 001001 010001 010010 100001",
+        "000010 000100 001001 010010 100001 100100",
+        "000100 001001 010001 010010 100001 100100"],
+}
+
+
 def test_simplicial_decompositions_rank3(atlas3):
-    sizes = {}
+    sizes, pieces = {}, {}
     for r in orthant_restriction_analysis(atlas3):
         if r.region_facets != 4:
             continue
         dec = simplicial_decomposition(r.cone)
         _check_decomposition(r.cone, dec)
         sizes[r.restricted_facets] = len(dec.pieces)
+        pieces[r.restricted_facets] = [
+            " ".join("".join(map(str, ray)) for ray in sorted(p.rays))
+            for p in dec.pieces]
     assert sizes == {8: 2, 9: 4}
+    assert pieces == DECOMPOSITION_PIECES_RANK3
 
 
 def test_simplicial_decomposition_is_minimal_on_random_cones():
@@ -785,6 +814,37 @@ def test_walk_rejects_illegal_move(atlas3):
     bad = replace(atlas3, moves=(Move(COMMUTATION, 2),) + atlas3.moves)  # 3,2
     with pytest.raises(ValueError):
         bad.region_containing(x)
+
+
+def _tie_points(atlas, seed, count):
+    """The origin and the seeded points of [0, 50)^k whose walk ties at a
+    guard and takes a branch no cell kept, so it misses bits_index."""
+    rng = random.Random(seed)
+    points = [(0,) * atlas.dim] + [
+        tuple(rng.randrange(0, 50) for _ in range(atlas.dim))
+        for _ in range(count)]
+    return [x for x in points if regions._walk(
+        x, atlas.src.letters, atlas.moves)[1] not in atlas.bits_index]
+
+
+def test_lookup_falls_back_to_a_scan_at_ties(atlas3, atlas4):
+    for atlas, seed, least in ((atlas3, 3, 10), (atlas4, 4, 30)):
+        ties = _tie_points(atlas, seed, 2_000)
+        assert ties[0] == (0,) * atlas.dim and len(ties) > least
+        for x in ties:
+            region = atlas.region_containing(x)
+            assert region.cone.contains(x)
+            assert region.apply(x) == atlas.evaluate(x)
+
+
+def test_lookup_raises_where_the_atlas_does_not_cover(atlas3):
+    x = next(x for x in _tie_points(atlas3, 3, 2_000) if any(x))
+    uncovering = replace(atlas3, regions=tuple(
+        r for r in atlas3.regions if not r.cone.contains(x)))
+    with pytest.raises(InvariantError, match="atlas does not cover"):
+        uncovering.region_containing(x)
+    with pytest.raises(InvariantError, match="atlas does not cover"):
+        replace(atlas3, regions=()).region_containing((0,) * atlas3.dim)
 
 
 def test_atlas_between_random_words_is_consistent():
