@@ -453,7 +453,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_glue_dash_values(list(argv)))
     try:
         return args.func(args)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

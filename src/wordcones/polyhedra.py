@@ -85,6 +85,8 @@ class HCone:
                 raise ValueError(f"normal {a} has wrong dimension (want {self.dim})")
 
     def contains(self, point: Sequence) -> bool:
+        if len(point) != self.dim:
+            raise ValueError(f"point {point} has wrong dimension (want {self.dim})")
         return all(dot(a, point) >= 0 for a in self.ineqs)
 
     def to_json(self) -> dict:
@@ -189,11 +191,6 @@ def _gauss_jordan(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[Vector, ...
         raise InvariantError(f"determinant {num}/{den} is not an integer")
     return d, tuple(primitive(row[k:] if row[i] > 0 else vneg(row[k:]))
                     for i, row in enumerate(m))
-
-
-def det(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix."""
-    return _gauss_jordan(matrix)[0]
 
 
 # ---------------------------------------------------------------------------

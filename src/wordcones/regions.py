@@ -24,9 +24,9 @@ from typing import Iterable, Optional, Sequence
 
 from .polyhedra import (DDState, DegenerateConeError, HCone, InvariantError,
                         NonPointedError, Vector, VCone, _gauss_jordan, dd_cut,
-                        dd_simplex, dd_step, dd_whole, det, dot, holds_on,
-                        identity, nonneg_orthant, primitive, ray_sum_witness,
-                        vneg, zero_set_facets)
+                        dd_simplex, dd_step, dd_whole, dot, holds_on,
+                        identity, primitive, ray_sum_witness, vneg,
+                        zero_set_facets)
 from .words import (BRAID, COMMUTATION, Letters, Move, ReducedWord,
                     apply_move_path, braids, class_graph, commutes,
                     find_move_path, legal_moves, standard_words)
@@ -56,12 +56,15 @@ def _walk(point: Sequence, letters: Letters, moves: Iterable[Move]
           ) -> tuple[tuple, str]:
     """Apply every move numerically: (image, branch bits of the braids).
 
-    The letters travel with the point, so an illegal move raises ValueError
-    instead of mangling coordinates.  A braid's bit is '1' on the a <= c
-    branch, so ties go to that branch.
+    The letters travel with the point, so an illegal move, or a point of
+    the wrong length, raises ValueError instead of mangling coordinates.
+    A braid's bit is '1' on the a <= c branch, so ties go to that branch.
     """
     y = list(point)
     w = list(letters)
+    if len(y) != len(w):
+        raise ValueError(f"point {tuple(y)} has {len(y)} coordinates, "
+                         f"not the {len(w)} of {tuple(w)}")
     bits = []
     for mv in moves:
         t = mv.position - 1
@@ -144,6 +147,9 @@ class Region:
         return len(self.cone.ineqs)
 
     def apply(self, point: Sequence) -> tuple:
+        if len(point) != self.cone.dim:
+            raise ValueError(f"point {point} has wrong dimension "
+                             f"(want {self.cone.dim})")
         return tuple(dot(row, point) for row in self.matrix)
 
 
@@ -382,7 +388,6 @@ def evaluate(src: ReducedWord, dst: ReducedWord, point: Sequence,
 class ClassRegionMatch:
     canonical: Letters
     region_index: int
-    facet_count: int
 
 
 @dataclass(frozen=True)
@@ -398,25 +403,23 @@ class MatchReport:
 
     @property
     def ok(self) -> bool:
-        return (not self.unmatched and self.injective and self.covers_all_minimal
-                and all(m.facet_count == self.minimal_facets for m in self.matches))
+        return not self.unmatched and self.injective and self.covers_all_minimal
 
 
 def _spans(vecs: Sequence[Vector], normals: Sequence[Vector]) -> bool:
-    """Is cone(vecs) = {x : a . x >= 0 for a in normals}, for k independent
-    vecs in dimension k and non-zero normals?  Yes iff all a . v_j >= 0 and
-    for each i some normal vanishes at p_i, the sum of the v_j with j != i.
-    Equal cones put p_i on the boundary, where a normal vanishes.  If all
-    a . v_j >= 0, a normal vanishing at p_i vanishes on each v_j, j != i, so
-    it is a positive multiple of the facet normal of cone(vecs) opposite
-    v_i; then the normals cut out no more than cone(vecs).  The dot products
-    are taken once: a . p_i is a . (v_1 + ... + v_k) - a . v_i."""
-    rows = [tuple(dot(a, v) for v in vecs) for a in normals]
-    if any(x < 0 for row in rows for x in row):
-        return False
-    sums = [sum(row) for row in rows]
-    return all(any(row[i] == s for row, s in zip(rows, sums))
-               for i in range(len(vecs)))
+    """Is cone(vecs) = {x : a . x >= 0 for a in normals}, for k vecs in
+    dimension k and primitive normals (zero-set facets and unit vectors)?
+    Dependent vecs raise InvariantError.  Yes iff each of the k facets of
+    cone(vecs), from the _gauss_jordan pass that gives its determinant, is
+    a normal, and all a . v >= 0.  A full-dimensional cone's facets are
+    among the normals of each of its inequality descriptions up to scaling
+    (Ziegler, Lectures on Polytopes, ch. 2); conversely those facets cut
+    out no more than cone(vecs), and the dot products keep it inside."""
+    d, facets = _gauss_jordan(vecs)
+    if not d:
+        raise InvariantError(f"spanning vectors {tuple(vecs)} are dependent")
+    return (set(facets) <= set(normals)
+            and all(dot(a, v) >= 0 for a in normals for v in vecs))
 
 
 def match_spanned_regions(atlas: RegionAtlas) -> MatchReport:
@@ -430,27 +433,23 @@ def match_spanned_regions(atlas: RegionAtlas) -> MatchReport:
     unmatched, which makes the report not ok.  The probe, the sum of the
     vectors, is interior to S, so to R, and region interiors are disjoint:
     each class looks up the region containing its probe, and _spans
-    compares S with it in integer dot products, with no DD.
+    compares S with it through S's facets, with no DD.
     """
     from .rectangles import spanning_vectors
     rank = atlas.src.rank
-    orth = nonneg_orthant(atlas.dim).ineqs
+    orth = identity(atlas.dim)
     minimal = min(r.facet_count for r in atlas.regions)
     matches, unmatched = [], []
     used: set[int] = set()
     cgraph = class_graph(rank)
     for canonical in sorted(cgraph):  # no class sizes needed
         vecs = spanning_vectors(ReducedWord(rank, canonical))
-        if det(vecs) == 0:
-            raise InvariantError(
-                f"spanning vectors of class {canonical} are dependent")
         idx = atlas._index_containing(tuple(map(sum, zip(*vecs))))
-        region = atlas.regions[idx]
-        if not _spans(vecs, region.cone.ineqs + orth):
+        if not _spans(vecs, atlas.regions[idx].cone.ineqs + orth):
             unmatched.append(canonical)
             continue
         used.add(idx)
-        matches.append(ClassRegionMatch(canonical, idx, region.facet_count))
+        matches.append(ClassRegionMatch(canonical, idx))
     injective = len(used) == len(matches)
     covers = used == {i for i, r in enumerate(atlas.regions)
                       if r.facet_count == minimal}
@@ -525,12 +524,14 @@ def simplicial_decomposition(cone: HCone) -> Decomposition:
     simplicial subcones on its extreme rays with pairwise disjoint interiors.
 
     Certified by volume: c, the sum of the normals, is positive on every
-    extreme ray, and the simplicial cone on rays r_1..r_k meets
-    {c . x <= 1} in a simplex of volume |det(r_1..r_k)| / prod(c . r_i)
+    extreme ray, and the simplicial cone on rays r_1..r_k, of determinant
+    d, meets {c . x <= 1} in a simplex of volume |d| / prod(c . r_i)
     (times 1/k!).  Pieces inside the cone with disjoint interiors cover it
     iff their volumes sum to the cone's, which its pulling triangulation
-    gives.  Subsets are tried by size, so the first cover is minimal; the
-    pulling triangulation is itself a cover, so one is found.
+    gives; its simplices are k-subsets of the sorted rays, so each volume
+    comes from the one elimination per subset.  Subsets are tried by size,
+    so the first cover is minimal; the pulling triangulation is itself a
+    cover, so one is found.
     """
     k = cone.dim
     state = dd_cut(dd_whole(k), cone.ineqs)
@@ -540,8 +541,6 @@ def simplicial_decomposition(cone: HCone) -> Decomposition:
         raise NonPointedError(state[1][0])
     rays = tuple(sorted(state[2]))
     c = tuple(map(sum, zip(*cone.ineqs)))
-    total = sum(_volume(det(s), s, c)
-                for s in _pulling_simplices(rays, cone.ineqs))
     pieces, hforms, states, vols = [], [], [], []
     for s in combinations(rays, k):
         d, facets = _gauss_jordan(s)
@@ -550,6 +549,8 @@ def simplicial_decomposition(cone: HCone) -> Decomposition:
             hforms.append(facets)
             states.append(dd_simplex(s, facets))
             vols.append(_volume(d, s, c))
+    vol = dict(zip(pieces, vols))
+    total = sum(map(vol.__getitem__, _pulling_simplices(rays, cone.ineqs)))
     # pieces overlap iff cutting one by the other's normals leaves an interior
     overlap = {(i, j) for i, j in combinations(range(len(pieces)), 2)
                if dd_cut(states[i], hforms[j]) is not None}
@@ -608,14 +609,14 @@ def class_region_isomorphism_report(atlas: RegionAtlas,
                                     match: MatchReport) -> dict:
     """Compare the class graph and the minimal-region adjacency graph under
     the spanned-cone matching, match_spanned_regions(atlas), whose class
-    graph it reads.  Exploratory: both edge notions are stated
-    interpretations, so the result is reported, not asserted."""
+    graph it reads; its edges map to region pairs only if the match is ok.
+    Exploratory: both edge notions are stated interpretations, so the
+    result is reported, not asserted."""
     rank = atlas.src.rank
     mapping = {m.canonical: m.region_index for m in match.matches}
     cgraph = match.class_graph
     rgraph = region_graph(atlas, minimal_only=True)
-    class_edges = {frozenset((mapping[a], mapping[b]))
-                   for a, nbs in cgraph.items() for b in nbs}
+    class_edges = {frozenset((a, b)) for a, nbs in cgraph.items() for b in nbs}
     region_edges = {frozenset((a, b)) for a, nbs in rgraph.items() for b in nbs}
     return {
         "rank": rank,
@@ -624,5 +625,6 @@ def class_region_isomorphism_report(atlas: RegionAtlas,
         "class_edges": len(class_edges),
         "region_edges": len(region_edges),
         "match_ok": match.ok,
-        "is_isomorphism": match.ok and class_edges == region_edges,
+        "is_isomorphism": match.ok and region_edges == {
+            frozenset(map(mapping.get, e)) for e in class_edges},
     }

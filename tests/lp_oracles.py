@@ -23,7 +23,7 @@ regions and two double descriptions per comparison, the way
 
 The predicates without an underscore have no caller in the library; the
 tests still use them: ``matrix_rank`` and ``bareiss_det`` read the Bareiss
-elimination that ``det`` rested on before it read the library's one
+elimination that the library's determinant rested on before it read its one
 Gauss-Jordan pass, and ``implies`` and ``lp_feasible`` answer from double
 description generators what ``_lp_implies`` and ``_lp_feasible`` answer
 by LP.  ``extreme_rays`` is double description from the whole space,
@@ -36,7 +36,7 @@ from itertools import combinations
 
 from wordcones.polyhedra import (DegenerateConeError, HCone,
                                  NonPointedError, VCone, cone_equal,
-                                 cone_from_rays, dd_step, dd_whole, det, dot,
+                                 cone_from_rays, dd_step, dd_whole, dot,
                                  double_description, hcone, holds_on,
                                  nonneg_orthant, primitive,
                                  solve_inequalities, vcone, vneg)
@@ -232,7 +232,7 @@ def _lp_min_simplicial_cover(cone):
     covers an interior point of what is left, as any cover must."""
     k = cone.dim
     hforms = [cone_from_rays(VCone(k, s)).ineqs
-              for s in combinations(extreme_rays(cone).rays, k) if det(s) != 0]
+              for s in combinations(extreme_rays(cone).rays, k) if bareiss_det(s) != 0]
 
     def covers(left, chosen, size):
         if not left:

@@ -13,7 +13,7 @@ from lp_oracles import (_lp_implies, _lp_interior_point, _lp_irredundant_h,
                         _lp_is_disjoint_cover, _lp_min_simplicial_cover,
                         _lp_subtract_full_dim, _rank_facets,
                         _rank_pulling_simplices, assert_state_invariants,
-                        contains_strictly, extreme_rays,
+                        bareiss_det, contains_strictly, extreme_rays,
                         facets_from_generators, implies, matrix_rank,
                         positive_somewhere, regions_containing,
                         scanned_region_index)
@@ -29,7 +29,7 @@ from wordcones.polyhedra import (DegenerateConeError, HCone, InvariantError,
 from wordcones.regions import (RegionConvexityError, _merge_cells,
                                _pulling_simplices, apply_braid_triple,
                                braid_move_count, class_region_isomorphism_report,
-                               default_move_path, det, detour_move_path,
+                               default_move_path, detour_move_path,
                                enumerate_cells, evaluate, match_spanned_regions,
                                orthant_restriction_analysis, region_graph,
                                simplicial_decomposition, standard_atlas,
@@ -315,6 +315,22 @@ def test_match_reports_a_class_with_no_region(monkeypatch, atlas3, capsys):
     match = json.loads(capsys.readouterr().out)["match"]
     assert match["ok"] is False and len(match["matches"]) == 7
     assert match["unmatched"] == ["".join(map(str, lost))]
+    # the isomorphism report counts class edges on the class graph and
+    # maps none of them through a match that is not ok
+    iso = class_region_isomorphism_report(atlas3, rep)
+    assert iso["match_ok"] is False and iso["is_isomorphism"] is False
+    assert iso["class_edges"] == 8
+    assert cli.main(["regions", "--rank", "3", "--match-classes",
+                     "--isomorphism"]) == 0
+    assert json.loads(capsys.readouterr().out)["isomorphism"] == iso
+
+
+def test_match_is_not_ok_when_a_minimal_region_is_left_over(atlas3):
+    spare = next(r for r in atlas3.regions if r.facet_count == 3)
+    rep = match_spanned_regions(replace(atlas3,
+                                        regions=atlas3.regions + (spare,)))
+    assert not rep.unmatched and rep.injective and len(rep.matches) == 8
+    assert not rep.covers_all_minimal and not rep.ok
 
 
 def test_match_raises_on_dependent_spanning_vectors(monkeypatch, atlas2):
@@ -322,6 +338,19 @@ def test_match_raises_on_dependent_spanning_vectors(monkeypatch, atlas2):
                         lambda word: [(1, 0, 0)] * 3)
     with pytest.raises(InvariantError, match="dependent"):
         match_spanned_regions(atlas2)
+
+
+def test_spans_raises_on_dependent_vectors():
+    with pytest.raises(InvariantError, match="dependent"):
+        regions._spans([(1, 0, 0), (0, 1, 0), (1, 1, 0)], identity(3))
+
+
+def test_spans_needs_every_facet_and_every_normal():
+    # cone(vecs) strictly inside the orthant: a facet (1, -1, 0) is missing
+    assert not regions._spans([(1, 0, 0), (1, 1, 0), (0, 0, 1)], identity(3))
+    # every facet of the orthant is a normal, but (1, -1, 0) cuts it down
+    assert not regions._spans(identity(3), identity(3) + ((1, -1, 0),))
+    assert regions._spans(identity(3), identity(3) + ((1, 1, 0),))
 
 
 def _class_vectors(rank):
@@ -362,15 +391,15 @@ def test_spans_rejects_strict_subcones_and_cones_that_leave(atlas4):
         i, j = rng.sample(range(len(vecs)), 2)
         # v_i -> v_i + v_j keeps every vector in the region: a strict subcone
         inner = vecs[:i] + [tuple(map(sum, zip(vecs[i], vecs[j])))] + vecs[i + 1:]
-        assert det(inner) != 0 and not _spans_by_both(atlas4, inner, region)
+        assert bareiss_det(inner) != 0 and not _spans_by_both(atlas4, inner, region)
         # v_i -> -v_i leaves the orthant
         outer = vecs[:i] + [vneg(vecs[i])] + vecs[i + 1:]
-        assert det(outer) != 0 and not _spans_by_both(atlas4, outer, region)
+        assert bareiss_det(outer) != 0 and not _spans_by_both(atlas4, outer, region)
         # v_i -> another class's probe, interior to another region, leaves
         # this one inside the orthant
         other = _probe(rng.choice([v for v in table if v != vecs]))
         away = vecs[:i] + [other] + vecs[i + 1:]
-        if det(away) != 0:
+        if bareiss_det(away) != 0:
             assert not _spans_by_both(atlas4, away, region)
 
 
@@ -553,7 +582,7 @@ def test_atlas_artifact_golden(atlas3, atlas4, tmp_path):
 def test_region_maps_are_unimodular(atlas2, atlas3, atlas4):
     for atlas in (atlas2, atlas3, atlas4):
         for region in atlas.regions:
-            assert det(region.matrix) in (1, -1)
+            assert bareiss_det(region.matrix) in (1, -1)
 
 
 def test_distinct_matrices(atlas3, atlas4):
@@ -669,18 +698,30 @@ DECOMPOSITION_PIECES_RANK3 = {
 }
 
 
-def test_simplicial_decompositions_rank3(atlas3):
-    sizes, pieces = {}, {}
+def test_simplicial_decompositions_rank3(monkeypatch, atlas3):
+    """The pinned pieces, from one elimination per 6-subset of the rays:
+    C(7, 6) = 7 and C(8, 6) = 28, the pulling simplices' volumes included.
+    The elimination is counted under both modules' names for it."""
+    eliminated = []
+    real = polyhedra._gauss_jordan
+    for module in (polyhedra, regions):
+        monkeypatch.setattr(module, "_gauss_jordan",
+                            lambda rows: eliminated.append(rows) or real(rows))
+    sizes, pieces, calls = {}, {}, {}
     for r in orthant_restriction_analysis(atlas3):
         if r.region_facets != 4:
             continue
+        eliminated.clear()
         dec = simplicial_decomposition(r.cone)
+        rays = extreme_rays(r.cone).rays
+        assert eliminated == list(combinations(rays, atlas3.dim))
+        calls[r.restricted_facets] = len(eliminated)
         _check_decomposition(r.cone, dec)
         sizes[r.restricted_facets] = len(dec.pieces)
         pieces[r.restricted_facets] = [
             " ".join("".join(map(str, ray)) for ray in sorted(p.rays))
             for p in dec.pieces]
-    assert sizes == {8: 2, 9: 4}
+    assert sizes == {8: 2, 9: 4} and calls == {8: 7, 9: 28}
     assert pieces == DECOMPOSITION_PIECES_RANK3
 
 
@@ -814,6 +855,29 @@ def test_walk_rejects_illegal_move(atlas3):
     bad = replace(atlas3, moves=(Move(COMMUTATION, 2),) + atlas3.moves)  # 3,2
     with pytest.raises(ValueError):
         bad.region_containing(x)
+
+
+@pytest.mark.parametrize("length", [5, 7])
+def test_a_point_of_the_wrong_length_raises(monkeypatch, atlas3, length):
+    """Rank 3 has k = 6 coordinates; every entry point that walks or dots
+    a point of k - 1 or k + 1 of them raises instead of truncating it."""
+    x = tuple(range(1, length + 1))
+    j, jp = standard_words(3)
+    region = atlas3.regions[0]
+    for call in (lambda: regions.evaluate_along(x, j.letters, atlas3.moves),
+                 lambda: evaluate(j, jp, x),
+                 lambda: atlas3.evaluate(x),
+                 lambda: atlas3.region_containing(x),
+                 lambda: region.apply(x),
+                 lambda: region.cone.contains(x),
+                 lambda: nonneg_orthant(6).contains(x)):
+        with pytest.raises(ValueError, match="point"):
+            call()
+    # the match's probe lookup walks the sum of the spanning vectors
+    monkeypatch.setattr(rectangles, "spanning_vectors",
+                        lambda word: list(identity(length)))
+    with pytest.raises(ValueError, match="point"):
+        match_spanned_regions(atlas3)
 
 
 def _tie_points(atlas, seed, count):
