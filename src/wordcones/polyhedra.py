@@ -183,7 +183,7 @@ def _gauss_jordan(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[Vector, ...
             if f and r != c:
                 new = [piv * x - f * y for x, y in zip(row, prow)]
                 g = gcd(*new)
-                m[r] = [x // g for x in new]
+                m[r] = [x // g for x in new] if g > 1 else new
                 num, den = num * g, den * piv
     num *= prod(row[i] for i, row in enumerate(m))
     d, rest = divmod(num, den)
@@ -346,12 +346,31 @@ def dd_step(state: DDState, a: Sequence) -> DDState:
     normals in primitive form; a zero normal changes nothing and takes no
     bit.
     """
+    return _step(state, a, False)[0]
+
+
+def dd_split(state: DDState, a: Sequence
+             ) -> tuple[Optional[DDState], Optional[DDState]]:
+    """(dd_cut(state, (a,)), dd_cut(state, (-a,))) from one pass.
+
+    a . g is taken once per generator.  A line a meets gives both sides the
+    same projected lines and rays, and the ray z or -z.  Otherwise the rays
+    an adjacent pair makes on a . x = 0 are the same for both sides, so each
+    pair takes one adjacency test.  A side is None exactly when dd_cut's
+    would be: no line meets a and no ray lies strictly on that side.
+    """
+    return _step(state, a, True)
+
+
+def _step(state: DDState, a: Sequence, split: bool
+          ) -> tuple[Optional[DDState], Optional[DDState]]:
+    """(dd_step by a, dd_step by -a), each None when it keeps no interior,
+    when split; else only the first, never None, is made."""
     a = primitive(a)
     if not any(a):
-        return state
+        return state, state
     normals, lines, zeros = state
     bit = 1 << len(normals)
-    normals += (a,)
     dl = [dot(a, l) for l in lines]
     pivot = next((i for i, d in enumerate(dl) if d != 0), None)
     if pivot is not None:
@@ -364,30 +383,44 @@ def dd_step(state: DDState, a: Sequence) -> DDState:
         new_lines = tuple([project(l, d) for i, (l, d) in enumerate(zip(lines, dl))
                            if i != pivot])
         projected = {project(r, dot(a, r)): m | bit for r, m in zeros.items()}
+        down = ((normals + (vneg(a),), new_lines,
+                 {**projected, vneg(z): bit - 1}) if split else None)
         projected[z] = bit - 1
-        return normals, new_lines, projected
+        return (normals + (a,), new_lines, projected), down
     ds = {r: dot(a, r) for r in zeros}
     pos = [r for r, d in ds.items() if d > 0]
-    zero = [r for r, d in ds.items() if d == 0]
     neg = [r for r, d in ds.items() if d < 0]
+    on = {r: zeros[r] | bit for r, d in ds.items() if d == 0}
     if not neg:  # nothing is cut off; the rays on the hyperplane gain its bit
-        if zero:
-            zeros = {r: m | bit if ds[r] == 0 else m for r, m in zeros.items()}
-        return normals, lines, zeros
-    kept = {r: zeros[r] for r in pos}
-    kept.update((r, zeros[r] | bit) for r in zero)
+        whole = normals + (a,), lines, {**zeros, **on} if on else zeros
+        return (whole if pos or not split else None), None
+    if not pos:
+        if split:
+            return None, (normals + (vneg(a),), lines,
+                          {**zeros, **on} if on else zeros)
+        return (normals + (a,), lines, on), None
     need = len(a) - len(lines) - 2
     masks = list(zeros.values())
-    for p in pos:
+    made = []  # (n's index, p's index, ray, mask), p-major
+    for i, p in enumerate(pos):
         dp, mp = ds[p], zeros[p]
-        for n in neg:
+        for j, n in enumerate(neg):
             common = mp & zeros[n]
             if common.bit_count() < need or _shared_by_three(common, masks):
                 continue
             dn = ds[n]
-            kept[primitive([dp * x - dn * y
-                            for x, y in zip(n, p)])] = common | bit
-    return normals, lines, kept
+            made.append((j, i, primitive([dp * x - dn * y
+                                          for x, y in zip(n, p)]), common | bit))
+    kept = {r: zeros[r] for r in pos}
+    kept.update(on)
+    kept.update((r, m) for _, _, r, m in made)
+    if not split:
+        return (normals + (a,), lines, kept), None
+    # -a pairs the same rays n-major, the order its dd_step makes them in
+    other = {r: zeros[r] for r in neg}
+    other.update(on)
+    other.update((r, m) for _, _, r, m in sorted(made))
+    return (normals + (a,), lines, kept), (normals + (vneg(a),), lines, other)
 
 
 def _shared_by_three(common: int, masks: list[int]) -> bool:

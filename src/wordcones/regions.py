@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 
 from .polyhedra import (DDState, DegenerateConeError, HCone, InvariantError,
                         NonPointedError, Vector, VCone, _gauss_jordan, dd_cut,
-                        dd_simplex, dd_step, dd_whole, dot, holds_on,
+                        dd_simplex, dd_split, dd_step, dd_whole, dot, holds_on,
                         identity, primitive, ray_sum_witness, vneg,
                         zero_set_facets)
 from .words import (BRAID, COMMUTATION, Letters, Move, ReducedWord,
@@ -218,12 +218,13 @@ def enumerate_cells(src: ReducedWord, moves: Sequence[Move]) -> list[Cell]:
     """Depth-first branch enumeration, pruning branches with empty interior.
 
     Each branch carries its cell's double-description state, and a leaf
-    hands it to its Cell whole.  A braid guard's side {g . x >= 0} is dd_cut
-    from it, which also says whether that side keeps an interior, so the
-    state stays equal to double description of the guards, its normals,
-    from scratch.  A guard already on the branch, or its negation, decides
-    the branch with no cut (guards are primitive).  The moves are taken to
-    be legal for src; transition_atlas checks them.
+    hands it to its Cell whole.  A new guard g takes one dd_split of it,
+    which gives both sides {g . x >= 0} and {g . x <= 0} and says which of
+    them keeps an interior, so the state stays equal to double description
+    of the guards, its normals, from scratch.  A guard already on the
+    branch, or its negation, decides the branch with no cut (guards are
+    primitive).  The moves are taken to be legal for src; transition_atlas
+    checks them.
     """
     k = len(src.letters)
     cells: list[Cell] = []
@@ -250,12 +251,9 @@ def enumerate_cells(src: ReducedWord, moves: Sequence[Move]) -> list[Cell]:
                 rows = _braid_rows(rows, t, low=False)
                 bits += "0"
                 continue
-            sides = []
-            for bit, gg in (("1", g), ("0", vneg(g))):
-                side = dd_cut(state, (gg,))
-                if side is not None:
-                    sides.append((_braid_rows(rows, t, bit == "1"), side,
-                                  bits + bit))
+            sides = [(_braid_rows(rows, t, bit == "1"), side, bits + bit)
+                     for bit, side in zip("10", dd_split(state, g))
+                     if side is not None]
             if not sides:
                 raise InvariantError("both braid branches are empty")
             # continue along the first option; push the rest
@@ -344,8 +342,9 @@ def transition_atlas(src: ReducedWord, dst: ReducedWord,
     """Atlas of the regions of linearity of the src-to-dst transition map.
 
     The 144-region standard-word atlas of rank 4 comes from 214 leaf cells.
-    Rank 5 is slow: the peel path has 20 braids, and its 18,273 cells merge
-    into 6,608 regions in 12-20 s under python -O (CPython 3.11, 2 vCPUs).
+    Rank 5 is slow: the peel path has 20 braids, and its 18,273 cells,
+    enumerated in 2-3.5 s, merge into 6,608 regions in 11-16 s in all under
+    python -O (CPython 3.11, 2 vCPUs).
     A group is popped as it merges, freeing its cells; its region keeps only
     the state _merge_cells returns.  A rank above 5 raises before any
     cell is enumerated.
@@ -409,17 +408,23 @@ class MatchReport:
 def _spans(vecs: Sequence[Vector], normals: Sequence[Vector]) -> bool:
     """Is cone(vecs) = {x : a . x >= 0 for a in normals}, for k vecs in
     dimension k and primitive normals (zero-set facets and unit vectors)?
-    Dependent vecs raise InvariantError.  Yes iff each of the k facets of
-    cone(vecs), from the _gauss_jordan pass that gives its determinant, is
-    a normal, and all a . v >= 0.  A full-dimensional cone's facets are
+    Dependent vecs raise InvariantError.  Read off the table of a . v: every
+    entry must be >= 0, and facet i of cone(vecs) is present when a normal
+    vanishes on every v_j, j != i, and is positive on v_i.  All k present
+    make the normals' rows on vecs diagonal, so vecs are independent, and
+    each x with every a . x >= 0 has non-negative coordinates in vecs: the
+    two cones are equal.  Conversely a full-dimensional cone's facets are
     among the normals of each of its inequality descriptions up to scaling
-    (Ziegler, Lectures on Polytopes, ch. 2); conversely those facets cut
-    out no more than cone(vecs), and the dot products keep it inside."""
-    d, facets = _gauss_jordan(vecs)
-    if not d:
+    (Ziegler, Lectures on Polytopes, ch. 2).  Only a no runs _gauss_jordan,
+    to tell dependent vecs apart."""
+    table = [[dot(a, v) for v in vecs] for a in normals]
+    supports = [[i for i, d in enumerate(row) if d] for row in table]
+    if (all(d >= 0 for row in table for d in row)
+            and len({s[0] for s in supports if len(s) == 1}) == len(vecs)):
+        return True
+    if not _gauss_jordan(vecs)[0]:
         raise InvariantError(f"spanning vectors {tuple(vecs)} are dependent")
-    return (set(facets) <= set(normals)
-            and all(dot(a, v) >= 0 for a in normals for v in vecs))
+    return False
 
 
 def match_spanned_regions(atlas: RegionAtlas) -> MatchReport:
@@ -433,7 +438,8 @@ def match_spanned_regions(atlas: RegionAtlas) -> MatchReport:
     unmatched, which makes the report not ok.  The probe, the sum of the
     vectors, is interior to S, so to R, and region interiors are disjoint:
     each class looks up the region containing its probe, and _spans
-    compares S with it through S's facets, with no DD.
+    compares S with it through the zero sets of their dot table, with no DD
+    and no elimination.
     """
     from .rectangles import spanning_vectors
     rank = atlas.src.rank

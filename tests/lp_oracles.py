@@ -20,6 +20,9 @@ products.
 ``scanned_region_index`` is the class-to-region match by a scan over all
 regions and two double descriptions per comparison, the way
 ``regions.match_spanned_regions`` matched before it looked the probe up.
+``eliminated_spans`` is ``regions._spans`` as it was before it read the
+spanned cone's facets off the dot table: it takes them from the
+elimination that gives the determinant.
 
 The predicates without an underscore have no caller in the library; the
 tests still use them: ``matrix_rank`` and ``bareiss_det`` read the Bareiss
@@ -34,11 +37,11 @@ states (``lusztig.spanning_rays``, ``regions.simplicial_decomposition``).
 from functools import reduce
 from itertools import combinations
 
-from wordcones.polyhedra import (DegenerateConeError, HCone,
-                                 NonPointedError, VCone, cone_equal,
-                                 cone_from_rays, dd_step, dd_whole, dot,
-                                 double_description, hcone, holds_on,
-                                 nonneg_orthant, primitive,
+from wordcones.polyhedra import (DegenerateConeError, HCone, InvariantError,
+                                 NonPointedError, VCone, _gauss_jordan,
+                                 cone_equal, cone_from_rays, dd_step,
+                                 dd_whole, dot, double_description, hcone,
+                                 holds_on, nonneg_orthant, primitive,
                                  solve_inequalities, vcone, vneg)
 
 
@@ -261,3 +264,16 @@ def scanned_region_index(atlas, vecs):
                  if region.cone.contains(probe)
                  and cone_equal(spanned, hcone(region.cone.ineqs + orth,
                                                atlas.dim))), None)
+
+
+def eliminated_spans(vecs, normals):
+    """Is cone(vecs) = {x : a . x >= 0 for a in normals}, for k vecs in
+    dimension k and primitive normals?  Dependent vecs raise
+    InvariantError.  Yes iff each of the k facets of cone(vecs), from the
+    _gauss_jordan pass that gives its determinant, is a normal, and all
+    a . v >= 0."""
+    d, facets = _gauss_jordan(vecs)
+    if not d:
+        raise InvariantError(f"spanning vectors {tuple(vecs)} are dependent")
+    return (set(facets) <= set(normals)
+            and all(dot(a, v) >= 0 for a in normals for v in vecs))

@@ -3,6 +3,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from math import gcd
+from operator import sub
 
 import pytest
 
@@ -15,8 +16,8 @@ from wordcones import polyhedra
 from wordcones.lusztig import lusztig_cone
 from wordcones.polyhedra import (DegenerateConeError, HCone, NonPointedError,
                                  VCone, _gauss_jordan, cone_equal,
-                                 cone_from_rays, dd_cut, dd_simplex, dd_step,
-                                 dd_whole, dot, double_description,
+                                 cone_from_rays, dd_cut, dd_simplex, dd_split,
+                                 dd_step, dd_whole, dot, double_description,
                                  hcone, identity, interior_point,
                                  irredundant_h, nonneg_orthant, primitive,
                                  solve_inequalities, subtract_full_dim, vcone,
@@ -164,6 +165,43 @@ def test_dd_cut_matches_lp_and_the_plain_fold():
     assert {(True, True, True, True), (True, False, True, True),
             (True, False, False, True), (False, False, False, True),
             (False, False, True, True)} <= shapes, shapes
+
+
+def test_dd_split_is_both_dd_cuts_on_seeded_states():
+    """dd_split(state, a) is (dd_cut(state, (a,)), dd_cut(state, (-a,))):
+    the same sides, None or not, with the same normals, lines, and rays with
+    their masks in the same order.  The seeded states have lines or none and
+    are full-dimensional or, from a plain dd_step fold, not.  They are cut
+    by seeded normals, by one of their own normals or its negation (one
+    side empty), by the difference of two (zero on the lines, not on the
+    rays), and by a zero normal (both sides the state)."""
+    rng = random.Random(29)
+    shapes = set()
+    for _ in range(300):
+        dim = rng.randrange(2, 7)
+        rows = _random_system(rng, dim)[:rng.randrange(dim + 3)]
+        state = dd_cut(dd_whole(dim), rows) or \
+            reduce(dd_step, rows, dd_whole(dim))
+        pick = rng.random()
+        if pick < 0.1:
+            a = (0,) * dim
+        elif pick < 0.3 and rows:
+            a = rng.choice([rng.choice(rows), vneg(rng.choice(rows))])
+        elif pick < 0.45 and rows:  # zero on the lines, like every row
+            a = tuple(map(sub, rng.choice(rows), rng.choice(rows)))
+        else:
+            a = tuple(rng.randrange(-3, 4) for _ in range(dim))
+        got = dd_split(state, a)
+        want = (dd_cut(state, (a,)), dd_cut(state, (vneg(a),)))
+        assert [s and _state_items(s) for s in got] == \
+            [s and _state_items(s) for s in want], (rows, a)
+        lines = bool(state[1]) + any(dot(a, l) for l in state[1])
+        shapes.add((lines, got.count(None), any(a)))
+    # no lines, lines a vanishes on, or a line a meets; both sides kept,
+    # one empty, or both when the cone lies in a . x = 0; zero normals
+    assert {(0, 0, True), (0, 1, True), (0, 2, True), (1, 0, True),
+            (1, 1, True), (2, 0, True), (0, 0, False),
+            (1, 0, False)} <= shapes, shapes
 
 
 def test_dd_states_describe_themselves_on_seeded_folds():

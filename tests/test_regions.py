@@ -13,15 +13,15 @@ from lp_oracles import (_lp_implies, _lp_interior_point, _lp_irredundant_h,
                         _lp_is_disjoint_cover, _lp_min_simplicial_cover,
                         _lp_subtract_full_dim, _rank_facets,
                         _rank_pulling_simplices, assert_state_invariants,
-                        bareiss_det, contains_strictly, extreme_rays,
-                        facets_from_generators, implies, matrix_rank,
-                        positive_somewhere, regions_containing,
+                        bareiss_det, contains_strictly, eliminated_spans,
+                        extreme_rays, facets_from_generators, implies,
+                        matrix_rank, positive_somewhere, regions_containing,
                         scanned_region_index)
 from wordcones import cli, polyhedra, rectangles, regions
 from wordcones.polyhedra import (DegenerateConeError, HCone, InvariantError,
                                  NonPointedError, cone_equal,
-                                 cone_from_rays, dd_cut, dd_step, dd_whole,
-                                 dot, double_description, hcone,
+                                 cone_from_rays, dd_cut, dd_split, dd_step,
+                                 dd_whole, dot, double_description, hcone,
                                  identity, interior_point, irredundant_h,
                                  nonneg_orthant, primitive, ray_sum_witness,
                                  solve_inequalities, vcone, vneg,
@@ -403,6 +403,34 @@ def test_spans_rejects_strict_subcones_and_cones_that_leave(atlas4):
             assert not _spans_by_both(atlas4, away, region)
 
 
+def test_spans_agrees_with_the_elimination_oracle(atlas3, atlas4):
+    """At ranks 3 and 4 the dot-table check gives the elimination's answer
+    for every class with its matched region, a yes, and with the region
+    the next class matched, a no."""
+    for atlas in (atlas3, atlas4):
+        orth = identity(atlas.dim)
+        table = _class_vectors(atlas.src.rank)
+        matched = [m.region_index for m in match_spanned_regions(atlas).matches]
+        assert len(matched) == len(table)
+        for vecs, idx, wrong in zip(table, matched, matched[1:] + matched[:1]):
+            for j, want in ((idx, True), (wrong, False)):
+                normals = atlas.regions[j].cone.ineqs + orth
+                assert regions._spans(vecs, normals) == \
+                    eliminated_spans(vecs, normals) == want, (vecs, j)
+
+
+def test_match_runs_no_elimination(monkeypatch, atlas4):
+    calls = []
+    real = polyhedra._gauss_jordan
+    for module in (polyhedra, regions):
+        monkeypatch.setattr(module, "_gauss_jordan",
+                            lambda rows: calls.append(rows) or real(rows))
+    assert match_spanned_regions(atlas4).ok and calls == []
+    with pytest.raises(InvariantError, match="dependent"):
+        regions._spans([(1, 0, 0), (0, 1, 0), (1, 1, 0)], identity(3))
+    assert len(calls) == 1
+
+
 def test_match_looks_up_the_scanned_region(atlas2, atlas3, atlas4):
     for atlas in (atlas2, atlas3, atlas4):
         rep = match_spanned_regions(atlas)
@@ -418,7 +446,7 @@ def test_match_runs_no_double_description(monkeypatch, atlas4):
 
     for name, module in list(sys.modules.items()):
         if name.startswith("wordcones"):
-            for fn in ("double_description", "dd_step", "dd_cut",
+            for fn in ("double_description", "dd_step", "dd_cut", "dd_split",
                        "cone_from_rays", "cone_equal"):
                 if hasattr(module, fn):
                     monkeypatch.setattr(module, fn, refuse)
@@ -535,27 +563,34 @@ def test_carried_generators_match_double_description():
 
 
 def test_enumeration_cuts_each_new_guard_once(monkeypatch):
-    """The enumeration cuts both sides of each guard that is new on its
-    branch and decides a repeated guard, or its negation, without a cut:
-    the dd_cut calls and the empty ones are pinned at ranks 3 and 4."""
-    calls = {"all": 0, "empty": 0}
+    """The enumeration splits each guard that is new on its branch once,
+    into both sides, and decides a repeated guard, or its negation, without
+    a cut: the dd_split calls and the empty sides are pinned at ranks 3 and
+    4, and no dd_cut is made."""
+    calls = {"split": 0, "empty": 0, "cut": 0}
 
-    def counted(state, ineqs):
-        cut = dd_cut(state, ineqs)
-        calls["all"] += 1
-        calls["empty"] += cut is None
-        return cut
-    monkeypatch.setattr(regions, "dd_cut", counted)
-    for rank, expected in ((3, (26, 3)), (4, (794, 184))):
-        calls.update(all=0, empty=0)
+    def counted(state, a):
+        sides = dd_split(state, a)
+        calls["split"] += 1
+        calls["empty"] += sides.count(None)
+        return sides
+
+    def cut(state, ineqs):
+        calls["cut"] += 1
+        return dd_cut(state, ineqs)
+    monkeypatch.setattr(regions, "dd_split", counted)
+    monkeypatch.setattr(regions, "dd_cut", cut)
+    for rank, expected in ((3, (13, 3)), (4, (397, 184))):
+        calls.update(split=0, empty=0, cut=0)
         cells, _ = _standard_cells(rank)
-        assert (calls["all"], calls["empty"]) == expected, rank
+        assert (calls["split"], calls["empty"], calls["cut"]) == \
+            expected + (0,), rank
         assert len(cells) == {3: 11, 4: 214}[rank]
 
 
 def test_both_branches_empty_raises_typed_error(monkeypatch):
-    # a side test that finds no interior on either side leaves no branch
-    monkeypatch.setattr(regions, "dd_cut", lambda state, ineqs: None)
+    # a split that finds no interior on either side leaves no branch
+    monkeypatch.setattr(regions, "dd_split", lambda state, a: (None, None))
     j, jp = standard_words(3)
     with pytest.raises(InvariantError, match="both braid branches"):
         enumerate_cells(j, default_move_path(j, jp))
