@@ -268,8 +268,8 @@ def _verify_a2(checks):
 def _verify_a3(checks):
     atlas = _verify_rank(checks, 3, 16, 8, {3: 8, 4: 2})
     lc = lusztig_cone(parse_word("132132"))
-    expected = {(-1, 0, 1, -1, 0, 0), (0, -1, 1, 0, -1, 0), (0, 0, -1, 1, 1, -1)}
-    _check(checks, "a3.lusztig_cone_132132", expected, set(lc.cone.ineqs))
+    expected = [(-1, 0, 1, -1, 0, 0), (0, -1, 1, 0, -1, 0), (0, 0, -1, 1, 1, -1)]
+    _check(checks, "a3.lusztig_cone_132132", expected, sorted(lc.cone.ineqs))
     restrictions = orthant_restriction_analysis(atlas)
     restricted = sorted((r.region_facets, r.restricted_facets)
                         for r in restrictions)
@@ -339,8 +339,8 @@ def _verify_properties(checks):
         a1 = standard_atlas(rank)
         a2 = transition_atlas(j, jp, detour_move_path(j, jp))
         _check(checks, f"properties.path_independence_rank{rank}",
-               {(r.matrix, r.cone.ineqs) for r in a1.regions},
-               {(r.matrix, r.cone.ineqs) for r in a2.regions})
+               sorted((r.matrix, r.cone.ineqs) for r in a1.regions),
+               sorted((r.matrix, r.cone.ineqs) for r in a2.regions))
 
 
 _SUITES = {

@@ -81,10 +81,7 @@ def _walk(point: Sequence, letters: Letters, moves: Iterable[Move]
 
 
 def evaluate_along(point: Sequence, letters: Letters, moves: Iterable[Move]) -> tuple:
-    """Branch-free exact evaluation: apply every move numerically.
-
-    An illegal move for the word ``letters`` raises ValueError.
-    """
+    """Branch-free exact evaluation along moves; an illegal one raises."""
     return _walk(point, letters, moves)[0]
 
 
@@ -103,11 +100,8 @@ def braid_move_count(moves: Iterable[Move]) -> int:
 def detour_move_path(src: ReducedWord, dst: ReducedWord) -> list[Move]:
     """A valid but deliberately non-minimal path for path-independence audits:
     one move applied and undone (a braid when available), then the peel path."""
-    moves = legal_moves(src)
-    braids = [m for m in moves if m.kind == BRAID]
-    prefix = [braids[0], braids[0]] if braids else \
-        ([moves[0], moves[0]] if moves else [])
-    return list(prefix) + find_move_path(src, dst)
+    moves = sorted(legal_moves(src), key=lambda m: m.kind != BRAID)
+    return moves[:1] * 2 + find_move_path(src, dst)
 
 
 # ---------------------------------------------------------------------------
@@ -116,15 +110,11 @@ def detour_move_path(src: ReducedWord, dst: ReducedWord) -> list[Move]:
 
 @dataclass(frozen=True)
 class Cell:
-    """One full-dimensional leaf of the branch enumeration.
-
-    ``bits`` records the branch taken at every braid move along the path
-    ('1' for the a <= c branch), which makes locating a point's cell a plain
-    numeric walk plus one dictionary lookup.  ``state`` is the
-    double-description state of the cell, the fold of dd_step over its
-    guards from dd_whole: the guards, taken on the branch in order, are its
-    normals ``state[0]``, and its rays carry their zero sets among them.
-    """
+    """One full-dimensional leaf of the branch enumeration: its matrix
+    ``rows``; its ``bits``, the branch taken at each braid move ('1' for
+    a <= c), which RegionAtlas.bits_index maps to its region; and ``state``,
+    the double-description state of its guards, taken on the branch in order
+    from dd_whole as its normals, its rays carrying their zero sets."""
 
     rows: tuple[Vector, ...]
     bits: str
@@ -155,7 +145,9 @@ class Region:
 
 @dataclass(frozen=True)
 class RegionAtlas:
-    """All regions of linearity of the map from src- to dst-coordinates."""
+    """All regions of linearity of the map from src- to dst-coordinates.
+    A point is located by one walk along moves and one bits_index lookup,
+    and at a tie by one more walk of the point scaled and perturbed."""
 
     src: ReducedWord
     dst: ReducedWord
@@ -180,15 +172,23 @@ class RegionAtlas:
         return self.regions[self._index_containing(point)]
 
     def _index_containing(self, point: Sequence) -> int:
-        idx = self.bits_index.get(_walk(point, self.src.letters, self.moves)[1])
-        if idx is not None:
-            return idx
-        # a tie at a guard boundary can walk into a pruned branch; any region
-        # whose cone contains the point agrees with the map there
-        for idx, r in enumerate(self.regions):
-            if r.cone.contains(point):
-                return idx
-        raise InvariantError(f"atlas does not cover {point}")
+        """Look up the point's walk bits.  A tie at a guard may walk a branch
+        no cell kept; then x = primitive(point), a positive multiple, walks
+        again as q_i = x_i B^k + B^(k-1-i) = B^k (x + e e_1 + ... + e^k e_k),
+        with B = 3^(braids+1) = 1/e (simulation of simplicity).  Each guard g
+        on q's branch is a row difference of an invertible matrix, so g != 0,
+        and |g_i| <= 2 * 3^(braids-1) < B - 1, as a braid at most triples a
+        row's largest entry.  So g . q has the lexicographic sign of (g . x,
+        g_1, ..., g_k), never 0: q is interior to a kept cell, x is in its
+        closure, so in its region, whose matrix maps x as the walk does."""
+        bits = _walk(point, self.src.letters, self.moves)[1]
+        if bits not in self.bits_index:  # a tie took a pruned branch
+            k, b = self.dim, 3 ** (braid_move_count(self.moves) + 1)
+            q = [x * b**k + b**(k - 1 - i) for i, x in enumerate(primitive(point))]
+            bits = _walk(q, self.src.letters, self.moves)[1]
+        if bits not in self.bits_index:
+            raise InvariantError(f"atlas does not cover {point}")
+        return self.bits_index[bits]
 
     def to_json(self) -> dict:
         """The artifact `wordcones regions --json` writes."""

@@ -3,8 +3,9 @@ import json
 import random
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -915,35 +916,84 @@ def test_a_point_of_the_wrong_length_raises(monkeypatch, atlas3, length):
         match_spanned_regions(atlas3)
 
 
-def _tie_points(atlas, seed, count):
-    """The origin and the seeded points of [0, 50)^k whose walk ties at a
-    guard and takes a branch no cell kept, so it misses bits_index."""
-    rng = random.Random(seed)
-    points = [(0,) * atlas.dim] + [
-        tuple(rng.randrange(0, 50) for _ in range(atlas.dim))
-        for _ in range(count)]
+def _ties(atlas, points):
+    """The points whose walk ties at a guard and takes a branch no cell
+    kept, so it misses bits_index."""
     return [x for x in points if regions._walk(
         x, atlas.src.letters, atlas.moves)[1] not in atlas.bits_index]
 
 
-def test_lookup_falls_back_to_a_scan_at_ties(atlas3, atlas4):
-    for atlas, seed, least in ((atlas3, 3, 10), (atlas4, 4, 30)):
-        ties = _tie_points(atlas, seed, 2_000)
-        assert ties[0] == (0,) * atlas.dim and len(ties) > least
-        for x in ties:
-            region = atlas.region_containing(x)
-            assert region.cone.contains(x)
+def _tie_points(atlas, seed, count):
+    """The origin and the seeded points of [0, 50)^k that tie."""
+    rng = random.Random(seed)
+    return _ties(atlas, [(0,) * atlas.dim] + [
+        tuple(rng.randrange(0, 50) for _ in range(atlas.dim))
+        for _ in range(count)])
+
+
+def _halves(seed, k, count):
+    """Seeded points of {-2, -3/2, ..., 2}^k, with Fraction coordinates."""
+    rng = random.Random(seed)
+    return [tuple(Fraction(rng.randrange(-4, 5), 2) for _ in range(k))
+            for _ in range(count)]
+
+
+def test_lookup_resolves_ties_without_a_scan(monkeypatch, atlas2, atlas3,
+                                             atlas4):
+    """A lookup walks the point once, and at a tie once more, scaled and
+    perturbed; it scans no region, so HCone.contains is never called.  The
+    located region is among those the scan oracle finds, and maps the point
+    as the walk does.  Rank 2 has one braid, both of whose branches are
+    kept, so no rank-2 walk misses."""
+    cases = [(atlas2, list(product((-1, 0, 1), repeat=3)), 0),
+             (atlas2, _halves(2, 3, 200), 0),
+             (atlas3, _tie_points(atlas3, 3, 2_000), 10),
+             (atlas3, list(product((-1, 0, 1), repeat=6)), 100),
+             (atlas3, _ties(atlas3, _halves(3, 6, 500)), 20),
+             (atlas4, _tie_points(atlas4, 4, 2_000), 30),
+             (atlas4, _ties(atlas4, _halves(4, 10, 500)), 50)]
+    ties = [len(_ties(atlas, points)) for atlas, points, _ in cases]
+    for n, (_, _, least) in zip(ties, cases):
+        assert n >= least
+    assert ties[:2] == [0, 0]
+    assert cases[2][1][0] == (0,) * 6 and cases[5][1][0] == (0,) * 10
+    contains, walk = HCone.contains, regions._walk
+    scans, walks, located = [], [], []
+    monkeypatch.setattr(HCone, "contains",
+                        lambda cone, x: scans.append(x) or contains(cone, x))
+    monkeypatch.setattr(regions, "_walk",
+                        lambda *args: walks.append(args) or walk(*args))
+    for (atlas, points, _), n in zip(cases, ties):
+        walks.clear()
+        located.append([atlas.region_containing(x) for x in points])
+        assert len(walks) == len(points) + n
+    assert scans == []
+    monkeypatch.undo()
+    for (atlas, points, _), found in zip(cases, located):
+        for x, region in zip(points, found):
+            assert any(region is r for r in regions_containing(atlas, x))
             assert region.apply(x) == atlas.evaluate(x)
 
 
-def test_lookup_raises_where_the_atlas_does_not_cover(atlas3):
+def test_lookup_raises_where_the_atlas_does_not_cover(monkeypatch, atlas3):
+    """The lookup trusts bits_index, at a tie as everywhere else: a point
+    whose reached key is stripped from it raises, whether it ties or not."""
     x = next(x for x in _tie_points(atlas3, 3, 2_000) if any(x))
-    uncovering = replace(atlas3, regions=tuple(
-        r for r in atlas3.regions if not r.cone.contains(x)))
+    walk = regions._walk
+    for point in (x, (1, 2, 3, 4, 5, 6)):
+        reached = []
+        monkeypatch.setattr(regions, "_walk", lambda *args: reached.append(
+            walk(*args)) or reached[-1])
+        atlas3.region_containing(point)
+        monkeypatch.undo()
+        assert len(reached) == (2 if point == x else 1)
+        stripped = replace(atlas3, bits_index={
+            bits: i for bits, i in atlas3.bits_index.items()
+            if bits != reached[-1][1]})
+        with pytest.raises(InvariantError, match="atlas does not cover"):
+            stripped.region_containing(point)
     with pytest.raises(InvariantError, match="atlas does not cover"):
-        uncovering.region_containing(x)
-    with pytest.raises(InvariantError, match="atlas does not cover"):
-        replace(atlas3, regions=()).region_containing((0,) * atlas3.dim)
+        replace(atlas3, bits_index={}).region_containing((0,) * atlas3.dim)
 
 
 def test_atlas_between_random_words_is_consistent():
