@@ -192,6 +192,22 @@ def cmd_rectangles(args) -> int:
 # regions
 # ---------------------------------------------------------------------------
 
+def _write_atlas(atlas, fh) -> None:
+    """The atlas artifact, json.dump(payload, fh, indent=2, sort_keys=True)
+    and a newline, written one region at a time."""
+    head, tail = json.dumps({"dst": str(atlas.dst), "rank": atlas.src.rank,
+                             "regions": [None], "src": str(atlas.src)},
+                            indent=2, sort_keys=True).split("    null")
+    fh.write(head)
+    for i, r in enumerate(atlas.regions):
+        region = {"facets": r.facet_count,
+                  "ineqs": [list(map(str, g)) for g in r.cone.ineqs],
+                  "matrix": [list(map(str, row)) for row in r.matrix]}
+        fh.write((",\n    " if i else "    ") + json.dumps(
+            region, indent=2, sort_keys=True).replace("\n", "\n    "))
+    fh.write(tail + "\n")
+
+
 def cmd_regions(args) -> int:
     atlas = standard_atlas(args.rank)
     payload = {
@@ -226,8 +242,7 @@ def cmd_regions(args) -> int:
         payload["isomorphism"] = class_region_isomorphism_report(atlas, report)
     if args.json_file:
         with open(args.json_file, "w", encoding="utf-8") as fh:
-            json.dump(atlas.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            _write_atlas(atlas, fh)
         payload["written"] = args.json_file
     _emit(payload)
     return 0

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
-from math import prod
+from functools import cache
+from itertools import accumulate, combinations
+from math import lcm, prod
 from operator import add, sub
 from typing import Iterable, Optional, Sequence
 
@@ -189,14 +190,6 @@ class RegionAtlas:
         if bits not in self.bits_index:
             raise InvariantError(f"atlas does not cover {point}")
         return self.bits_index[bits]
-
-    def to_json(self) -> dict:
-        """The artifact `wordcones regions --json` writes."""
-        def strs(rows):
-            return [[str(x) for x in row] for row in rows]
-        return {"rank": self.src.rank, "src": str(self.src), "dst": str(self.dst),
-                "regions": [{"matrix": strs(r.matrix), "ineqs": strs(r.cone.ineqs),
-                             "facets": r.facet_count} for r in self.regions]}
 
 
 def _swap_rows(rows: tuple[Vector, ...], t: int) -> tuple[Vector, ...]:
@@ -525,6 +518,22 @@ def _volume(d: int, rays: Sequence[Vector], c: Vector) -> Fraction:
     return Fraction(abs(d), prod(dot(c, r) for r in rays))
 
 
+def _disjoint_covers(chosen, left, slots, iv, top, overlaps):
+    """The index-increasing extensions of chosen by slots more pieces,
+    pairwise disjoint, whose volumes iv sum to left, in lexicographic
+    order (simplicial_decomposition's search)."""
+    if not slots:
+        yield chosen
+        return
+    for j in range(chosen[-1] + 1 if chosen else 0, len(iv)):
+        if left > slots * top[j]:
+            return
+        if (iv[j] <= left and (iv[j] == left) == (slots == 1)
+                and not any(overlaps(i, j) for i in chosen)):
+            yield from _disjoint_covers(chosen + (j,), left - iv[j], slots - 1,
+                                        iv, top, overlaps)
+
+
 def simplicial_decomposition(cone: HCone) -> Decomposition:
     """Minimum-cardinality cover of a pointed full-dimensional cone by
     simplicial subcones on its extreme rays with pairwise disjoint interiors.
@@ -535,9 +544,17 @@ def simplicial_decomposition(cone: HCone) -> Decomposition:
     (times 1/k!).  Pieces inside the cone with disjoint interiors cover it
     iff their volumes sum to the cone's, which its pulling triangulation
     gives; its simplices are k-subsets of the sorted rays, so each volume
-    comes from the one elimination per subset.  Subsets are tried by size,
-    so the first cover is minimal; the pulling triangulation is itself a
-    cover, so one is found.
+    comes from the one elimination per subset.
+
+    For s = 1, 2, ... a depth-first search walks the index-increasing
+    s-subsets of the pieces in lexicographic order, volumes scaled to
+    integers iv, and yields the pairwise disjoint ones summing to the total;
+    the pulling triangulation is one, so the first found is a minimal cover.
+    A branch ends once the volume left exceeds the slots left times top[j],
+    the largest iv from piece j on; a slot before the last needs iv[j] below
+    the volume left, the last needs it equal.  No cover fails these, and
+    only a piece that passes them is tested against the chosen ones, once a
+    pair: pieces overlap iff one cut by the other's normals has an interior.
     """
     k = cone.dim
     state = dd_cut(dd_whole(k), cone.ineqs)
@@ -547,30 +564,23 @@ def simplicial_decomposition(cone: HCone) -> Decomposition:
         raise NonPointedError(state[1][0])
     rays = tuple(sorted(state[2]))
     c = tuple(map(sum, zip(*cone.ineqs)))
-    pieces, hforms, states, vols = [], [], [], []
+    pieces, hforms, vols = [], [], []
     for s in combinations(rays, k):
         d, facets = _gauss_jordan(s)
         if d:
             pieces.append(s)
             hforms.append(facets)
-            states.append(dd_simplex(s, facets))
             vols.append(_volume(d, s, c))
-    vol = dict(zip(pieces, vols))
-    total = sum(map(vol.__getitem__, _pulling_simplices(rays, cone.ineqs)))
-    # pieces overlap iff cutting one by the other's normals leaves an interior
-    overlap = {(i, j) for i, j in combinations(range(len(pieces)), 2)
-               if dd_cut(states[i], hforms[j]) is not None}
-    # pairwise-disjoint index-increasing subsets of one size, with the
-    # volume they leave uncovered
-    level: list[tuple[tuple[int, ...], Fraction]] = [((), total)]
-    while level:
-        level = [(s + (j,), left - vols[j]) for s, left in level
-                 for j in range(s[-1] + 1 if s else 0, len(pieces))
-                 if vols[j] <= left and not any((i, j) in overlap for i in s)]
-        for s, left in level:
-            if left == 0:
-                return Decomposition(tuple(VCone(k, pieces[i]) for i in s),
-                                     True)
+    total = sum(vols[pieces.index(s)] for s in _pulling_simplices(rays, cone.ineqs))
+    scale = lcm(*(v.denominator for v in vols))
+    iv = [int(v * scale) for v in vols]
+    top = list(accumulate(reversed(iv), max))[::-1]
+    simplex = cache(lambda i: dd_simplex(pieces[i], hforms[i]))
+    overlaps = cache(lambda i, j: dd_cut(simplex(i), hforms[j]) is not None)
+    for size in range(1, len(pieces) + 1):
+        for found in _disjoint_covers((), int(total * scale), size, iv, top,
+                                      overlaps):
+            return Decomposition(tuple(VCone(k, pieces[i]) for i in found), True)
     raise InvariantError("no disjoint simplicial cover, not even the pulling "
                          "triangulation")
 

@@ -22,7 +22,10 @@ regions and two double descriptions per comparison, the way
 ``regions.match_spanned_regions`` matched before it looked the probe up.
 ``eliminated_spans`` is ``regions._spans`` as it was before it read the
 spanned cone's facets off the dot table: it takes them from the
-elimination that gives the determinant.
+elimination that gives the determinant.  ``level_search_decomposition`` is
+``regions.simplicial_decomposition`` as it was before its depth-first
+search: it cuts every pair of candidate pieces for the overlap table first,
+then lists the disjoint subsets level by level.
 
 The predicates without an underscore have no caller in the library; the
 tests still use them: ``matrix_rank`` and ``bareiss_det`` read the Bareiss
@@ -39,10 +42,12 @@ from itertools import combinations
 
 from wordcones.polyhedra import (DegenerateConeError, HCone, InvariantError,
                                  NonPointedError, VCone, _gauss_jordan,
-                                 cone_equal, cone_from_rays, dd_step,
-                                 dd_whole, dot, double_description, hcone,
-                                 holds_on, nonneg_orthant, primitive,
+                                 cone_equal, cone_from_rays, dd_cut,
+                                 dd_simplex, dd_step, dd_whole, dot,
+                                 double_description, hcone, holds_on,
+                                 nonneg_orthant, primitive,
                                  solve_inequalities, vcone, vneg)
+from wordcones.regions import Decomposition, _pulling_simplices, _volume
 
 
 def _bareiss(rows):
@@ -277,3 +282,44 @@ def eliminated_spans(vecs, normals):
         raise InvariantError(f"spanning vectors {tuple(vecs)} are dependent")
     return (set(facets) <= set(normals)
             and all(dot(a, v) >= 0 for a in normals for v in vecs))
+
+
+def level_search_decomposition(cone):
+    """The minimal simplicial decomposition by the all-pairs overlap table
+    and a level-by-level search: the same Decomposition as
+    regions.simplicial_decomposition, which decides a pair only when its
+    depth-first search reaches it."""
+    k = cone.dim
+    state = dd_cut(dd_whole(k), cone.ineqs)
+    if state is None:
+        raise DegenerateConeError("cone is not full-dimensional")
+    if state[1]:
+        raise NonPointedError(state[1][0])
+    rays = tuple(sorted(state[2]))
+    c = tuple(map(sum, zip(*cone.ineqs)))
+    pieces, hforms, states, vols = [], [], [], []
+    for s in combinations(rays, k):
+        d, facets = _gauss_jordan(s)
+        if d:
+            pieces.append(s)
+            hforms.append(facets)
+            states.append(dd_simplex(s, facets))
+            vols.append(_volume(d, s, c))
+    vol = dict(zip(pieces, vols))
+    total = sum(map(vol.__getitem__, _pulling_simplices(rays, cone.ineqs)))
+    # pieces overlap iff cutting one by the other's normals leaves an interior
+    overlap = {(i, j) for i, j in combinations(range(len(pieces)), 2)
+               if dd_cut(states[i], hforms[j]) is not None}
+    # pairwise-disjoint index-increasing subsets of one size, with the
+    # volume they leave uncovered
+    level = [((), total)]
+    while level:
+        level = [(s + (j,), left - vols[j]) for s, left in level
+                 for j in range(s[-1] + 1 if s else 0, len(pieces))
+                 if vols[j] <= left and not any((i, j) in overlap for i in s)]
+        for s, left in level:
+            if left == 0:
+                return Decomposition(tuple(VCone(k, pieces[i]) for i in s),
+                                     True)
+    raise InvariantError("no disjoint simplicial cover, not even the pulling "
+                         "triangulation")

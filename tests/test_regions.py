@@ -2,9 +2,11 @@ import hashlib
 import json
 import random
 import sys
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
+from types import SimpleNamespace
 from itertools import combinations, product
 
 import pytest
@@ -16,7 +18,8 @@ from lp_oracles import (_lp_implies, _lp_interior_point, _lp_irredundant_h,
                         _rank_pulling_simplices, assert_state_invariants,
                         bareiss_det, contains_strictly, eliminated_spans,
                         extreme_rays, facets_from_generators, implies,
-                        matrix_rank, positive_somewhere, regions_containing,
+                        level_search_decomposition, matrix_rank,
+                        positive_somewhere, regions_containing,
                         scanned_region_index)
 from wordcones import cli, polyhedra, rectangles, regions
 from wordcones.polyhedra import (DegenerateConeError, HCone, InvariantError,
@@ -605,14 +608,36 @@ ATLAS_SHA256 = {
 }
 
 
+def _atlas_payload(atlas):
+    """The whole atlas artifact as one JSON value, the way `wordcones
+    regions --json` built it before writing it region by region."""
+    def strs(rows):
+        return [[str(x) for x in row] for row in rows]
+    return {"rank": atlas.src.rank, "src": str(atlas.src), "dst": str(atlas.dst),
+            "regions": [{"matrix": strs(r.matrix), "ineqs": strs(r.cone.ineqs),
+                         "facets": r.facet_count} for r in atlas.regions]}
+
+
 def test_atlas_artifact_golden(atlas3, atlas4, tmp_path):
     for atlas in (atlas3, atlas4):
-        text = json.dumps(atlas.to_json(), indent=2, sort_keys=True) + "\n"
+        text = json.dumps(_atlas_payload(atlas), indent=2, sort_keys=True) + "\n"
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert digest == ATLAS_SHA256[atlas.src.rank]
     target = tmp_path / "atlas3.json"
     assert cli.main(["regions", "--rank", "3", "--json", str(target)]) == 0
     assert hashlib.sha256(target.read_bytes()).hexdigest() == ATLAS_SHA256[3]
+
+
+def test_atlas_artifact_is_written_region_by_region(atlas2, atlas3, atlas4):
+    """The streamed artifact has the bytes of the whole payload dumped at
+    once, at ranks 1 to 4 (one region with no facets at rank 1), and writes
+    one chunk per region besides its head and tail."""
+    for atlas in (standard_atlas(1), atlas2, atlas3, atlas4):
+        chunks = []
+        cli._write_atlas(atlas, SimpleNamespace(write=chunks.append))
+        assert "".join(chunks) == json.dumps(_atlas_payload(atlas), indent=2,
+                                             sort_keys=True) + "\n"
+        assert len(chunks) == len(atlas.regions) + 2
 
 
 def test_region_maps_are_unimodular(atlas2, atlas3, atlas4):
@@ -737,18 +762,26 @@ DECOMPOSITION_PIECES_RANK3 = {
 def test_simplicial_decompositions_rank3(monkeypatch, atlas3):
     """The pinned pieces, from one elimination per 6-subset of the rays:
     C(7, 6) = 7 and C(8, 6) = 28, the pulling simplices' volumes included.
-    The elimination is counted under both modules' names for it."""
-    eliminated = []
+    The elimination is counted under both modules' names for it.  The
+    search cuts the cone from the whole space once and then tests 1 and 26
+    pairs of pieces, where the all-pairs table cut 10 and 105."""
+    eliminated, cuts = [], []
     real = polyhedra._gauss_jordan
     for module in (polyhedra, regions):
         monkeypatch.setattr(module, "_gauss_jordan",
                             lambda rows: eliminated.append(rows) or real(rows))
-    sizes, pieces, calls = {}, {}, {}
+    real_cut = regions.dd_cut
+    monkeypatch.setattr(regions, "dd_cut",
+                        lambda state, ineqs: cuts.append(ineqs)
+                        or real_cut(state, ineqs))
+    sizes, pieces, calls, cut_calls = {}, {}, {}, {}
     for r in orthant_restriction_analysis(atlas3):
         if r.region_facets != 4:
             continue
         eliminated.clear()
+        cuts.clear()
         dec = simplicial_decomposition(r.cone)
+        cut_calls[r.restricted_facets] = len(cuts)
         rays = extreme_rays(r.cone).rays
         assert eliminated == list(combinations(rays, atlas3.dim))
         calls[r.restricted_facets] = len(eliminated)
@@ -758,7 +791,38 @@ def test_simplicial_decompositions_rank3(monkeypatch, atlas3):
             " ".join("".join(map(str, ray)) for ray in sorted(p.rays))
             for p in dec.pieces]
     assert sizes == {8: 2, 9: 4} and calls == {8: 7, 9: 28}
+    assert cut_calls == {8: 2, 9: 27}
     assert pieces == DECOMPOSITION_PIECES_RANK3
+
+
+def test_simplicial_decomposition_matches_level_search(atlas3, atlas4):
+    """The depth-first search returns the level search's Decomposition on
+    both rank-3 cones, on seeded cones in dimensions 3 to 5, and on every
+    rank-4 orthant restriction with at most 12 rays; the rank-4 piece
+    counts, by ray count, are pinned."""
+    cones = [r.cone for r in orthant_restriction_analysis(atlas3)
+             if r.region_facets == 4]
+    rng = random.Random(11)
+    while len(cones) < 2 + 40:
+        dim = rng.choice((3, 4, 5))
+        gens = [tuple(rng.randrange(4) for _ in range(dim))
+                for _ in range(rng.randrange(dim + 1, dim + 3))]
+        if matrix_rank(gens) == dim:
+            cones.append(cone_from_rays(vcone([g for g in gens if any(g)], dim)))
+    several = 0
+    for cone in cones:
+        dec = simplicial_decomposition(cone)
+        assert dec == level_search_decomposition(cone), cone
+        several += len(dec.pieces) > 2
+    assert several == 12
+    shapes = Counter()
+    for r in orthant_restriction_analysis(atlas4):
+        rays = len(extreme_rays(r.cone).rays)
+        if rays <= 12:
+            dec = simplicial_decomposition(r.cone)
+            assert dec == level_search_decomposition(r.cone), r
+            shapes[rays, len(dec.pieces)] += 1
+    assert shapes == {(10, 1): 62, (11, 2): 20, (12, 3): 16, (12, 4): 6}
 
 
 def test_simplicial_decomposition_is_minimal_on_random_cones():
