@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from math import gcd, lcm, prod
-from operator import mul
+from operator import mul, neg
 from typing import Iterable, Optional, Sequence
 
 Vector = tuple[int, ...]
@@ -45,7 +45,7 @@ def dot(a: Sequence, b: Sequence):
 
 
 def vneg(a: Sequence) -> Vector:
-    return tuple(-x for x in a)
+    return tuple(map(neg, a))
 
 
 def primitive(vec: Iterable) -> Vector:
@@ -371,7 +371,7 @@ def _step(state: DDState, a: Sequence, split: bool
         return state, state
     normals, lines, zeros = state
     bit = 1 << len(normals)
-    dl = [dot(a, l) for l in lines]
+    dl = [sum(map(mul, a, l)) for l in lines]
     pivot = next((i for i, d in enumerate(dl) if d != 0), None)
     if pivot is not None:
         z, dz = lines[pivot], dl[pivot]
@@ -379,7 +379,7 @@ def _step(state: DDState, a: Sequence, split: bool
             z, dz = vneg(z), -dz
 
         def project(v, d):  # onto a . x = 0 along z; v is primitive already
-            return primitive([dz * x - d * y for x, y in zip(v, z)]) if d else v
+            return _reduced([dz * x - d * y for x, y in zip(v, z)]) if d else v
         new_lines = tuple([project(l, d) for i, (l, d) in enumerate(zip(lines, dl))
                            if i != pivot])
         projected = {project(r, dot(a, r)): m | bit for r, m in zeros.items()}
@@ -387,10 +387,13 @@ def _step(state: DDState, a: Sequence, split: bool
                  {**projected, vneg(z): bit - 1}) if split else None)
         projected[z] = bit - 1
         return (normals + (a,), new_lines, projected), down
-    ds = {r: dot(a, r) for r in zeros}
-    pos = [r for r, d in ds.items() if d > 0]
-    neg = [r for r, d in ds.items() if d < 0]
-    on = {r: zeros[r] | bit for r, d in ds.items() if d == 0}
+    pos, neg, on = [], [], {}  # (ray, a . ray, mask) off the hyperplane
+    for r, m in zeros.items():
+        d = sum(map(mul, a, r))
+        if d:
+            (pos if d > 0 else neg).append((r, d, m))
+        else:
+            on[r] = m | bit
     if not neg:  # nothing is cut off; the rays on the hyperplane gain its bit
         whole = normals + (a,), lines, {**zeros, **on} if on else zeros
         return (whole if pos or not split else None), None
@@ -402,25 +405,29 @@ def _step(state: DDState, a: Sequence, split: bool
     need = len(a) - len(lines) - 2
     masks = list(zeros.values())
     made = []  # (n's index, p's index, ray, mask), p-major
-    for i, p in enumerate(pos):
-        dp, mp = ds[p], zeros[p]
-        for j, n in enumerate(neg):
-            common = mp & zeros[n]
+    for i, (p, dp, mp) in enumerate(pos):
+        for j, (n, dn, mn) in enumerate(neg):
+            common = mp & mn
             if common.bit_count() < need or _shared_by_three(common, masks):
                 continue
-            dn = ds[n]
-            made.append((j, i, primitive([dp * x - dn * y
-                                          for x, y in zip(n, p)]), common | bit))
-    kept = {r: zeros[r] for r in pos}
+            made.append((j, i, _reduced([dp * x - dn * y for x, y in zip(n, p)]),
+                         common | bit))
+    kept = {r: m for r, _, m in pos}
     kept.update(on)
     kept.update((r, m) for _, _, r, m in made)
     if not split:
         return (normals + (a,), lines, kept), None
     # -a pairs the same rays n-major, the order its dd_step makes them in
-    other = {r: zeros[r] for r in neg}
+    other = {r: m for r, _, m in neg}
     other.update(on)
     other.update((r, m) for _, _, r, m in sorted(made))
     return (normals + (a,), lines, kept), (normals + (vneg(a),), lines, other)
+
+
+def _reduced(vec: list[int]) -> Vector:
+    """An int vector over its gcd: primitive for the generators _step makes."""
+    g = gcd(*vec)
+    return tuple([x // g for x in vec] if g > 1 else vec)
 
 
 def _shared_by_three(common: int, masks: list[int]) -> bool:
@@ -467,8 +474,8 @@ def dd_cut(state: DDState, ineqs: Iterable[Sequence]) -> Optional[DDState]:
 def holds_on(a: Sequence, state: DDState) -> bool:
     """Does a . x >= 0 hold on the cone with this double-description state:
     does a vanish on its lines and stay non-negative on its rays?"""
-    return (all(dot(a, l) == 0 for l in state[1])
-            and all(dot(a, r) >= 0 for r in state[2]))
+    return (not any(sum(map(mul, a, l)) for l in state[1])
+            and all(sum(map(mul, a, r)) >= 0 for r in state[2]))
 
 
 def interior_point(ineqs: Sequence[Vector], dim: int) -> Optional[Vector]:
@@ -488,8 +495,8 @@ def ray_sum_witness(state: DDState, dim: int) -> Vector:
     """The primitive sum of the rays of a full-dimensional cone, given by
     its double-description state, checked to satisfy every normal of the
     state strictly (InvariantError if not)."""
-    point = primitive(sum(r[i] for r in state[2]) for i in range(dim))
-    if not all(dot(a, point) > 0 for a in state[0]):
+    point = primitive([*map(sum, zip(*state[2]))] or [0] * dim)
+    if not all(sum(map(mul, a, point)) > 0 for a in state[0]):
         raise InvariantError(f"ray sum {point} is not interior to {state[0]}")
     return point
 
@@ -517,13 +524,22 @@ def zero_set_facets(state: DDState, dim: int) -> HCone:
     vanishes, and the rays a vanishes on.  So faces compare by zero sets,
     and a facet, a maximal proper face, is a normal whose zero set no other
     normal's strictly contains (Ziegler, Lectures on Polytopes, ch. 2).
+    The faces (bit j: ray j) take one pass over the masks' set bits; the
+    distinct ones, largest first, are maximal iff no earlier maximal one
+    contains them.
     """
     normals, _, zeros = state
-    faces = [sum(1 << j for j, m in enumerate(zeros.values()) if m >> i & 1)
-             for i in range(len(normals))]
+    faces = [0] * len(normals)
+    for j, m in enumerate(zeros.values()):
+        while m:
+            faces[(m & -m).bit_length() - 1] |= 1 << j
+            m &= m - 1
+    top: list[int] = []
+    for f in sorted(set(faces), key=int.bit_count, reverse=True):
+        if not any(o & f == f for o in top):
+            top.append(f)
     return HCone(dim, tuple(sorted(
-        {a for a, f in zip(normals, faces)
-         if not any(o & f == f and o != f for o in faces)})))
+        {a for a, f in zip(normals, faces) if f in top})))
 
 
 def cone_from_rays(rays: VCone) -> HCone:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import accumulate, combinations
 from math import lcm, prod
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence
 
 from .polyhedra import (DDState, DegenerateConeError, HCone, InvariantError,
@@ -256,15 +256,22 @@ def enumerate_cells(src: ReducedWord, moves: Sequence[Move]) -> list[Cell]:
     return cells
 
 
-def _off_path_siblings(cells: list[Cell]) -> list[tuple[Vector, ...]]:
-    """Guard tuples p + (-h,) where p + (h,) is a prefix of a member's guards
-    and p + (-h,) is not, in first-seen order."""
-    guards = [c.state[0] for c in cells]
-    prefixes = {g[:j] for g in guards for j in range(len(g) + 1)}
-    neg = {h: vneg(h) for h in set().union(*guards)}
-    return [sib for sib in dict.fromkeys(g[:j] + (neg[g[j]],)
-                                         for g in guards for j in range(len(g)))
-            if sib not in prefixes]
+def _open_siblings(cells: list[Cell], held: set[Vector]
+                   ) -> list[tuple[Vector, ...]]:
+    """Guard tuples p + (-h,) where p + (h,) is a prefix of a member's guards,
+    p + (-h,) is not and h is not held, in first-seen order.  The members'
+    guards are walked as a trie, each edge (p, h) listed when first made."""
+    trie: dict = {}
+    edges = []
+    for cell in cells:
+        node, path = trie, cell.state[0]
+        for j, h in enumerate(path):
+            if h not in node:
+                node[h] = {}
+                edges.append((path, j, node))
+            node = node[h]
+    return [path[:j] + (vneg(path[j]),) for path, j, node in edges
+            if path[j] not in held and vneg(path[j]) not in node]
 
 
 def _merge_cells(cells: list[Cell], k: int) -> DDState:
@@ -285,26 +292,27 @@ def _merge_cells(cells: list[Cell], k: int) -> DDState:
     outside the group lies below exactly one of them, and none of the
     members does.  So C equals the union iff dd_cut of C by each off-path
     sibling's guards, less the valid normals, finds no interior.  A sibling
-    with a guard h where -h is a valid normal of C is ruled out for free;
-    any other with an interior raises instead of emitting a non-convex
-    region.
+    with a guard whose negation is valid is ruled out for free; any other
+    with an interior raises instead of emitting a non-convex region.  Only
+    its last guard -h can be one: a guard g of p is on a member's path, so
+    g holds on that full-dimensional member, -g fails there, and -g is
+    never valid.  So _open_siblings drops the sibling iff h is valid,
+    before it builds its tuple.
     """
     if len(cells) == 1:
         return cells[0].state
     normals = dict.fromkeys(g for c in cells for g in c.state[0])
-    valid = tuple(g for g in normals if all(
-        g in c.state[0] or vneg(g) not in c.state[0] and holds_on(g, c.state)
-        for c in cells))
+    guards = [set(c.state[0]) for c in cells]
+    valid = [g for g, ng in zip(normals, map(vneg, normals)) if all(
+        g in s or ng not in s and holds_on(g, c.state)
+        for s, c in zip(guards, cells))]
     state = dd_cut(dd_whole(k), valid)
     if state is None:
         raise InvariantError(f"the {len(valid)} shared-valid inequalities "
                              f"of {len(cells)} full-dimensional cells cut "
                              f"out a cone with empty interior")
     held = set(valid)
-    opposed = {vneg(g) for g in valid}
-    for sib in _off_path_siblings(cells):
-        if any(h in opposed for h in sib):
-            continue
+    for sib in _open_siblings(cells, held):
         cut = dd_cut(state, (h for h in sib if h not in held))
         if cut is not None:
             raise RegionConvexityError(
@@ -336,8 +344,8 @@ def transition_atlas(src: ReducedWord, dst: ReducedWord,
 
     The 144-region standard-word atlas of rank 4 comes from 214 leaf cells.
     Rank 5 is slow: the peel path has 20 braids, and its 18,273 cells,
-    enumerated in 2-3.5 s, merge into 6,608 regions in 11-16 s in all under
-    python -O (CPython 3.11, 2 vCPUs).
+    enumerated in 2.5-2.7 s, merge into 6,608 regions in 11-13 s in all
+    under python -O (CPython 3.11, 2 vCPUs).
     A group is popped as it merges, freeing its cells; its region keeps only
     the state _merge_cells returns.  A rank above 5 raises before any
     cell is enumerated.
@@ -398,21 +406,23 @@ class MatchReport:
         return not self.unmatched and self.injective and self.covers_all_minimal
 
 
-def _spans(vecs: Sequence[Vector], normals: Sequence[Vector]) -> bool:
-    """Is cone(vecs) = {x : a . x >= 0 for a in normals}, for k vecs in
-    dimension k and primitive normals (zero-set facets and unit vectors)?
-    Dependent vecs raise InvariantError.  Read off the table of a . v: every
-    entry must be >= 0, and facet i of cone(vecs) is present when a normal
+def _spans(vecs: Sequence[Vector], facets: Sequence[Vector]) -> bool:
+    """Is cone(vecs) = {x >= 0 : a . x >= 0 for a in facets}, for k vecs in
+    dimension k and primitive facets?  Dependent vecs raise InvariantError.
+    Read off the table of a . v, the orthant implied: its rows e_i . v are
+    the vecs' coordinates, and only the facets take dot products.  Every
+    entry must be >= 0, and facet i of cone(vecs) is present when a row
     vanishes on every v_j, j != i, and is positive on v_i.  All k present
-    make the normals' rows on vecs diagonal, so vecs are independent, and
-    each x with every a . x >= 0 has non-negative coordinates in vecs: the
-    two cones are equal.  Conversely a full-dimensional cone's facets are
-    among the normals of each of its inequality descriptions up to scaling
-    (Ziegler, Lectures on Polytopes, ch. 2).  Only a no runs _gauss_jordan,
-    to tell dependent vecs apart."""
-    table = [[dot(a, v) for v in vecs] for a in normals]
+    make the rows on vecs diagonal, so vecs are independent, and each x >= 0
+    with every a . x >= 0 has non-negative coordinates in vecs: the cones
+    are equal.  Conversely a full-dimensional cone's facets are among the
+    normals of each of its inequality descriptions up to scaling (Ziegler,
+    Lectures on Polytopes, ch. 2).  Only a no runs _gauss_jordan, to tell
+    dependent vecs apart."""
+    table = [[sum(map(mul, a, v)) for v in vecs] for a in facets]
+    table += zip(*vecs)
     supports = [[i for i, d in enumerate(row) if d] for row in table]
-    if (all(d >= 0 for row in table for d in row)
+    if (min(map(min, table)) >= 0
             and len({s[0] for s in supports if len(s) == 1}) == len(vecs)):
         return True
     if not _gauss_jordan(vecs)[0]:
@@ -436,7 +446,6 @@ def match_spanned_regions(atlas: RegionAtlas) -> MatchReport:
     """
     from .rectangles import spanning_vectors
     rank = atlas.src.rank
-    orth = identity(atlas.dim)
     minimal = min(r.facet_count for r in atlas.regions)
     matches, unmatched = [], []
     used: set[int] = set()
@@ -444,7 +453,7 @@ def match_spanned_regions(atlas: RegionAtlas) -> MatchReport:
     for canonical in sorted(cgraph):  # no class sizes needed
         vecs = spanning_vectors(ReducedWord(rank, canonical))
         idx = atlas._index_containing(tuple(map(sum, zip(*vecs))))
-        if not _spans(vecs, atlas.regions[idx].cone.ineqs + orth):
+        if not _spans(vecs, atlas.regions[idx].cone.ineqs):
             unmatched.append(canonical)
             continue
         used.add(idx)

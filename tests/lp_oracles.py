@@ -25,7 +25,10 @@ spanned cone's facets off the dot table: it takes them from the
 elimination that gives the determinant.  ``level_search_decomposition`` is
 ``regions.simplicial_decomposition`` as it was before its depth-first
 search: it cuts every pair of candidate pieces for the overlap table first,
-then lists the disjoint subsets level by level.
+then lists the disjoint subsets level by level.  ``off_path_siblings`` is
+the sibling list ``regions._merge_cells`` cut from before it walked the
+members' guards as a trie: every off-path sibling, from a set of hashed
+guard prefixes, including those a valid normal rules out.
 
 The predicates without an underscore have no caller in the library; the
 tests still use them: ``matrix_rank`` and ``bareiss_det`` read the Bareiss
@@ -269,6 +272,17 @@ def scanned_region_index(atlas, vecs):
                  if region.cone.contains(probe)
                  and cone_equal(spanned, hcone(region.cone.ineqs + orth,
                                                atlas.dim))), None)
+
+
+def off_path_siblings(cells):
+    """Guard tuples p + (-h,) where p + (h,) is a prefix of a member's guards
+    and p + (-h,) is not, in first-seen order."""
+    guards = [c.state[0] for c in cells]
+    prefixes = {g[:j] for g in guards for j in range(len(g) + 1)}
+    neg = {h: vneg(h) for h in set().union(*guards)}
+    return [sib for sib in dict.fromkeys(g[:j] + (neg[g[j]],)
+                                         for g in guards for j in range(len(g)))
+            if sib not in prefixes]
 
 
 def eliminated_spans(vecs, normals):

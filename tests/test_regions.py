@@ -19,8 +19,8 @@ from lp_oracles import (_lp_implies, _lp_interior_point, _lp_irredundant_h,
                         bareiss_det, contains_strictly, eliminated_spans,
                         extreme_rays, facets_from_generators, implies,
                         level_search_decomposition, matrix_rank,
-                        positive_somewhere, regions_containing,
-                        scanned_region_index)
+                        off_path_siblings, positive_somewhere,
+                        regions_containing, scanned_region_index)
 from wordcones import cli, polyhedra, rectangles, regions
 from wordcones.polyhedra import (DegenerateConeError, HCone, InvariantError,
                                  NonPointedError, cone_equal,
@@ -294,7 +294,7 @@ def test_stepped_sibling_verdicts_match_interior_point():
     for group, k in groups:
         valid = _valid_normals(group, k)
         state = dd_cut(dd_whole(k), valid)
-        for sib in regions._off_path_siblings(group):
+        for sib in off_path_siblings(group):
             got = dd_cut(state, sib)
             assert (got is None) == \
                 (_lp_interior_point(valid + sib, k) is None), (valid, sib)
@@ -303,6 +303,77 @@ def test_stepped_sibling_verdicts_match_interior_point():
                 ray_sum_witness(got, k)
             answers[got is not None] += 1
     assert answers[True] and answers[False], answers
+
+
+def test_sibling_walk_skips_exactly_the_opposed_siblings():
+    """On every rank-3 cell pair and every rank-4 multi-cell group, the
+    trie walk yields the prefix-set oracle's off-path siblings, in its
+    order, less those whose last guard is opposed (the negation of a valid
+    normal), and no guard of a member's path is opposed, so the last guard
+    is the only one the merge needs to test.  The rank-4 groups list 790
+    siblings, and 36 of them are cut."""
+    cells3, k3 = _standard_cells(3)
+    cells4, k4 = _standard_cells(4)
+    for groups, k, expected in (
+            ([list(pair) for pair in combinations(cells3, 2)], k3, (269, 156)),
+            (_multi_cell_groups(cells4), k4, (790, 36))):
+        listed = walked = 0
+        for group in groups:
+            valid = _valid_normals(group, k)
+            opposed = {vneg(g) for g in valid}
+            assert not any(opposed.intersection(c.state[0]) for c in group)
+            oracle = off_path_siblings(group)
+            got = list(regions._open_siblings(group, set(valid)))
+            assert got == [sib for sib in oracle if sib[-1] not in opposed]
+            listed += len(oracle)
+            walked += len(got)
+        assert (listed, walked) == expected
+
+
+def test_atlas_build_counts_cuts_and_steps(monkeypatch):
+    """One standard_atlas build makes one dd_cut per multi-cell fold and one
+    per sibling the walk does not rule out (rank 3: 1 fold; rank 4: 48
+    folds and 36 sibling cuts) and 977 DD steps at rank 4."""
+    calls = {"cut": 0, "step": 0}
+    cut, step = regions.dd_cut, polyhedra._step
+
+    def counted_cut(state, ineqs):
+        calls["cut"] += 1
+        return cut(state, ineqs)
+
+    def counted_step(state, a, split):
+        calls["step"] += 1
+        return step(state, a, split)
+    monkeypatch.setattr(regions, "dd_cut", counted_cut)
+    monkeypatch.setattr(polyhedra, "_step", counted_step)
+    for rank, expected in ((3, (1, 17)), (4, (84, 977))):
+        calls.update(cut=0, step=0)
+        standard_atlas(rank)
+        assert (calls["cut"], calls["step"]) == expected, rank
+
+
+def test_region_witnesses_are_the_ray_sums(atlas2, atlas3, atlas4):
+    """Each region's witness is the primitive column sum of its state's
+    rays, as summed coordinate by coordinate, and the witnesses at ranks 1
+    to 4 keep their pinned digests; the rank-1 region has one line and no
+    ray, and its witness is the zero vector (0,)."""
+    atlas1 = standard_atlas(1)
+    assert [r.witness for r in atlas1.regions] == [(0,)]
+    assert atlas1.regions[0].state[1:] == (((1,),), {})
+    digests = {
+        1: "78fce9491f4b0e3b895728f3c6efe71e16e4ae77f5f6db9148e6e0584bc5fd42",
+        2: "1ac0e7e79dd4a359dc2fd261286879a9388c3aaafe5e59556bbbd7febe682fc9",
+        3: "99d746364814b0f2f7f545955c12fb5f28950f4c2570ad702e46d90871107146",
+        4: "b067c881d7480de7045a8e2780ff066ba9a596059335ea06538787996313010f",
+    }
+    for atlas in (atlas1, atlas2, atlas3, atlas4):
+        k = atlas.dim
+        witnesses = [r.witness for r in atlas.regions]
+        assert witnesses == [
+            primitive(sum(ray[i] for ray in r.state[2]) for i in range(k))
+            for r in atlas.regions]
+        assert hashlib.sha256(repr(witnesses).encode()).hexdigest() == \
+            digests[atlas.src.rank]
 
 
 def test_match_reports_a_class_with_no_region(monkeypatch, atlas3, capsys):
@@ -345,16 +416,19 @@ def test_match_raises_on_dependent_spanning_vectors(monkeypatch, atlas2):
 
 
 def test_spans_raises_on_dependent_vectors():
+    # the orthant is implied: no facet beside it, and the vectors' own
+    # coordinates give the table no diagonal
     with pytest.raises(InvariantError, match="dependent"):
-        regions._spans([(1, 0, 0), (0, 1, 0), (1, 1, 0)], identity(3))
+        regions._spans([(1, 0, 0), (0, 1, 0), (1, 1, 0)], ())
 
 
 def test_spans_needs_every_facet_and_every_normal():
     # cone(vecs) strictly inside the orthant: a facet (1, -1, 0) is missing
-    assert not regions._spans([(1, 0, 0), (1, 1, 0), (0, 0, 1)], identity(3))
-    # every facet of the orthant is a normal, but (1, -1, 0) cuts it down
-    assert not regions._spans(identity(3), identity(3) + ((1, -1, 0),))
-    assert regions._spans(identity(3), identity(3) + ((1, 1, 0),))
+    assert not regions._spans([(1, 0, 0), (1, 1, 0), (0, 0, 1)], ())
+    # every facet of the orthant is implied, but (1, -1, 0) cuts it down
+    assert not regions._spans(identity(3), ((1, -1, 0),))
+    assert regions._spans(identity(3), ((1, 1, 0),))
+    assert regions._spans(identity(3), ())
 
 
 def _class_vectors(rank):
@@ -368,9 +442,9 @@ def _probe(vecs):
 
 def _spans_by_both(atlas, vecs, region):
     """The facet-point rule on cone(vecs) and region intersect orthant,
-    asserted equal to cone_equal's answer."""
+    the orthant implied, asserted equal to cone_equal's answer."""
     normals = region.cone.ineqs + nonneg_orthant(atlas.dim).ineqs
-    got = regions._spans(vecs, normals)
+    got = regions._spans(vecs, region.cone.ineqs)
     assert got == cone_equal(vcone(vecs, atlas.dim),
                              hcone(normals, atlas.dim)), (vecs, normals)
     return got
@@ -408,7 +482,8 @@ def test_spans_rejects_strict_subcones_and_cones_that_leave(atlas4):
 
 
 def test_spans_agrees_with_the_elimination_oracle(atlas3, atlas4):
-    """At ranks 3 and 4 the dot-table check gives the elimination's answer
+    """At ranks 3 and 4 the dot-table check, with the orthant implied,
+    gives the elimination's answer on the region's facets and the orthant's
     for every class with its matched region, a yes, and with the region
     the next class matched, a no."""
     for atlas in (atlas3, atlas4):
@@ -418,9 +493,9 @@ def test_spans_agrees_with_the_elimination_oracle(atlas3, atlas4):
         assert len(matched) == len(table)
         for vecs, idx, wrong in zip(table, matched, matched[1:] + matched[:1]):
             for j, want in ((idx, True), (wrong, False)):
-                normals = atlas.regions[j].cone.ineqs + orth
-                assert regions._spans(vecs, normals) == \
-                    eliminated_spans(vecs, normals) == want, (vecs, j)
+                facets = atlas.regions[j].cone.ineqs
+                assert regions._spans(vecs, facets) == \
+                    eliminated_spans(vecs, facets + orth) == want, (vecs, j)
 
 
 def test_match_runs_no_elimination(monkeypatch, atlas4):
@@ -431,7 +506,7 @@ def test_match_runs_no_elimination(monkeypatch, atlas4):
                             lambda rows: calls.append(rows) or real(rows))
     assert match_spanned_regions(atlas4).ok and calls == []
     with pytest.raises(InvariantError, match="dependent"):
-        regions._spans([(1, 0, 0), (0, 1, 0), (1, 1, 0)], identity(3))
+        regions._spans([(1, 0, 0), (0, 1, 0), (1, 1, 0)], ())
     assert len(calls) == 1
 
 
