@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from .rectangles import (centre_and_central_line, components,
                          diagonal_counts, phi_plus, quiver_vector,
                          rectangle_for_component, render_configuration_svg)
 from .regions import (braid_move_count, class_region_isomorphism_report,
-                      detour_move_path, match_spanned_regions,
+                      detour_move_path, evaluate_along, match_spanned_regions,
                       orthant_restriction_analysis, simplicial_decomposition,
                       standard_atlas, transition_atlas)
 from .words import (ReducedWord, commutation_classes, enumerate_reduced_words,
@@ -62,28 +63,26 @@ def cmd_words(args) -> int:
         raise ValueError(f"words {args.action} takes no --count")
     if args.action == "list":
         words = enumerate_reduced_words(rank)
-        if args.count:
-            _emit({"rank": rank, "count": len(words)})
-        else:
-            _emit({"rank": rank, "count": len(words),
-                   "words": [str(w) for w in words]})
+        payload = {"rank": rank, "count": len(words)}
+        if not args.count:
+            payload["words"] = [str(w) for w in words]
     elif args.action == "classes":
         classes = commutation_classes(rank)
-        if args.count:
-            _emit({"rank": rank, "count": len(classes)})
-        else:
-            _emit({"rank": rank, "count": len(classes),
-                   "classes": [{"canonical": format_letters(c.canonical, rank),
-                                "size": c.size} for c in classes]})
+        payload = {"rank": rank, "count": len(classes)}
+        if not args.count:
+            payload["classes"] = [
+                {"canonical": format_letters(c.canonical, rank), "size": c.size}
+                for c in classes]
     elif args.action == "standard":
         j, jp = standard_words(rank)
-        _emit({"rank": rank, "j": str(j), "j_prime": str(jp)})
+        payload = {"rank": rank, "j": str(j), "j_prime": str(jp)}
     else:  # check works on arbitrary words, not only reduced ones
         letters = parse_letters(args.word)
         rank = rank if rank is not None else max(letters)
         check = is_reduced(letters, rank)
-        _emit({"word": format_letters(letters, rank), "rank": rank,
-               "reduced": check.reduced, "is_longest": check.is_longest})
+        payload = {"word": format_letters(letters, rank), "rank": rank,
+                   "reduced": check.reduced, "is_longest": check.is_longest}
+    _emit(payload)
     return 0
 
 
@@ -312,9 +311,6 @@ def _verify_a4(checks):
 
 
 def _verify_properties(checks):
-    import random
-
-    from .regions import evaluate_along
     rng = random.Random(20260808)
     for rank in (2, 3, 4):
         j, jp = standard_words(rank)

@@ -53,11 +53,11 @@ def lusztig_cone(word: ReducedWord) -> LusztigCone:
 def spanning_rays(word: ReducedWord) -> VCone:
     """Extreme rays of the Lusztig cone as a subset of the orthant, sorted:
     one dd_step per pair row from the orthant's written-down state, in a
-    stable order by chamber length z - x, so few rays are made on the way."""
+    stable order by chamber length z - x, read off a row's two -1 entries,
+    so few rays are made on the way."""
     k = len(word.letters)
-    lengths = [z - x for x, z, _ in bounded_chambers(word.letters)]
-    rows = sorted(zip(lengths, lusztig_cone(word).cone.ineqs), key=lambda p: p[0])
-    zeros = reduce(dd_step, (a for _, a in rows),
-                   dd_simplex(identity(k), identity(k)))[2]
+    rows = sorted(lusztig_cone(word).cone.ineqs,
+                  key=lambda a: a.index(-1, a.index(-1) + 1) - a.index(-1))
+    zeros = reduce(dd_step, rows, dd_simplex(identity(k), identity(k)))[2]
     return VCone(k, tuple(sorted(zeros)))
 

@@ -115,30 +115,23 @@ class VCone:
         return {"dim": self.dim, "rays": [[str(c) for c in r] for r in self.rays]}
 
 
+def _distinct_primitive(vecs: Iterable[Sequence]) -> tuple[Vector, ...]:
+    """The primitive forms of vecs, the first of each parallel class kept,
+    in order."""
+    return tuple(dict.fromkeys(map(primitive, vecs)))
+
+
 def hcone(ineqs: Iterable[Sequence], dim: int) -> HCone:
-    """Build an HCone, normalising and deduplicating the normals."""
-    out, seen = [], set()
-    for a in ineqs:
-        p = primitive(a)
-        if all(x == 0 for x in p):
-            continue
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return HCone(dim, tuple(out))
+    """Build an HCone from the distinct primitive non-zero normals."""
+    return HCone(dim, tuple(filter(any, _distinct_primitive(ineqs))))
 
 
 def vcone(rays: Iterable[Sequence], dim: int) -> VCone:
-    """Build a VCone, normalising rays and dropping parallel duplicates."""
-    out, seen = [], set()
-    for r in rays:
-        p = primitive(r)
-        if all(x == 0 for x in p):
-            raise ValueError("zero vector is not a ray")
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return VCone(dim, tuple(out))
+    """Build a VCone from the distinct primitive rays; a zero one raises."""
+    rays = _distinct_primitive(rays)
+    if not all(map(any, rays)):
+        raise ValueError("zero vector is not a ray")
+    return VCone(dim, rays)
 
 
 @cache
@@ -501,18 +494,21 @@ def ray_sum_witness(state: DDState, dim: int) -> Vector:
     return point
 
 
-def irredundant_h(cone: HCone) -> HCone:
-    """Facet list of a full-dimensional cone, primitive and sorted.
-
-    dd_step makes the normals primitive and skips zero ones.  Raises
-    DegenerateConeError when dd_cut finds the cone's interior empty.
-    """
+def full_cut(cone: HCone) -> DDState:
+    """dd_cut of a full-dimensional cone's normals from dd_whole; raises
+    DegenerateConeError when dd_cut finds the cone's interior empty."""
     state = dd_cut(dd_whole(cone.dim), cone.ineqs)
     if state is None:
         raise DegenerateConeError(
             f"cone is not full-dimensional ({len(cone.ineqs)} inequalities in "
             f"dimension {cone.dim})")
-    return zero_set_facets(state, cone.dim)
+    return state
+
+
+def irredundant_h(cone: HCone) -> HCone:
+    """Facet list of a full-dimensional cone, primitive and sorted, read
+    off its full_cut (dd_step makes the normals primitive, skips zero ones)."""
+    return zero_set_facets(full_cut(cone), cone.dim)
 
 
 def zero_set_facets(state: DDState, dim: int) -> HCone:

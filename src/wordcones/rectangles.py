@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from .chambers import _fmt
 from .polyhedra import InvariantError
-from .quivers import PartialQuiver
+from .quivers import PartialQuiver, quivers_for_word
 from .words import Root, ReducedWord, positive_root_order, standard_words
 
 
@@ -226,6 +226,12 @@ def parity_boundary(counts: Sequence[int]) -> Optional[int]:
                                "odd/even boundary")
 
 
+def _centre_cut(counts: Sequence[int], cuts: Sequence[int]) -> Fraction:
+    """centre_and_central_line's u0 or w0, from one axis's counts and cuts."""
+    b = parity_boundary(counts)
+    return Fraction(cuts[0] + cuts[-1], 2) if b is None else Fraction(cuts[b])
+
+
 def centre_and_central_line(config: Configuration) -> tuple[tuple[Fraction, Fraction], Fraction]:
     """The centre (u0, w0) and the x-coordinate of the vertical central line.
 
@@ -233,16 +239,8 @@ def centre_and_central_line(config: Configuration) -> tuple[tuple[Fraction, Frac
     single-band direction (lone rectangle) falls back to the band midpoint.
     """
     u_counts, w_counts = diagonal_counts(config)
-    bu = parity_boundary(u_counts)
-    bw = parity_boundary(w_counts)
-    if bu is None:
-        u0 = Fraction(config.u_cuts[0] + config.u_cuts[-1], 2)
-    else:
-        u0 = Fraction(config.u_cuts[bu])
-    if bw is None:
-        w0 = Fraction(config.w_cuts[0] + config.w_cuts[-1], 2)
-    else:
-        w0 = Fraction(config.w_cuts[bw])
+    u0 = _centre_cut(u_counts, config.u_cuts)
+    w0 = _centre_cut(w_counts, config.w_cuts)
     return (u0, w0), (u0 + w0) / 2
 
 
@@ -399,7 +397,6 @@ def spanning_vectors(word: ReducedWord) -> list[tuple[int, ...]]:
     """The k candidate spanning vectors of a word's linearity region:
     one per attached quiver plus one per generator.  Each quiver's vector
     comes from quiver_vector's per-process memo."""
-    from .quivers import quivers_for_word
     return ([quiver_vector(q) for q in quivers_for_word(word)]
             + [generator_vector(g, word.rank) for g in range(1, word.rank + 1)])
 

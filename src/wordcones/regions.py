@@ -23,11 +23,12 @@ from math import lcm, prod
 from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence
 
-from .polyhedra import (DDState, DegenerateConeError, HCone, InvariantError,
-                        NonPointedError, Vector, VCone, _gauss_jordan, dd_cut,
-                        dd_simplex, dd_split, dd_step, dd_whole, dot, holds_on,
+from .polyhedra import (DDState, HCone, InvariantError, NonPointedError,
+                        Vector, VCone, _gauss_jordan, dd_cut, dd_simplex,
+                        dd_split, dd_step, dd_whole, dot, full_cut, holds_on,
                         identity, primitive, ray_sum_witness, vneg,
                         zero_set_facets)
+from .rectangles import spanning_vectors
 from .words import (BRAID, COMMUTATION, Letters, Move, ReducedWord,
                     apply_move_path, braids, class_graph, commutes,
                     find_move_path, legal_moves, standard_words)
@@ -184,7 +185,7 @@ class RegionAtlas:
         closure, so in its region, whose matrix maps x as the walk does."""
         bits = _walk(point, self.src.letters, self.moves)[1]
         if bits not in self.bits_index:  # a tie took a pruned branch
-            k, b = self.dim, 3 ** (braid_move_count(self.moves) + 1)
+            k, b = self.dim, 3 ** (len(bits) + 1)  # one bit per braid
             q = [x * b**k + b**(k - 1 - i) for i, x in enumerate(primitive(point))]
             bits = _walk(q, self.src.letters, self.moves)[1]
         if bits not in self.bits_index:
@@ -444,7 +445,6 @@ def match_spanned_regions(atlas: RegionAtlas) -> MatchReport:
     compares S with it through the zero sets of their dot table, with no DD
     and no elimination.
     """
-    from .rectangles import spanning_vectors
     rank = atlas.src.rank
     minimal = min(r.facet_count for r in atlas.regions)
     matches, unmatched = [], []
@@ -566,9 +566,7 @@ def simplicial_decomposition(cone: HCone) -> Decomposition:
     pair: pieces overlap iff one cut by the other's normals has an interior.
     """
     k = cone.dim
-    state = dd_cut(dd_whole(k), cone.ineqs)
-    if state is None:
-        raise DegenerateConeError("cone is not full-dimensional")
+    state = full_cut(cone)
     if state[1]:
         raise NonPointedError(state[1][0])
     rays = tuple(sorted(state[2]))

@@ -352,58 +352,44 @@ def class_graph(rank: int) -> dict[Letters, frozenset[Letters]]:
 # Move paths
 # ---------------------------------------------------------------------------
 
-def _shift(moves: list[Move], offset: int) -> list[Move]:
-    return [Move(m.kind, m.position + offset) for m in moves]
-
-
-def _is_left_descent(letters: Letters, rank: int, g: int) -> bool:
-    perm = wiring(letters, rank)[-1]
-    return perm.index(g) > perm.index(g + 1)
-
-
-def _surface(letters: Letters, rank: int, g: int) -> tuple[list[Move], Letters]:
-    """Moves making the word start with g; needs g to be a left descent.
-
-    Recursive form of the exchange-property argument: surface g in the tail,
-    then either commute it past the head h, or (when |g - h| = 1, in which
-    case h is a left descent of what follows) surface h once more and finish
-    with a single braid move.
-    """
-    if letters[0] == g:
+def _surface(letters: Letters, g: int, at: int) -> tuple[list[Move], Letters]:
+    """Moves, at their absolute positions, that bring g to 0-based position
+    ``at``, g being a left descent of the suffix from ``at``: surface g one
+    place later, then commute it past the head h, or, when |g - h| = 1 (h is
+    then a left descent of what follows), surface h two places later and
+    make one braid move (the exchange property, recursively)."""
+    h = letters[at]
+    if h == g:
         return [], letters
-    h = letters[0]
-    moves_tail, tail = _surface(letters[1:], rank, g)
-    moves = _shift(moves_tail, 1)
-    current = (h,) + tail
-    if commutes(current, 0):
-        mv = Move(COMMUTATION, 1)
+    moves, letters = _surface(letters, g, at + 1)
+    if commutes(letters, at):
+        mv = Move(COMMUTATION, at + 1)
     else:
-        moves_rest, rest = _surface(tail[1:], rank, h)
-        moves += _shift(moves_rest, 2)
-        current = (h, g) + rest
-        mv = Move(BRAID, 1)
+        more, letters = _surface(letters, h, at + 2)
+        moves += more
+        mv = Move(BRAID, at + 1)
     moves.append(mv)
-    return moves, apply_move_letters(current, mv)
+    return moves, apply_move_letters(letters, mv)
 
 
 def find_move_path(src: ReducedWord, dst: ReducedWord) -> list[Move]:
     """A commutation/braid move sequence transforming src into dst.
 
-    Peels dst letter by letter: the next wanted letter is surfaced to the
-    front of src (always possible: every generator is a left descent of w0,
-    and the recursion keeps the invariant for the shorter suffixes), then the
-    suffixes are matched recursively.  No enumeration of reduced words.
+    Peels dst letter by letter: the next wanted letter g is surfaced to
+    position ``at`` of the current word, then the suffixes are matched.  No
+    enumeration of reduced words, and no descent check: before each letter
+    the current suffix and dst's suffix from ``at`` are reduced words for
+    one element u (w0 at the start, as both are ReducedWords of one rank),
+    and dst's suffix starts with g, so g is a left descent of u.  After g
+    is surfaced, both suffixes from at + 1 are reduced words for s_g u.
     """
     if src.rank != dst.rank:
         raise ValueError("words have different ranks")
     moves: list[Move] = []
     cur = src.letters
-    for done, g in enumerate(dst.letters):
-        if not _is_left_descent(cur[done:], src.rank, g):
-            raise ValueError("words do not represent the same element")
-        sub_moves, surfaced = _surface(cur[done:], src.rank, g)
-        moves += _shift(sub_moves, done)
-        cur = cur[:done] + surfaced
+    for at, g in enumerate(dst.letters):
+        more, cur = _surface(cur, g, at)
+        moves += more
     if cur != dst.letters:
         raise InvariantError(f"peel path ends at {cur}, not {dst.letters}")
     return moves

@@ -409,7 +409,7 @@ def test_match_is_not_ok_when_a_minimal_region_is_left_over(atlas3):
 
 
 def test_match_raises_on_dependent_spanning_vectors(monkeypatch, atlas2):
-    monkeypatch.setattr(rectangles, "spanning_vectors",
+    monkeypatch.setattr(regions, "spanning_vectors",
                         lambda word: [(1, 0, 0)] * 3)
     with pytest.raises(InvariantError, match="dependent"):
         match_spanned_regions(atlas2)
@@ -703,6 +703,26 @@ def test_atlas_artifact_golden(atlas3, atlas4, tmp_path):
     assert hashlib.sha256(target.read_bytes()).hexdigest() == ATLAS_SHA256[3]
 
 
+# sha256 of an atlas's moves ("c3", "b1", ...) and its sorted bits_index
+# entries, one a line, recorded when the peel path still shifted every move
+# once per recursion level and a tie in point location still counted the
+# braids of atlas.moves
+ATLAS_PATH_SHA256 = {
+    1: "f00d9ca07f97df0310dc4cf04a2eb3a328a0e370b65a73ec10b58d91c2e870d4",
+    2: "af030b0af03df36657362ff89813dcb4d001f3ea6b179928788ab2d85103187d",
+    3: "99b172ef9ca7db819375d4440d5e8d6126173d0105495c9ccb9ea836a5b87169",
+    4: "d6f2cd7cefb8f2c489d17422e76e5a290cf38922274ffb6cdb7297fe4d4e54c3",
+}
+
+
+def test_atlas_moves_and_bits_index_keep_their_pins(atlas2, atlas3, atlas4):
+    for atlas in (standard_atlas(1), atlas2, atlas3, atlas4):
+        lines = ([f"{m.kind[0]}{m.position}" for m in atlas.moves]
+                 + [f"{b} {i}" for b, i in sorted(atlas.bits_index.items())])
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == ATLAS_PATH_SHA256[atlas.src.rank]
+
+
 def test_atlas_artifact_is_written_region_by_region(atlas2, atlas3, atlas4):
     """The streamed artifact has the bytes of the whole payload dumped at
     once, at ranks 1 to 4 (one region with no facets at rank 1), and writes
@@ -837,18 +857,18 @@ DECOMPOSITION_PIECES_RANK3 = {
 def test_simplicial_decompositions_rank3(monkeypatch, atlas3):
     """The pinned pieces, from one elimination per 6-subset of the rays:
     C(7, 6) = 7 and C(8, 6) = 28, the pulling simplices' volumes included.
-    The elimination is counted under both modules' names for it.  The
-    search cuts the cone from the whole space once and then tests 1 and 26
-    pairs of pieces, where the all-pairs table cut 10 and 105."""
+    The elimination and the cut are counted under both modules' names for
+    them.  The search cuts the cone from the whole space once (full_cut)
+    and then tests 1 and 26 pairs of pieces, where the all-pairs table cut
+    10 and 105."""
     eliminated, cuts = [], []
-    real = polyhedra._gauss_jordan
+    real, real_cut = polyhedra._gauss_jordan, polyhedra.dd_cut
     for module in (polyhedra, regions):
         monkeypatch.setattr(module, "_gauss_jordan",
                             lambda rows: eliminated.append(rows) or real(rows))
-    real_cut = regions.dd_cut
-    monkeypatch.setattr(regions, "dd_cut",
-                        lambda state, ineqs: cuts.append(ineqs)
-                        or real_cut(state, ineqs))
+        monkeypatch.setattr(module, "dd_cut",
+                            lambda state, ineqs: cuts.append(ineqs)
+                            or real_cut(state, ineqs))
     sizes, pieces, calls, cut_calls = {}, {}, {}, {}
     for r in orthant_restriction_analysis(atlas3):
         if r.region_facets != 4:
@@ -1049,7 +1069,7 @@ def test_a_point_of_the_wrong_length_raises(monkeypatch, atlas3, length):
         with pytest.raises(ValueError, match="point"):
             call()
     # the match's probe lookup walks the sum of the spanning vectors
-    monkeypatch.setattr(rectangles, "spanning_vectors",
+    monkeypatch.setattr(regions, "spanning_vectors",
                         lambda word: list(identity(length)))
     with pytest.raises(ValueError, match="point"):
         match_spanned_regions(atlas3)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from functools import reduce
 from math import factorial, prod
@@ -232,6 +233,52 @@ def test_find_move_path_between_standard_words():
     j, jp = standard_words(4)
     path = find_move_path(j, jp)
     assert apply_move_path(j, path).letters == jp.letters
+
+
+def _path_lines(pairs):
+    return "\n".join(f"{a} {b} " + " ".join(f"{m.kind[0]}{m.position}"
+                                             for m in find_move_path(a, b))
+                     for a, b in pairs)
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of _path_lines over every ordered pair of reduced words at ranks 1-3
+# and over 40 pairs of random_reduced_word(rank, Random(rank)) at ranks 4-7,
+# recorded when find_move_path still shifted every move once per recursion
+# level and checked each letter for a left descent
+PEEL_PATH_SHA256 = {
+    1: "9d6cdb56a14dd758bb6c1f0974cf6d5ea05d8087cebefcd7cda628cd2308b92f",
+    2: "5dad07a5b670b92dbbcf23051bd4f42afcf6e857efcb9368e455d641564515b4",
+    3: "e25c744eac3eecb189b7372af40c7dd3c6c50382e71fb1008d1adefca443b6b6",
+    4: "2f61a192cea89846318360ede4c42082a0c3130a1599baba17d4db5ee4af44c0",
+    5: "03b1176f88fb93ff349dd3e19faccaf84e5b9d0e15f7d92950f4c0d11f1679a6",
+    6: "5fb1cf2d553479703e4dc191cabdf8b73aba92be53fae72c99ff64d9515bd578",
+    7: "1f371a1b1c9404a2752f6b5fd30ada5ecaa6db67f956d2d9693eca94f3b838f4",
+}
+
+
+@pytest.mark.parametrize("rank", sorted(PEEL_PATH_SHA256))
+def test_find_move_path_keeps_its_pinned_moves(rank):
+    if rank <= 3:
+        ws = enumerate_reduced_words(rank)
+        pairs = [(a, b) for a in ws for b in ws]
+    else:
+        rng = random.Random(rank)
+        pairs = [(random_reduced_word(rank, rng), random_reduced_word(rank, rng))
+                 for _ in range(40)]
+    assert _digest(_path_lines(pairs)) == PEEL_PATH_SHA256[rank]
+
+
+def test_find_move_path_keeps_its_pinned_standard_moves():
+    """Both directions between the standard words at ranks 1-6, pinned as
+    above."""
+    pairs = [p for r in range(1, 7)
+             for p in (standard_words(r), standard_words(r)[::-1])]
+    assert _digest(_path_lines(pairs)) == (
+        "547dfc471fe66746aa0026a75de8713e6bf26b8a220c1c2ebff3530d804f311a")
 
 
 def _root_order_oracle(word):
