@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .polyhedra import InvariantError
-from .words import ReducedWord, bounded_chambers, format_letters, wiring
+from .words import ReducedWord, format_letters, wiring
 
 
 @dataclass(frozen=True)
@@ -35,27 +36,35 @@ class ChamberSet:
 
 def chamber_sets(word: ReducedWord) -> list[ChamberSet]:
     """The n(n-1)/2 bounded-chamber sets of a reduced word's wiring diagram."""
+    return [ChamberSet(g, i, members, x + 1, z + 1)
+            for g, i, members, x, z in _chambers(word)]
+
+
+def _chambers(word: ReducedWord) -> Iterator[tuple]:
+    """(gap, interval, members, x, z) of each bounded chamber by z, x < z
+    0-based, in one pass.  The labels below the gap, kept after x, are checked
+    again before z; as distinct labels of 1..n+1, they are an initial (terminal)
+    segment iff max (min) is their count (n + 2 - count).  Counted when done."""
     n, w = word.rank, word.letters
-    orders = wiring(w, n)
-    out = []
-    for x, z, _ in bounded_chambers(w):
-        g = w[z]
-        members = frozenset(orders[x + 1][g:])  # below the gap after crossing x
-        if members != frozenset(orders[z][g:]):
-            raise InvariantError("below-set drifted between crossings")
-        _check_not_initial_terminal(members, n)
-        out.append(ChamberSet(g, w[:z].count(g), members, x + 1, z + 1))
-    if len(out) != n * (n - 1) // 2:
-        raise InvariantError(f"{len(out)} chamber sets at rank {n}")
-    return out
-
-
-def _check_not_initial_terminal(members: frozenset[int], rank: int):
-    m = sorted(members)
-    if m and m == list(range(1, len(m) + 1)):
-        raise InvariantError(f"chamber set {m} is an initial segment")
-    if m and m == list(range(rank + 2 - len(m), rank + 2)):
-        raise InvariantError(f"chamber set {m} is a terminal segment")
+    order, made = list(range(1, n + 2)), 0
+    last, below, seen = [0] * (n + 1), [None] * (n + 1), [0] * (n + 1)
+    for z, g in enumerate(w):
+        if seen[g]:
+            members = frozenset(below[g])
+            if not members.issuperset(order[g:]):
+                raise InvariantError("below-set drifted between crossings")
+            if max(members) == len(members):
+                raise InvariantError(
+                    f"chamber set {sorted(members)} is an initial segment")
+            if min(members) == n + 2 - len(members):
+                raise InvariantError(
+                    f"chamber set {sorted(members)} is a terminal segment")
+            made += 1
+            yield g, seen[g], members, last[g], z
+        order[g - 1], order[g] = order[g], order[g - 1]
+        last[g], below[g], seen[g] = z, order[g:], seen[g] + 1
+    if made != n * (n - 1) // 2:
+        raise InvariantError(f"{made} chamber sets at rank {n}")
 
 
 def members_str(members: frozenset[int], rank: int) -> str:

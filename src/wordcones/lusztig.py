@@ -36,28 +36,30 @@ def lusztig_cone(word: ReducedWord) -> LusztigCone:
     >>> [sum(c for c in a if c > 0) for a in lusztig_cone(parse_word("121")).cone.ineqs]
     [1]
     """
-    k = len(word.letters)
-    ineqs: list[Vector] = []
-    for x, z, sides in bounded_chambers(word.letters):
-        row = [0] * k
-        row[x] = row[z] = -1
-        for y in sides:
-            row[y] = 1
-        ineqs.append(tuple(row))
-    result = LusztigCone(word, HCone(k, tuple(ineqs)))
-    if len(ineqs) != k - word.rank:
-        raise InvariantError(f"{len(ineqs)} inequalities, not {k - word.rank}")
-    return result
+    return LusztigCone(word, HCone(len(word.letters), _pair_rows(word)))
 
 
 def spanning_rays(word: ReducedWord) -> VCone:
     """Extreme rays of the Lusztig cone as a subset of the orthant, sorted:
     one dd_step per pair row from the orthant's written-down state, in a
-    stable order by chamber length z - x, read off a row's two -1 entries,
-    so few rays are made on the way."""
+    stable order by chamber length z - x, so few rays are made on the way."""
     k = len(word.letters)
-    rows = sorted(lusztig_cone(word).cone.ineqs,
-                  key=lambda a: a.index(-1, a.index(-1) + 1) - a.index(-1))
+    rows = _pair_rows(word, key=lambda c: c[1] - c[0])
     zeros = reduce(dd_step, rows, dd_simplex(identity(k), identity(k)))[2]
     return VCone(k, tuple(sorted(zeros)))
 
+
+def _pair_rows(word: ReducedWord, key=None) -> tuple[Vector, ...]:
+    """The k - n pair rows, -1 at x, z and 1 at the sides of each bounded
+    chamber (x, z, sides), in order of z or sorted stably by key."""
+    k, chambers = len(word.letters), bounded_chambers(word.letters)
+    ineqs: list[Vector] = []
+    for x, z, sides in (sorted(chambers, key=key) if key else chambers):
+        row = [0] * k
+        row[x] = row[z] = -1
+        for y in sides:
+            row[y] = 1
+        ineqs.append(tuple(row))
+    if len(ineqs) != k - word.rank:
+        raise InvariantError(f"{len(ineqs)} inequalities, not {k - word.rank}")
+    return tuple(ineqs)

@@ -105,7 +105,7 @@ class VCone:
         for r in self.rays:
             if len(r) != self.dim:
                 raise ValueError(f"ray {r} has wrong dimension (want {self.dim})")
-            if all(x == 0 for x in r):
+            if not any(r):
                 raise ValueError("zero vector is not a ray")
             if r in seen:
                 raise ValueError(f"duplicate ray {r}")
@@ -128,10 +128,7 @@ def hcone(ineqs: Iterable[Sequence], dim: int) -> HCone:
 
 def vcone(rays: Iterable[Sequence], dim: int) -> VCone:
     """Build a VCone from the distinct primitive rays; a zero one raises."""
-    rays = _distinct_primitive(rays)
-    if not all(map(any, rays)):
-        raise ValueError("zero vector is not a ray")
-    return VCone(dim, rays)
+    return VCone(dim, _distinct_primitive(rays))
 
 
 @cache
@@ -160,8 +157,7 @@ def _gauss_jordan(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[Vector, ...
     pivots, signed by the swaps; an inexact division is an InvariantError.
     """
     k = len(rows)
-    m = [[*col, *(int(i == j) for j in range(k))]
-         for i, col in enumerate(zip(*rows))]
+    m = [[*col, *unit] for col, unit in zip(zip(*rows), identity(k))]
     num, den = 1, 1
     for c in range(k):
         p = next((r for r in range(c, k) if m[r][c]), None)

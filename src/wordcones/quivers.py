@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Optional
 
-from .chambers import chamber_sets
+from .chambers import _chambers
 from .polyhedra import InvariantError
 from .words import ReducedWord
 
@@ -129,9 +129,9 @@ def chamber_set_from_quiver(quiver: PartialQuiver) -> frozenset[int]:
 
 def quivers_for_word(word: ReducedWord) -> list[PartialQuiver]:
     """The set of n(n-1)/2 partial quivers attached to a reduced word,
-    in chamber-set order (see chamber_sets)."""
-    out = [quiver_from_chamber_set(cs.members, word.rank)
-           for cs in chamber_sets(word)]
+    in chamber-set order (see chamber_sets), read off the one chamber scan."""
+    out = [_quiver_of(members, word.rank)
+           for _, _, members, _, _ in _chambers(word)]
     if len(set(out)) != len(out):
         raise InvariantError("chamber quivers must be distinct")
     return out

@@ -393,12 +393,17 @@ def generator_vector(gen: int, rank: int) -> tuple[int, ...]:
     return tuple(1 if g == gen else 0 for g in j_word.letters)
 
 
+@cache
+def _generator_vectors(rank: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(generator_vector(g, rank) for g in range(1, rank + 1))
+
+
 def spanning_vectors(word: ReducedWord) -> list[tuple[int, ...]]:
     """The k candidate spanning vectors of a word's linearity region:
-    one per attached quiver plus one per generator.  Each quiver's vector
-    comes from quiver_vector's per-process memo."""
+    one per attached quiver plus one per generator, each read off a memo:
+    quiver_vector's per process, _generator_vectors' per rank."""
     return ([quiver_vector(q) for q in quivers_for_word(word)]
-            + [generator_vector(g, word.rank) for g in range(1, word.rank + 1)])
+            + list(_generator_vectors(word.rank)))
 
 
 # ---------------------------------------------------------------------------

@@ -327,11 +327,11 @@ def _merge_cells(cells: list[Cell], k: int) -> DDState:
 def _checked_path(src: ReducedWord, dst: ReducedWord,
                   moves: Optional[Sequence[Move]]) -> list[Move]:
     """The peel path when moves is None, else the given moves once they are
-    checked to transform src into dst; a path that does not raises."""
-    if src.rank != dst.rank:
-        raise ValueError("words have different ranks")
+    checked to join words of one rank, src to dst; a path that does not raises."""
     if moves is None:
         return find_move_path(src, dst)
+    if src.rank != dst.rank:
+        raise ValueError("words have different ranks")
     moves = list(moves)
     end = apply_move_path(src, moves)
     if end != dst:

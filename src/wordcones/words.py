@@ -263,20 +263,24 @@ def class_canonical(word: ReducedWord) -> Letters:
     The orbit is the set of linear extensions of the word's heap, so its
     minimum is built greedily without the orbit: take out the smallest letter
     that commutes with (differs by at least 2 from) every letter before it,
-    and repeat.  Equal letters never commute, so the choice is unique.
+    and repeat.  Equal letters never commute, so the choice is unique.  It is
+    the smallest g whose first remaining position comes before g + 1's (k
+    when none is left, as for the sentinel n + 1): g - 1's, if any, comes
+    later, or the scan upwards would have stopped at g - 1.
 
     >>> class_canonical(ReducedWord(3, (2, 3, 1, 2, 3, 1)))
     (2, 1, 3, 2, 1, 3)
     """
-    rest, out = list(word.letters), []
-    while rest:
-        blocked: set[int] = set()
-        free = []
-        for i, g in enumerate(rest):
-            if g not in blocked:
-                free.append(i)
-            blocked.update((g - 1, g, g + 1))
-        out.append(rest.pop(min(free, key=rest.__getitem__)))
+    n, w = word.rank, word.letters
+    later, first, out = [len(w)] * len(w), [len(w)] * (n + 2), []
+    for i in range(len(w) - 1, -1, -1):
+        later[i], first[w[i]] = first[w[i]], i
+    for _ in w:
+        g = 1
+        while first[g] >= first[g + 1]:
+            g += 1
+        out.append(g)
+        first[g] = later[first[g]]
     return tuple(out)
 
 

@@ -112,6 +112,20 @@ def test_atlas_rejects_ranks_above_five_before_enumerating(monkeypatch):
         standard_atlas(6)
 
 
+def test_words_of_different_ranks_raise_with_and_without_moves(monkeypatch):
+    monkeypatch.setattr(regions, "enumerate_cells",
+                        lambda *a: pytest.fail("cells enumerated"))
+    src, dst = standard_words(3)[0], standard_words(4)[1]
+    calls = [lambda: find_move_path(src, dst),
+             lambda: transition_atlas(src, dst),
+             lambda: transition_atlas(src, dst, []),
+             lambda: evaluate(src, dst, (0,) * 6),
+             lambda: evaluate(src, dst, (0,) * 6, [])]
+    for call in calls:
+        with pytest.raises(ValueError, match="^words have different ranks$"):
+            call()
+
+
 def test_default_path_braid_counts():
     for rank, expected in ((2, 1), (3, 4), (4, 10), (5, 20)):
         j, jp = standard_words(rank)
