@@ -10,16 +10,14 @@ move labels across the gap).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .polyhedra import InvariantError
 from .words import ReducedWord, format_letters, wiring
 
 
-@dataclass(frozen=True)
-class ChamberSet:
+class ChamberSet(NamedTuple):
     """Labels below gap ``gap`` between two consecutive occurrences of it.
 
     ``interval`` is the 1-based ordinal of the chamber among those at the same
@@ -36,15 +34,14 @@ class ChamberSet:
 
 def chamber_sets(word: ReducedWord) -> list[ChamberSet]:
     """The n(n-1)/2 bounded-chamber sets of a reduced word's wiring diagram."""
-    return [ChamberSet(g, i, members, x + 1, z + 1)
-            for g, i, members, x, z in _chambers(word)]
+    return list(_chambers(word))
 
 
-def _chambers(word: ReducedWord) -> Iterator[tuple]:
-    """(gap, interval, members, x, z) of each bounded chamber by z, x < z
-    0-based, in one pass.  The labels below the gap, kept after x, are checked
-    again before z; as distinct labels of 1..n+1, they are an initial (terminal)
-    segment iff max (min) is their count (n + 2 - count).  Counted when done."""
+def _chambers(word: ReducedWord) -> Iterator[ChamberSet]:
+    """The ChamberSet of each bounded chamber by end, in one pass.  The labels
+    below the gap, kept after crossing x, are checked again before z (0-based);
+    as distinct labels of 1..n+1, they are an initial (terminal) segment iff
+    max (min) is their count (n + 2 - count).  Counted when done."""
     n, w = word.rank, word.letters
     order, made = list(range(1, n + 2)), 0
     last, below, seen = [0] * (n + 1), [None] * (n + 1), [0] * (n + 1)
@@ -60,7 +57,7 @@ def _chambers(word: ReducedWord) -> Iterator[tuple]:
                 raise InvariantError(
                     f"chamber set {sorted(members)} is a terminal segment")
             made += 1
-            yield g, seen[g], members, last[g], z
+            yield ChamberSet(g, seen[g], members, last[g] + 1, z + 1)
         order[g - 1], order[g] = order[g], order[g - 1]
         last[g], below[g], seen[g] = z, order[g:], seen[g] + 1
     if made != n * (n - 1) // 2:

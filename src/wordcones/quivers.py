@@ -130,8 +130,7 @@ def chamber_set_from_quiver(quiver: PartialQuiver) -> frozenset[int]:
 def quivers_for_word(word: ReducedWord) -> list[PartialQuiver]:
     """The set of n(n-1)/2 partial quivers attached to a reduced word,
     in chamber-set order (see chamber_sets), read off the one chamber scan."""
-    out = [_quiver_of(members, word.rank)
-           for _, _, members, _, _ in _chambers(word)]
+    out = [_quiver_of(cs.members, word.rank) for cs in _chambers(word)]
     if len(set(out)) != len(out):
         raise InvariantError("chamber quivers must be distinct")
     return out

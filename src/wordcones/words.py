@@ -260,18 +260,21 @@ class CommutationClass:
 def class_canonical(word: ReducedWord) -> Letters:
     """Reproducible class key: the lexicographic minimum over the orbit.
 
-    The orbit is the set of linear extensions of the word's heap, so its
-    minimum is built greedily without the orbit: take out the smallest letter
-    that commutes with (differs by at least 2 from) every letter before it,
-    and repeat.  Equal letters never commute, so the choice is unique.  It is
-    the smallest g whose first remaining position comes before g + 1's (k
-    when none is left, as for the sentinel n + 1): g - 1's, if any, comes
-    later, or the scan upwards would have stopped at g - 1.
-
     >>> class_canonical(ReducedWord(3, (2, 3, 1, 2, 3, 1)))
     (2, 1, 3, 2, 1, 3)
     """
-    n, w = word.rank, word.letters
+    return _canonical(word.letters, word.rank)
+
+
+def _canonical(w: Letters, n: int) -> Letters:
+    """class_canonical of the letters w of a reduced word at rank n.  The orbit
+    is the set of linear extensions of the word's heap, so its minimum is
+    built greedily without the orbit: take out the smallest letter that
+    commutes with (differs by at least 2 from) every letter before it, and
+    repeat.  Equal letters never commute, so the choice is unique.  It is the
+    smallest g whose first remaining position comes before g + 1's (k when
+    none is left, as for the sentinel n + 1): g - 1's, if any, comes later,
+    or the scan upwards would have stopped at g - 1."""
     later, first, out = [len(w)] * len(w), [len(w)] * (n + 2), []
     for i in range(len(w) - 1, -1, -1):
         later[i], first[w[i]] = first[w[i]], i
@@ -328,25 +331,21 @@ def class_graph(rank: int) -> dict[Letters, frozenset[Letters]]:
     """Graph on commutation classes: edge = single braid move between members.
 
     The braid graph is connected (Tits), so one search over classes finds
-    them all.  A class is keyed by its members' common restrictions to the
-    letter pairs {g, g+1} (Cartier-Foata): one class_canonical per class.
+    them all.  Each class is keyed by its canonical word, walked straight
+    from a braid neighbour's letters, so no word is validated again.
     """
-    if rank > _ENUM_RANK_LIMIT:  # bounds the search; standard_words checks >= 1
+    if rank > _ENUM_RANK_LIMIT:  # bounds the search; ReducedWord checks >= 1
         raise ValueError(
             f"the commutation class search is limited to rank <= {_ENUM_RANK_LIMIT}")
-    canonical: dict[tuple, Letters] = {}
     found: list[Letters] = []
+    seen: set[Letters] = set()
 
     def canon(w: Letters) -> Letters:
-        pairs: list[list[int]] = [[] for _ in range(rank + 1)]
-        for g in w:
-            pairs[g - 1].append(g)
-            pairs[g].append(g)
-        key = tuple(map(tuple, pairs))
-        if key not in canonical:
-            canonical[key] = class_canonical(ReducedWord(rank, w))
-            found.append(canonical[key])
-        return canonical[key]
+        c = _canonical(w, rank)
+        if c not in seen:
+            seen.add(c)
+            found.append(c)
+        return c
 
     canon(standard_words(rank)[0].letters)  # found grows as the search goes
     return {c: frozenset(map(canon, _braid_neighbours(c))) for c in found}
@@ -430,18 +429,13 @@ def positive_root_order(word: ReducedWord) -> tuple[Root, ...]:
 @cache
 def standard_words(rank: int) -> tuple[ReducedWord, ReducedWord]:
     """The odd-even word j = 1 3 5... 2 4 6... (repeated) and its even-odd
-    twin, built once per rank; a rank below 1 raises on every call."""
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
+    twin, built once per rank; a rank below 1 gives an empty word, which
+    ReducedWord rejects on every call."""
     odds = list(range(1, rank + 1, 2))
     evens = list(range(2, rank + 1, 2))
     k = longest_word_length(rank)
-    j: list[int] = []
-    jp: list[int] = []
-    while len(j) < k:
-        j += odds + evens
-        jp += evens + odds
-    return (ReducedWord(rank, tuple(j[:k])), ReducedWord(rank, tuple(jp[:k])))
+    return (ReducedWord(rank, tuple((odds + evens) * k)[:k]),
+            ReducedWord(rank, tuple((evens + odds) * k)[:k]))
 
 
 def random_reduced_word(rank: int, rng) -> ReducedWord:

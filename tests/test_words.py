@@ -359,6 +359,13 @@ def test_standard_words_are_built_once_per_rank():
             standard_words(rank)
 
 
+def test_standard_words_reject_every_rank_below_one():
+    # below -1 the longest word length is positive again; no letter fills it
+    for rank in (-2, -3, -6):
+        with pytest.raises(ValueError, match="rank must be >= 1"):
+            standard_words(rank)
+
+
 def test_class_canonical_consistency():
     rng = random.Random(3)
     for rank in (3, 4):
@@ -409,6 +416,15 @@ def test_class_functions_enumerate_no_word(monkeypatch):
     assert all(a in graph[b] for a in graph for b in graph[a])
     assert sum(len(nb) for nb in graph.values()) == 2 * 2144
     assert sum(c.size for c in classes) == 292864
+
+
+def test_class_search_validates_no_class_word(monkeypatch):
+    # braid neighbours of reduced words are reduced: only the start is checked
+    standard_words(5)
+    monkeypatch.setattr(words, "is_reduced", lambda *a: pytest.fail("validated"))
+    classes, graph = commutation_classes(5), class_graph(5)
+    assert len(classes) == len(graph) == 908
+    assert sum(len(nb) for nb in graph.values()) == 2 * 2144
 
 
 def test_class_search_matches_every_word_oracle():
