@@ -116,14 +116,6 @@ class PlacedRectangle:
     def w_hi(self) -> int:
         return self.w_lo + self.rect.w_width
 
-    @property
-    def left_corner(self) -> tuple[int, int]:
-        return (self.u_lo, self.w_lo)
-
-    @property
-    def right_corner(self) -> tuple[int, int]:
-        return (self.u_hi, self.w_hi)
-
 
 @dataclass(frozen=True)
 class CornerPoint:
@@ -244,54 +236,39 @@ def centre_and_central_line(config: Configuration) -> tuple[tuple[Fraction, Frac
     return (u0, w0), (u0 + w0) / 2
 
 
-def _merge_intervals(intervals: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    merged: list[list[int]] = []
-    for lo, hi in sorted(intervals):
-        if merged and lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    return [(lo, hi) for lo, hi in merged]
-
-
 def corner_points(config: Configuration) -> list[CornerPoint]:
-    """Deduplicated left/right corners with their maximal rectangles.
+    """Left and right corners with their maximal rectangles, by (u, w, side).
 
     The maximal rectangle of a corner V extends V's two edges along
     contiguous chains of drawn rectangle edges as far as possible, away from
-    V; it may stick out of the drawn union.
+    V; it may stick out of the drawn union.  It is the hull of the boxes
+    with corner V, given two facts checked here: (i) the boxes share a
+    point (every u- is below every u+, every w- below every w+); (ii) no
+    two left corners share a u or a w, nor do two right corners.  By (i)
+    no box's w+ or u+ edge lies on a left corner V's lines; by (ii) the only
+    w- and u- edges on them belong to the boxes with corner V, and all run
+    from V, so each chain through V ends at the farthest of those boxes.
+    Right corners mirror this.
     """
-    v_lines: dict[int, list[tuple[int, int]]] = {}
-    h_lines: dict[int, list[tuple[int, int]]] = {}
-    for p in config.placed:
-        v_lines.setdefault(p.u_lo, []).append((p.w_lo, p.w_hi))
-        v_lines.setdefault(p.u_hi, []).append((p.w_lo, p.w_hi))
-        h_lines.setdefault(p.w_lo, []).append((p.u_lo, p.u_hi))
-        h_lines.setdefault(p.w_hi, []).append((p.u_lo, p.u_hi))
-    v_merged = {u: _merge_intervals(iv) for u, iv in v_lines.items()}
-    h_merged = {w: _merge_intervals(iv) for w, iv in h_lines.items()}
-
-    def span(merged: list[tuple[int, int]], value: int) -> tuple[int, int]:
-        for lo, hi in merged:
-            if lo <= value <= hi:
-                return lo, hi
-        raise InvariantError("corner not on any drawn segment")
-
-    out: list[CornerPoint] = []
-    seen: set[tuple[int, int, str]] = set()
-    for p in config.placed:
-        for side in ("left", "right"):
-            u, w = p.left_corner if side == "left" else p.right_corner
-            if (u, w, side) in seen:
-                continue
-            seen.add((u, w, side))
-            ulo, uhi = span(h_merged[w], u)
-            wlo, whi = span(v_merged[u], w)
-            if side == "left":
-                box = (u, uhi, w, whi)
-            else:
-                box = (ulo, u, wlo, w)
-            out.append(CornerPoint(u, w, side, box))
+    placed = config.placed
+    if (max(p.u_lo for p in placed) >= min(p.u_hi for p in placed)
+            or max(p.w_lo for p in placed) >= min(p.w_hi for p in placed)):
+        raise InvariantError("the rectangles share no point")
+    left: dict[tuple[int, int], tuple[int, int]] = {}
+    right: dict[tuple[int, int], tuple[int, int]] = {}
+    for p in placed:
+        u_hi, w_hi = left.get((p.u_lo, p.w_lo), (p.u_hi, p.w_hi))
+        left[p.u_lo, p.w_lo] = (max(u_hi, p.u_hi), max(w_hi, p.w_hi))
+        u_lo, w_lo = right.get((p.u_hi, p.w_hi), (p.u_lo, p.w_lo))
+        right[p.u_hi, p.w_hi] = (min(u_lo, p.u_lo), min(w_lo, p.w_lo))
+    for corners in (left, right):
+        us, ws = zip(*corners)
+        if len(set(us)) < len(us) or len(set(ws)) < len(ws):
+            raise InvariantError("two corners on one side share a line")
+    out = [CornerPoint(u, w, "left", (u, u_hi, w, w_hi))
+           for (u, w), (u_hi, w_hi) in left.items()]
+    out += [CornerPoint(u, w, "right", (u_lo, u, w_lo, w))
+            for (u, w), (u_lo, w_lo) in right.items()]
     return sorted(out, key=lambda c: (c.u, c.w, c.side))
 
 
@@ -369,11 +346,6 @@ def phi_plus(quiver: PartialQuiver) -> frozenset[Root]:
 
 
 @cache
-def _standard_root_order(rank: int) -> tuple[Root, ...]:
-    return positive_root_order(standard_words(rank)[0])  # fixed by the rank
-
-
-@cache
 def quiver_vector(quiver: PartialQuiver) -> tuple[int, ...]:
     """0/1 vector marking the roots of the quiver in the standard-word order.
 
@@ -382,7 +354,8 @@ def quiver_vector(quiver: PartialQuiver) -> tuple[int, ...]:
     raises caches nothing.
     """
     roots = phi_plus(quiver)
-    return tuple(1 if r in roots else 0 for r in _standard_root_order(quiver.rank))
+    order = positive_root_order(standard_words(quiver.rank)[0])
+    return tuple(1 if r in roots else 0 for r in order)
 
 
 def generator_vector(gen: int, rank: int) -> tuple[int, ...]:

@@ -100,9 +100,6 @@ class ReducedWord:
                 f"{format_letters(self.letters, self.rank)} is not a reduced "
                 f"word for the longest element at rank {self.rank}")
 
-    def __len__(self) -> int:
-        return len(self.letters)
-
     def __str__(self) -> str:
         return format_letters(self.letters, self.rank)
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from lp_oracles import matrix_rank
+from rectangle_oracles import mismatches
 from wordcones import rectangles
 from wordcones.polyhedra import InvariantError
 from wordcones.quivers import PartialQuiver, enumerate_partial_quivers
@@ -199,6 +200,25 @@ def test_corner_maximal_rectangles_golden():
     assert a.side == "right"
     placed = config.placed[0]
     assert a.box == (placed.u_lo, placed.u_hi, placed.w_lo, placed.w_hi)
+
+
+def test_corner_points_match_the_interval_merge():
+    for rank in range(2, 11):
+        assert mismatches(rank) == [], rank
+
+
+@pytest.mark.parametrize("placed, message", [
+    # two boxes that share no point
+    ([(-1, 1), (5, 5)], "share no point"),
+    # two left corners on one u line
+    ([(0, 0), (0, 1)], "share a line"),
+])
+def test_corner_points_reject_configurations_the_hull_misreads(placed, message):
+    rect = Rectangle(0, 1, 1, 2)  # a 2 x 2 box
+    config = _configuration_from_placed(2, [
+        PlacedRectangle(rect, u_lo=u, w_lo=w) for u, w in placed])
+    with pytest.raises(InvariantError, match=message):
+        corner_points(config)
 
 
 def test_roots_of_box_goldens():
