@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import accumulate, combinations
 from math import lcm, prod
 from operator import add, mul, sub
@@ -107,16 +107,75 @@ def detour_move_path(src: ReducedWord, dst: ReducedWord) -> list[Move]:
 
 
 # ---------------------------------------------------------------------------
-# Atlas construction
+# Atlas construction, in the quotient by the lineality space
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class LetterQuotient:
+    """R^k/L, L the span of a word's letter indicators sum_{p: j_p = g} e_p,
+    which every region holds: a braid on letters (g, h, g) sends (a + t, b +
+    s, c + t) to its image of (a, b, c) plus (s, t, s) on both branches, its
+    guard c - a blind to s and t.  Coordinate (p, q) of ``pairs`` is x_q - x_p
+    for consecutive positions p < q of one letter, a unimodular basis."""
+
+    k: int
+    dim: int
+    chains: tuple[tuple[int, ...], ...]  # each letter's positions, in order
+    pairs: tuple[tuple[int, int], ...]
+    basis: tuple[Vector, ...]  # of L: the letter indicators, in letter order
+
+    def push(self, a: Sequence[int]) -> Vector:
+        """c with c . y = a . x, negated partial sums along each letter."""
+        out: list[int] = []
+        for chain in self.chains:
+            s = 0
+            for p in chain:
+                s -= a[p]
+                out.append(s)
+            if out.pop():  # the letter sum
+                raise InvariantError(f"normal {tuple(a)} is not 0 on L")
+        return tuple(out)
+
+    def pull(self, c: Sequence[int]) -> Vector:
+        """The normal on R^k that push takes to c."""
+        a = [0] * self.k
+        for (p, q), v in zip(self.pairs, c):
+            a[p] -= v
+            a[q] += v
+        return tuple(a)
+
+    def lift(self, y: Sequence[int]) -> Vector:
+        """The point over y with each letter's first position at 0."""
+        x = [0] * self.k
+        for (p, q), v in zip(self.pairs, y):
+            x[q] = x[p] + v
+        return tuple(x)
+
+    def lift_state(self, state: DDState) -> DDState:
+        """The R^k state over a quotient state, written down, not cut: L's
+        basis joins its lines, and pull(c) . lift(y) = c . y keeps masks."""
+        return (tuple(map(self.pull, state[0])),
+                self.basis + tuple(map(self.lift, state[1])),
+                {self.lift(r): m for r, m in state[2].items()})
+
+
+@cache
+def letter_quotient(letters: Letters) -> LetterQuotient:
+    """The quotient of R^k by the letter indicators of these letters."""
+    chains = tuple(tuple(p for p, h in enumerate(letters) if h == g)
+                   for g in sorted(set(letters)))
+    pairs = tuple(pq for c in chains for pq in zip(c, c[1:]))
+    return LetterQuotient(len(letters), len(pairs), chains, pairs, tuple(
+        tuple(int(p in c) for p in range(len(letters))) for c in chains))
+
 
 @dataclass(frozen=True)
 class Cell:
     """One full-dimensional leaf of the branch enumeration: its matrix
     ``rows``; its ``bits``, the branch taken at each braid move ('1' for
     a <= c), which RegionAtlas.bits_index maps to its region; and ``state``,
-    the double-description state of its guards, taken on the branch in order
-    from dd_whole as its normals, its rays carrying their zero sets."""
+    in the source's letter_quotient, the double-description state of its
+    guards, taken on the branch in order from dd_whole as its normals."""
 
     rows: tuple[Vector, ...]
     bits: str
@@ -125,14 +184,19 @@ class Cell:
 
 @dataclass(frozen=True)
 class Region:
-    """A maximal cone of linearity: its matrix, its irredundant facets and
-    one interior witness, both read off its double-description state, which
-    it keeps for later cuts, outside equality, hashing and repr."""
+    """A maximal cone of linearity: its matrix, its facets and one interior
+    witness, read off its double-description state in its quotient and
+    pulled back, which it keeps for later cuts, outside ==, hash and repr."""
 
     matrix: tuple[Vector, ...]
     cone: HCone
     witness: Vector
     state: DDState = field(compare=False, repr=False)
+    quotient: LetterQuotient = field(compare=False, repr=False)
+
+    @cached_property
+    def lifted_state(self) -> DDState:  # in R^k, lifted once
+        return self.quotient.lift_state(self.state)
 
     @property
     def facet_count(self) -> int:
@@ -193,12 +257,6 @@ class RegionAtlas:
         return self.bits_index[bits]
 
 
-def _swap_rows(rows: tuple[Vector, ...], t: int) -> tuple[Vector, ...]:
-    out = list(rows)
-    out[t], out[t + 1] = out[t + 1], out[t]
-    return tuple(out)
-
-
 def _braid_rows(rows: tuple[Vector, ...], t: int, low: bool) -> tuple[Vector, ...]:
     """Apply the a <= c branch (low), giving (b + c - a, a, b), or the other,
     giving (b, c, a + b - c), to the row triple (a, b, c) at t."""
@@ -211,39 +269,37 @@ def _braid_rows(rows: tuple[Vector, ...], t: int, low: bool) -> tuple[Vector, ..
 def enumerate_cells(src: ReducedWord, moves: Sequence[Move]) -> list[Cell]:
     """Depth-first branch enumeration, pruning branches with empty interior.
 
-    Each branch carries its cell's double-description state, and a leaf
-    hands it to its Cell whole.  A new guard g takes one dd_split of it,
-    which gives both sides {g . x >= 0} and {g . x <= 0} and says which of
-    them keeps an interior, so the state stays equal to double description
-    of the guards, its normals, from scratch.  A guard already on the
-    branch, or its negation, decides the branch with no cut (guards are
+    Each branch carries its cell's double-description state in the quotient
+    by src's letter_quotient, and a leaf hands it to its Cell whole.  A new
+    guard g, pushed to the quotient once, takes one dd_split of it, which
+    gives both sides {g . x >= 0} and {g . x <= 0} and says which of them
+    keeps an interior, so the state stays equal to double description of
+    the guards, its normals, from scratch.  A guard already on the branch,
+    or its negation, decides the branch with no cut (guards are
     primitive).  The moves are taken to be legal for src; transition_atlas
     checks them.
     """
-    k = len(src.letters)
+    quotient = letter_quotient(src.letters)
     cells: list[Cell] = []
-    stack = [(0, identity(k), dd_whole(k), "")]
+    stack = [(0, identity(quotient.k), dd_whole(quotient.dim), "")]
     while stack:
         idx, rows, state, bits = stack.pop()
         while idx < len(moves):
             mv = moves[idx]
             t = mv.position - 1
             if mv.kind == COMMUTATION:
-                rows = _swap_rows(rows, t)
+                rows = rows[:t] + (rows[t + 1], rows[t]) + rows[t + 2:]
                 idx += 1
                 continue
             a, c = rows[t], rows[t + 2]
-            g = primitive(tuple(z - x for x, z in zip(a, c)))
+            g = primitive(quotient.push(tuple(map(sub, c, a))))
             if not any(g):
                 raise InvariantError("degenerate braid guard")
             idx += 1
-            if g in state[0]:
-                rows = _braid_rows(rows, t, low=True)
-                bits += "1"
-                continue
-            if vneg(g) in state[0]:
-                rows = _braid_rows(rows, t, low=False)
-                bits += "0"
+            low = g in state[0]
+            if low or vneg(g) in state[0]:
+                rows = _braid_rows(rows, t, low)
+                bits += "1" if low else "0"
                 continue
             sides = [(_braid_rows(rows, t, bit == "1"), side, bits + bit)
                      for bit, side in zip("10", dd_split(state, g))
@@ -275,7 +331,7 @@ def _open_siblings(cells: list[Cell], held: set[Vector]
             if path[j] not in held and vneg(path[j]) not in node]
 
 
-def _merge_cells(cells: list[Cell], k: int) -> DDState:
+def _merge_cells(cells: list[Cell], dim: int) -> DDState:
     """Certified-convex union of same-matrix cells, as a double-description
     state: a single cell's own, or for several cells that of the candidate
     cone C, raising if C is not the union.  C is cut out by the
@@ -283,10 +339,10 @@ def _merge_cells(cells: list[Cell], k: int) -> DDState:
     guard holds on it, and the negation of one fails on the full-dimensional
     member), so C contains the union.  If the union is convex, C is exactly
     the union, since every facet of a convex union shows up among member
-    inequalities.  C's state is dd_cut of the valid normals from R^k, and
-    every sibling check below cuts from it.
+    inequalities.  C's state is dd_cut of the valid normals from R^dim, the
+    cells' space, and every sibling check below cuts from it.
 
-    Coverage comes from the branch tree.  Its leaves tile R^k with disjoint
+    Coverage comes from the branch tree.  Its leaves tile R^dim with disjoint
     interiors, and the node with guard prefix p is the union of the leaves
     below it.  An *off-path sibling* is a child p + (-h,) of a member prefix
     p, where p + (h,) is a member prefix and p + (-h,) is not.  Every leaf
@@ -307,7 +363,7 @@ def _merge_cells(cells: list[Cell], k: int) -> DDState:
     valid = [g for g, ng in zip(normals, map(vneg, normals)) if all(
         g in s or ng not in s and holds_on(g, c.state)
         for s, c in zip(guards, cells))]
-    state = dd_cut(dd_whole(k), valid)
+    state = dd_cut(dd_whole(dim), valid)
     if state is None:
         raise InvariantError(f"the {len(valid)} shared-valid inequalities "
                              f"of {len(cells)} full-dimensional cells cut "
@@ -319,7 +375,7 @@ def _merge_cells(cells: list[Cell], k: int) -> DDState:
             raise RegionConvexityError(
                 f"union of {len(cells)} same-matrix cells is not the "
                 f"convex cone cut out by its {len(valid)} shared-valid "
-                f"inequalities: {ray_sum_witness(cut, k)} is "
+                f"inequalities: {ray_sum_witness(cut, dim)} is "
                 f"interior to it and to an off-path sibling")
     return state
 
@@ -345,16 +401,16 @@ def transition_atlas(src: ReducedWord, dst: ReducedWord,
 
     The 144-region standard-word atlas of rank 4 comes from 214 leaf cells.
     Rank 5 is slow: the peel path has 20 braids, and its 18,273 cells,
-    enumerated in 2.5-2.7 s, merge into 6,608 regions in 11-13 s in all
-    under python -O (CPython 3.11, 2 vCPUs).
-    A group is popped as it merges, freeing its cells; its region keeps only
-    the state _merge_cells returns.  A rank above 5 raises before any
-    cell is enumerated.
+    enumerated in 1.6-2.4 s, merge into 6,608 regions in 6.4-8.1 s in all
+    under python -O (CPython 3.11, 2 vCPUs).  Both run in src's
+    letter_quotient.  A group is popped as it merges, freeing its cells;
+    its region keeps only the state _merge_cells returns.  A rank above 5
+    raises before any cell is enumerated.
     """
     if src.rank > 5:
         raise ValueError("regions supports ranks 1 to 5")
     moves = _checked_path(src, dst, moves)
-    k = len(src.letters)
+    quotient = letter_quotient(src.letters)
     groups: dict[tuple[Vector, ...], list[Cell]] = {}
     for cell in enumerate_cells(src, moves):
         groups.setdefault(cell.rows, []).append(cell)
@@ -362,11 +418,13 @@ def transition_atlas(src: ReducedWord, dst: ReducedWord,
     bits_index: dict[str, int] = {}
     for matrix in sorted(groups):
         group = groups.pop(matrix)
-        state = _merge_cells(group, k)
+        state = _merge_cells(group, quotient.dim)
         for cell in group:
             bits_index[cell.bits] = len(regions)
-        regions.append(Region(matrix, zero_set_facets(state, k),
-                              ray_sum_witness(state, k), state))
+        facets = map(quotient.pull, zero_set_facets(state, quotient.dim).ineqs)
+        witness = quotient.lift(ray_sum_witness(state, quotient.dim))
+        regions.append(Region(matrix, HCone(quotient.k, tuple(sorted(facets))),
+                              witness, state, quotient))
     return RegionAtlas(src, dst, tuple(moves), tuple(regions), bits_index)
 
 
@@ -479,12 +537,12 @@ class OrthantRestriction:
 
 def orthant_restriction_analysis(atlas: RegionAtlas) -> list[OrthantRestriction]:
     """Irredundant restriction of every region meeting the orthant in its
-    interior: the region's state dd_cut by the orthant, which is None when
-    the restriction has no interior, and the facets read off the cut."""
+    interior: the region's lifted state dd_cut by the orthant, which is None
+    when the restriction has no interior, and the facets read off the cut."""
     orth = identity(atlas.dim)
     out = []
     for idx, region in enumerate(atlas.regions):
-        cut = dd_cut(region.state, orth)
+        cut = dd_cut(region.lifted_state, orth)
         if cut is None:
             continue
         reduced = zero_set_facets(cut, atlas.dim)
@@ -601,27 +659,29 @@ def region_graph(atlas: RegionAtlas, minimal_only: bool = False
     """Facet-adjacency graph: edge when two regions share a (k-1)-dim face.
 
     Such a face lies on the hyperplane of a facet g of one region where -g
-    is a facet of the other: the first region's face there, dd_step of its
-    kept state by -g, keeps a relative interior under dd_cut by the other's
-    remaining facets.  None of those is parallel to g, or the other region
-    would lie in the hyperplane, so none vanishes on it, as dd_cut needs.
+    is a facet of the other, pushed to the quotient: the first region's face
+    there, dd_step of its kept state by -g, keeps a relative interior under
+    dd_cut by the other's remaining facets.  None of those is parallel to g,
+    or the other region would lie in the hyperplane, so none vanishes on it,
+    as dd_cut needs.
     """
     minimal = min(r.facet_count for r in atlas.regions)
-    idxs = [i for i, r in enumerate(atlas.regions)
-            if not minimal_only or r.facet_count == minimal]
+    push = letter_quotient(atlas.src.letters).push
+    facets = {i: tuple(map(push, r.cone.ineqs))
+              for i, r in enumerate(atlas.regions)
+              if not minimal_only or r.facet_count == minimal}
     by_facet: dict[Vector, list[int]] = {}
-    for i in idxs:
-        for g in atlas.regions[i].cone.ineqs:
+    for i, gs in facets.items():
+        for g in gs:
             by_facet.setdefault(g, []).append(i)
-    adj: dict[int, set[int]] = {i: set() for i in idxs}
-    for i in idxs:
-        region = atlas.regions[i]
-        for g in region.cone.ineqs:
-            face = dd_step(region.state, vneg(g))
+    adj: dict[int, set[int]] = {i: set() for i in facets}
+    for i, gs in facets.items():
+        for g in gs:
+            face = dd_step(atlas.regions[i].state, vneg(g))
             for jdx in by_facet.get(vneg(g), ()):
                 if jdx <= i or jdx in adj[i]:
                     continue
-                if dd_cut(face, (h for h in atlas.regions[jdx].cone.ineqs
+                if dd_cut(face, (h for h in facets[jdx]
                                  if h != vneg(g))) is not None:
                     adj[i].add(jdx)
                     adj[jdx].add(i)

@@ -1,0 +1,80 @@
+"""The atlas build in R^k, the reference for the build in the quotient by
+the lineality space.
+
+``enumerate_cells`` is ``regions.enumerate_cells`` as it was before the
+cells moved to the quotient R^k/L of ``regions.letter_quotient``: each
+branch carries its double-description state in R^k from ``dd_whole(k)``,
+whose n lines, spanning L, no guard ever cuts.  ``rk_regions`` merges its
+same-matrix groups with ``regions._merge_cells`` in R^k, the way
+``regions.transition_atlas`` did, and returns each region's matrix, facets
+and state, with the bits_index.  ``point_quotient`` takes a point's quotient
+coordinates, the consecutive differences along each letter's positions.
+"""
+
+from wordcones.polyhedra import (InvariantError, dd_split, dd_whole,
+                                 identity, primitive, vneg, zero_set_facets)
+from wordcones.regions import Cell, _braid_rows, _merge_cells
+from wordcones.words import COMMUTATION
+
+
+def enumerate_cells(src, moves):
+    """Depth-first branch enumeration in R^k, pruning branches with empty
+    interior; each cell keeps the R^k state of its guards."""
+    k = len(src.letters)
+    cells = []
+    stack = [(0, identity(k), dd_whole(k), "")]
+    while stack:
+        idx, rows, state, bits = stack.pop()
+        while idx < len(moves):
+            mv = moves[idx]
+            t = mv.position - 1
+            if mv.kind == COMMUTATION:
+                rows = rows[:t] + (rows[t + 1], rows[t]) + rows[t + 2:]
+                idx += 1
+                continue
+            a, c = rows[t], rows[t + 2]
+            g = primitive(tuple(z - x for x, z in zip(a, c)))
+            if not any(g):
+                raise InvariantError("degenerate braid guard")
+            idx += 1
+            if g in state[0]:
+                rows = _braid_rows(rows, t, low=True)
+                bits += "1"
+                continue
+            if vneg(g) in state[0]:
+                rows = _braid_rows(rows, t, low=False)
+                bits += "0"
+                continue
+            sides = [(_braid_rows(rows, t, bit == "1"), side, bits + bit)
+                     for bit, side in zip("10", dd_split(state, g))
+                     if side is not None]
+            if not sides:
+                raise InvariantError("both braid branches are empty")
+            # continue along the first option; push the rest
+            stack += [(idx,) + s for s in sides[1:]]
+            rows, state, bits = sides[0]
+        cells.append(Cell(rows, bits, state))
+    return cells
+
+
+def rk_regions(src, moves):
+    """([(matrix, facets, state)] in matrix order, bits_index) of the R^k
+    build: the R^k cells grouped by matrix, each group merged in R^k."""
+    k = len(src.letters)
+    groups = {}
+    for cell in enumerate_cells(src, moves):
+        groups.setdefault(cell.rows, []).append(cell)
+    regions, bits_index = [], {}
+    for matrix in sorted(groups):
+        state = _merge_cells(groups[matrix], k)
+        for cell in groups[matrix]:
+            bits_index[cell.bits] = len(regions)
+        regions.append((matrix, zero_set_facets(state, k), state))
+    return regions, bits_index
+
+
+def point_quotient(quotient, x):
+    """The quotient coordinates of x: for each letter, the differences of x
+    along its positions."""
+    return tuple(x[q] - x[p] for chain in quotient.chains
+                 for p, q in zip(chain, chain[1:]))

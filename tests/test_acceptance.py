@@ -22,7 +22,8 @@ from wordcones.rectangles import (components, configuration_for_quiver,
                                   diagonal_counts, parity_boundary, phi_plus,
                                   rectangle_for_component)
 from wordcones.regions import (default_move_path, detour_move_path,
-                               enumerate_cells, match_spanned_regions,
+                               enumerate_cells, letter_quotient,
+                               match_spanned_regions,
                                orthant_restriction_analysis,
                                simplicial_decomposition, standard_atlas,
                                transition_atlas)
@@ -184,13 +185,14 @@ def test_criterion_09_property_suites(atlas2, atlas3, atlas4):
     # convexity certificates: the builder certifies every merged region; on
     # top of that, re-enumerate the leaf cells and check each one sits inside
     # the cone of the region carrying its matrix: its ray sum is strictly
-    # interior to that region
+    # interior to that region, its state lifted from the quotient to R^k
     for atlas in (atlas2, atlas3, atlas4):
         cells = enumerate_cells(atlas.src, list(atlas.moves))
+        lift_state = letter_quotient(atlas.src.letters).lift_state
         by_matrix = {r.matrix: r for r in atlas.regions}
         for cell in cells:
             region = by_matrix[cell.rows]
-            witness = ray_sum_witness(cell.state, atlas.dim)
+            witness = ray_sum_witness(lift_state(cell.state), atlas.dim)
             if not contains_strictly(region.cone, witness):
                 ok = False
     report(9, "property suites: 10^4-point bijectivity + atlas agreement "

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -21,6 +22,8 @@ from lp_oracles import (_lp_implies, _lp_interior_point, _lp_irredundant_h,
                         level_search_decomposition, matrix_rank,
                         off_path_siblings, positive_somewhere,
                         regions_containing, scanned_region_index)
+from region_oracles import point_quotient, rk_regions
+from region_oracles import enumerate_cells as rk_cells
 from wordcones import cli, polyhedra, rectangles, regions
 from wordcones.polyhedra import (DegenerateConeError, HCone, InvariantError,
                                  NonPointedError, cone_equal,
@@ -34,7 +37,8 @@ from wordcones.regions import (RegionConvexityError, _merge_cells,
                                _pulling_simplices, apply_braid_triple,
                                braid_move_count, class_region_isomorphism_report,
                                default_move_path, detour_move_path,
-                               enumerate_cells, evaluate, match_spanned_regions,
+                               enumerate_cells, evaluate, letter_quotient,
+                               match_spanned_regions,
                                orthant_restriction_analysis, region_graph,
                                simplicial_decomposition, standard_atlas,
                                transition_atlas)
@@ -133,8 +137,11 @@ def test_default_path_braid_counts():
 
 
 def _standard_cells(rank):
+    """The cells of the standard-word atlas and the dimension of the
+    quotient their states live in."""
     j, jp = standard_words(rank)
-    return enumerate_cells(j, default_move_path(j, jp)), len(j.letters)
+    return (enumerate_cells(j, default_move_path(j, jp)),
+            letter_quotient(j.letters).dim)
 
 
 def _subtraction_merge(cells, k):
@@ -160,21 +167,22 @@ def _merge_verdict(merge, cells, k):
 
 
 def test_merge_certificate_agrees_with_subtraction_on_rank3_pairs():
-    cells, k = _standard_cells(3)
+    cells, d = _standard_cells(3)
     accepted = 0
     for pair in combinations(cells, 2):
-        expected = _merge_verdict(_subtraction_merge, list(pair), k)
-        got = _merge_verdict(_merge_cells, list(pair), k)
+        expected = _merge_verdict(_subtraction_merge, list(pair), d)
+        got = _merge_verdict(_merge_cells, list(pair), d)
         if expected is None:
             assert got is None
         else:
-            assert got is not None and zero_set_facets(got, k) == expected
+            assert got is not None and zero_set_facets(got, d) == expected
             accepted += 1
     assert len(cells) == 11 and accepted == 13
 
 
 def test_merge_certificate_accepts_every_rank4_group(atlas4):
-    cells, k = _standard_cells(4)
+    cells, d = _standard_cells(4)
+    pull = letter_quotient(atlas4.src.letters).pull
     groups = {}
     for cell in cells:
         groups.setdefault(cell.rows, []).append(cell)
@@ -182,8 +190,10 @@ def test_merge_certificate_accepts_every_rank4_group(atlas4):
     merged = [g for g in groups.values() if len(g) > 1]
     assert len(groups) == 144 and len(merged) == 48
     for group in merged:
-        cone = zero_set_facets(_merge_cells(group, k), k)
-        assert cone == cones[group[0].rows] == _subtraction_merge(group, k)
+        cone = zero_set_facets(_merge_cells(group, d), d)
+        assert cone == _subtraction_merge(group, d)
+        assert tuple(sorted(map(pull, cone.ineqs))) == \
+            cones[group[0].rows].ineqs
 
 
 def test_merge_validity_counts_lines():
@@ -224,21 +234,21 @@ def test_zero_set_facets_match_rank_and_lp_on_cells_and_groups():
     are that fold's normals; the facets read off those masks are those of
     the dot-product, rank and LP rules."""
     for rank in (3, 4):
-        cells, k = _standard_cells(rank)
+        cells, d = _standard_cells(rank)
         states = [c.state for c in cells]
         for group in _multi_cell_groups(cells):
-            valid = _valid_normals(group, k)
-            states.append(dd_cut(dd_whole(k), valid))
+            valid = _valid_normals(group, d)
+            states.append(dd_cut(dd_whole(d), valid))
             assert states[-1][0] == valid
         assert len(states) == {3: 12, 4: 262}[rank]
         for state in states:
             normals, lines, rays = state[0], state[1], tuple(state[2])
             assert tuple(state[2].values()) == _zero_sets(normals, rays), \
                 normals
-            assert zero_set_facets(state, k) == \
-                facets_from_generators(normals, rays, k) == \
-                _rank_facets(normals, lines, rays, k) == \
-                _lp_irredundant_h(HCone(k, normals)), normals
+            assert zero_set_facets(state, d) == \
+                facets_from_generators(normals, rays, d) == \
+                _rank_facets(normals, lines, rays, d) == \
+                _lp_irredundant_h(HCone(d, normals)), normals
 
 
 def _branch_guards(src, moves, bits):
@@ -249,7 +259,7 @@ def _branch_guards(src, moves, bits):
     for mv in moves:
         t = mv.position - 1
         if mv.kind == COMMUTATION:
-            rows = regions._swap_rows(rows, t)
+            rows = rows[:t] + (rows[t + 1], rows[t]) + rows[t + 2:]
             continue
         low = next(bits) == "1"
         g = primitive(tuple(z - x for x, z in zip(rows[t], rows[t + 2])))
@@ -260,22 +270,119 @@ def _branch_guards(src, moves, bits):
 
 def test_cell_and_region_states_describe_themselves(atlas2, atlas3, atlas4):
     """Every rank-2 to rank-4 cell's state has as its normals the guards its
-    branch bits walk to, and every region keeps the state of its one cell
-    or the dd_cut fold of its group's valid normals; in each state the masks
-    are the rays' zero sets among its normals, and the lines vanish on
-    every normal."""
+    branch bits walk to, pushed to the quotient, and every region keeps the
+    state of its one cell or the dd_cut fold of its group's valid normals;
+    in each state, and in each region's lifted state with those normals
+    pulled back, the masks are the rays' zero sets among its normals, and
+    the lines vanish on every normal."""
     for atlas in (atlas2, atlas3, atlas4):
-        k = atlas.dim
+        quotient = letter_quotient(atlas.src.letters)
         groups = {}
         for cell in enumerate_cells(atlas.src, atlas.moves):
-            guards = _branch_guards(atlas.src, atlas.moves, cell.bits)
+            guards = tuple(map(quotient.push, _branch_guards(
+                atlas.src, atlas.moves, cell.bits)))
             assert_state_invariants(cell.state, guards)
             groups.setdefault(cell.rows, []).append((cell, guards))
         for region in atlas.regions:
             group = groups[region.matrix]
             cut = group[0][1] if len(group) == 1 else \
-                _valid_normals([c for c, _ in group], k)
+                _valid_normals([c for c, _ in group], quotient.dim)
             assert_state_invariants(region.state, cut)
+            assert_state_invariants(region.lifted_state,
+                                    tuple(map(quotient.pull, cut)))
+
+
+def test_quotient_build_matches_the_rk_oracle(atlas2, atlas3, atlas4):
+    """At ranks 1 to 4 the build in the quotient gives the R^k build's
+    cells, in order, with the same rows and bits and the R^k guards pushed,
+    and the same bits_index; every region has the oracle's matrix and
+    sorted facets, and its lifted state has the oracle state's normals, a
+    basis of the oracle's lines, and its rays up to L."""
+    for atlas in (standard_atlas(1), atlas2, atlas3, atlas4):
+        quotient, k = letter_quotient(atlas.src.letters), atlas.dim
+        cells = enumerate_cells(atlas.src, atlas.moves)
+        oracle = rk_cells(atlas.src, atlas.moves)
+        assert [(c.rows, c.bits) for c in cells] == \
+            [(c.rows, c.bits) for c in oracle]
+        for cell, rk in zip(cells, oracle):
+            assert tuple(map(quotient.pull, cell.state[0])) == rk.state[0]
+            assert tuple(sorted(map(quotient.pull, zero_set_facets(
+                cell.state, quotient.dim).ineqs))) == \
+                zero_set_facets(rk.state, k).ineqs
+        rk_list, rk_index = rk_regions(atlas.src, atlas.moves)
+        assert atlas.bits_index == rk_index
+        assert [(r.matrix, r.cone) for r in atlas.regions] == \
+            [(m, cone) for m, cone, _ in rk_list]
+        for region, (_, _, rk) in zip(atlas.regions, rk_list):
+            normals, lines, zeros = region.lifted_state
+            assert normals == rk[0]
+            assert matrix_rank(lines) == matrix_rank(lines + rk[1]) == \
+                len(rk[1])
+            assert {primitive(point_quotient(quotient, r)) for r in zeros} \
+                == {primitive(point_quotient(quotient, r)) for r in rk[2]}
+
+
+def test_lineality_space_is_the_letter_span(atlas2, atlas3, atlas4):
+    """L, the span of the letter indicators, is the lineality space of
+    every region at ranks 1 to 4: every R^k oracle region state's lines
+    span exactly L, every quotient region state has no line, and every
+    lifted state has L's basis as its lines.  Every guard of every cell and
+    every facet of every region has zero letter sums."""
+    for atlas in (standard_atlas(1), atlas2, atlas3, atlas4):
+        quotient = letter_quotient(atlas.src.letters)
+        n = atlas.src.rank
+        assert len(quotient.basis) == n and quotient.dim == atlas.dim - n
+        for _, _, rk in rk_regions(atlas.src, atlas.moves)[0]:
+            assert len(rk[1]) == n == matrix_rank(rk[1] + quotient.basis)
+        for region in atlas.regions:
+            assert region.state[1] == ()
+            assert region.lifted_state[1] == quotient.basis
+        normals = [g for c in rk_cells(atlas.src, atlas.moves)
+                   for g in c.state[0]]
+        normals += [g for r in atlas.regions for g in r.cone.ineqs]
+        assert all(sum(a[p] for p in chain) == 0
+                   for a in normals for chain in quotient.chains)
+
+
+def test_quotient_maps_round_trip():
+    """On seeded normals with zero letter sums at ranks 1 to 5,
+    pull(push(a)) == a and push(pull(c)) == c; primitive normals stay
+    primitive both ways, and a point lifts so that its quotient is itself
+    and pull(c) . lift(y) == c . y."""
+    rng = random.Random(33)
+    for rank in range(1, 6):
+        for word in standard_words(rank):
+            quotient = letter_quotient(word.letters)
+            k, d = quotient.k, quotient.dim
+            for _ in range(200):
+                c = tuple(rng.randrange(-6, 7) for _ in range(d))
+                a = quotient.pull(c)
+                assert quotient.push(a) == c
+                assert quotient.pull(quotient.push(a)) == a and len(a) == k
+                assert (primitive(a) == a) == (primitive(c) == c)
+                y = tuple(rng.randrange(-6, 7) for _ in range(d))
+                x = quotient.lift(y)
+                assert point_quotient(quotient, x) == y
+                assert all(x[chain[0]] == 0 for chain in quotient.chains)
+                assert dot(a, x) == dot(c, y)
+
+
+def test_a_guard_off_the_letter_span_raises_under_O():
+    """push refuses a normal with a non-zero letter sum by InvariantError,
+    which python -O keeps."""
+    code = ("from wordcones.polyhedra import InvariantError\n"
+            "from wordcones.regions import letter_quotient\n"
+            "q = letter_quotient((1, 2, 1))\n"
+            "print(q.push((-1, 0, 1)))\n"
+            "try:\n"
+            "    q.push((1, 0, 1))\n"
+            "except InvariantError as e:\n"
+            "    print(type(e).__name__)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "(1,)\nInvariantError\n"
+    with pytest.raises(InvariantError, match="is not 0 on L"):
+        letter_quotient((1, 2, 1)).push((0, 1, 0))
 
 
 def test_region_graph_and_orthant_restriction_cut_from_kept_states(
@@ -300,21 +407,21 @@ def test_stepped_sibling_verdicts_match_interior_point():
     the state of the valid normals by each off-path sibling agrees with the
     LP on valid + sibling, and the ray sum of a cut that keeps an interior
     is interior; both answers occur."""
-    cells3, k3 = _standard_cells(3)
-    cells4, k4 = _standard_cells(4)
-    groups = [(list(pair), k3) for pair in combinations(cells3, 2)]
-    groups += [(group, k4) for group in _multi_cell_groups(cells4)]
+    cells3, d3 = _standard_cells(3)
+    cells4, d4 = _standard_cells(4)
+    groups = [(list(pair), d3) for pair in combinations(cells3, 2)]
+    groups += [(group, d4) for group in _multi_cell_groups(cells4)]
     answers = {True: 0, False: 0}
-    for group, k in groups:
-        valid = _valid_normals(group, k)
-        state = dd_cut(dd_whole(k), valid)
+    for group, d in groups:
+        valid = _valid_normals(group, d)
+        state = dd_cut(dd_whole(d), valid)
         for sib in off_path_siblings(group):
             got = dd_cut(state, sib)
             assert (got is None) == \
-                (_lp_interior_point(valid + sib, k) is None), (valid, sib)
+                (_lp_interior_point(valid + sib, d) is None), (valid, sib)
             if got is not None:
                 assert got[0] == valid + sib
-                ray_sum_witness(got, k)
+                ray_sum_witness(got, d)
             answers[got is not None] += 1
     assert answers[True] and answers[False], answers
 
@@ -326,14 +433,14 @@ def test_sibling_walk_skips_exactly_the_opposed_siblings():
     normal), and no guard of a member's path is opposed, so the last guard
     is the only one the merge needs to test.  The rank-4 groups list 790
     siblings, and 36 of them are cut."""
-    cells3, k3 = _standard_cells(3)
-    cells4, k4 = _standard_cells(4)
-    for groups, k, expected in (
-            ([list(pair) for pair in combinations(cells3, 2)], k3, (269, 156)),
-            (_multi_cell_groups(cells4), k4, (790, 36))):
+    cells3, d3 = _standard_cells(3)
+    cells4, d4 = _standard_cells(4)
+    for groups, d, expected in (
+            ([list(pair) for pair in combinations(cells3, 2)], d3, (269, 156)),
+            (_multi_cell_groups(cells4), d4, (790, 36))):
         listed = walked = 0
         for group in groups:
-            valid = _valid_normals(group, k)
+            valid = _valid_normals(group, d)
             opposed = {vneg(g) for g in valid}
             assert not any(opposed.intersection(c.state[0]) for c in group)
             oracle = off_path_siblings(group)
@@ -367,24 +474,27 @@ def test_atlas_build_counts_cuts_and_steps(monkeypatch):
 
 
 def test_region_witnesses_are_the_ray_sums(atlas2, atlas3, atlas4):
-    """Each region's witness is the primitive column sum of its state's
-    rays, as summed coordinate by coordinate, and the witnesses at ranks 1
-    to 4 keep their pinned digests; the rank-1 region has one line and no
-    ray, and its witness is the zero vector (0,)."""
+    """Each region's witness is the lift of the primitive column sum of its
+    quotient state's rays, as summed coordinate by coordinate, and the
+    witnesses at ranks 1 to 4 keep their pinned digests; the rank-1 quotient
+    has dimension 0, so its region's state has no line and no ray, its
+    lifted state has L's one line, and its witness is the zero vector
+    (0,)."""
     atlas1 = standard_atlas(1)
     assert [r.witness for r in atlas1.regions] == [(0,)]
-    assert atlas1.regions[0].state[1:] == (((1,),), {})
+    assert atlas1.regions[0].state == ((), (), {})
+    assert atlas1.regions[0].lifted_state == ((), ((1,),), {})
     digests = {
         1: "78fce9491f4b0e3b895728f3c6efe71e16e4ae77f5f6db9148e6e0584bc5fd42",
-        2: "1ac0e7e79dd4a359dc2fd261286879a9388c3aaafe5e59556bbbd7febe682fc9",
-        3: "99d746364814b0f2f7f545955c12fb5f28950f4c2570ad702e46d90871107146",
-        4: "b067c881d7480de7045a8e2780ff066ba9a596059335ea06538787996313010f",
+        2: "241572a92e96c0351dbcfefceaa03b952f4ccefb46d4a2d2f5bfc713c044136f",
+        3: "a7ed3848b58a4a62e492441be1006b3507255f4f014375c49c7310a7f83da4ad",
+        4: "008fdc62813f5e9cdf2333129b35afc559f70d1352a202d2727ead9152f60928",
     }
     for atlas in (atlas1, atlas2, atlas3, atlas4):
-        k = atlas.dim
+        quotient = letter_quotient(atlas.src.letters)
         witnesses = [r.witness for r in atlas.regions]
-        assert witnesses == [
-            primitive(sum(ray[i] for ray in r.state[2]) for i in range(k))
+        assert witnesses == [quotient.lift(primitive(
+            sum(ray[i] for ray in r.state[2]) for i in range(quotient.dim)))
             for r in atlas.regions]
         assert hashlib.sha256(repr(witnesses).encode()).hexdigest() == \
             digests[atlas.src.rank]
@@ -570,25 +680,25 @@ def test_cell_predicates_match_lp_oracles():
     its same-matrix group, and whether the other side of its last guard has
     an interior (the branch test)."""
     for rank in (3, 4):
-        cells, k = _standard_cells(rank)
+        cells, d = _standard_cells(rank)
         groups = {}
         for cell in cells:
             groups.setdefault(cell.rows, []).append(cell)
         answers = set()
         for cell in cells:
             guards = cell.state[0]
-            cone = HCone(k, guards)
-            assert contains_strictly(cone, interior_point(guards, k))
+            cone = HCone(d, guards)
+            assert contains_strictly(cone, interior_point(guards, d))
             assert irredundant_h(cone) == _lp_irredundant_h(cone)
             for g in dict.fromkeys(g for c in groups[cell.rows]
                                    for g in c.state[0] if g not in guards):
-                got = implies(guards, g, k)
-                assert got == _lp_implies(guards, g, k)
+                got = implies(guards, g, d)
+                assert got == _lp_implies(guards, g, d)
                 answers.add(("implies", got))
             if guards:
                 other = guards[:-1] + (vneg(guards[-1]),)
-                got = interior_point(other, k) is not None
-                assert got == (_lp_interior_point(other, k) is not None)
+                got = interior_point(other, d) is not None
+                assert got == (_lp_interior_point(other, d) is not None)
                 answers.add(("interior", got))
         assert len(answers) == 4  # both answers occur for both questions
 
@@ -629,15 +739,15 @@ def test_carried_generators_match_double_description():
     parent's generators, and dd_cut of the parent's state by the side,
     agree with the LP, and both answers occur."""
     for rank in (2, 3, 4):
-        cells, k = _standard_cells(rank)
+        cells, d = _standard_cells(rank)
         for cell in cells:
             guards = cell.state[0]
-            normals, lines, zeros = reduce(dd_step, guards, dd_whole(k))
+            normals, lines, zeros = reduce(dd_step, guards, dd_whole(d))
             assert cell.state[:2] == (normals, lines) and normals == guards
             assert list(cell.state[2].items()) == list(zeros.items())
-            assert (list(lines), list(zeros)) == double_description(guards, k)
-            assert facets_from_generators(guards, tuple(zeros), k) == \
-                irredundant_h(HCone(k, guards))
+            assert (list(lines), list(zeros)) == double_description(guards, d)
+            assert facets_from_generators(guards, tuple(zeros), d) == \
+                irredundant_h(HCone(d, guards))
         if rank == 2:
             continue
         branches = dict.fromkeys((c.state[0][:j], c.state[0][j])
@@ -645,12 +755,12 @@ def test_carried_generators_match_double_description():
                                  for j in range(len(c.state[0])))
         answers = set()
         for prefix, g in branches:
-            gens = double_description(prefix, k)
-            parent = dd_cut(dd_whole(k), prefix)
+            gens = double_description(prefix, d)
+            parent = dd_cut(dd_whole(d), prefix)
             for side in (g, vneg(g)):
                 got = positive_somewhere(side, *gens)
                 assert got == (dd_cut(parent, (side,)) is not None) == \
-                    (_lp_interior_point(prefix + (side,), k) is not None)
+                    (_lp_interior_point(prefix + (side,), d) is not None)
                 answers.add(got)
         assert answers == {True, False}, rank
 
@@ -794,13 +904,14 @@ def test_interior_points_in_exactly_one_region(atlas3):
 
 
 def test_region_witnesses_are_interior(atlas2, atlas3, atlas4):
-    """Each region's witness, the ray sum of its own state, is strictly
-    interior to its cone, merged regions included; its facets are those
-    read off the state it keeps, and the state leaves it hashable."""
+    """Each region's witness, the lifted ray sum of its own state, is
+    strictly interior to its cone, merged regions included; its facets are
+    those read off the state it keeps, lifted, and the state leaves it
+    hashable."""
     for atlas in (atlas2, atlas3, atlas4):
         for region in atlas.regions:
             assert contains_strictly(region.cone, region.witness)
-            assert zero_set_facets(region.state, atlas.dim) == region.cone
+            assert zero_set_facets(region.lifted_state, atlas.dim) == region.cone
             bare = replace(region, state=None)
             assert bare == region and hash(bare) == hash(region)
             assert repr(bare) == repr(region)
