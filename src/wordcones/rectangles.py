@@ -17,9 +17,10 @@ to stay in integer arithmetic they are handled as doubled x throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from itertools import groupby
 from typing import Optional, Sequence
 
 from .chambers import _fmt
@@ -52,19 +53,10 @@ class Component:
 
 def components(quiver: PartialQuiver) -> list[Component]:
     """Components left to right (decreasing edge numbers), alternating kinds."""
-    runs: list[tuple[str, list[int]]] = []
-    for edge in quiver.labelled_edges():
-        kind = quiver.label(edge)
-        if runs and runs[-1][0] == kind:
-            runs[-1][1].append(edge)
-        else:
-            runs.append((kind, [edge]))
-    out = [Component(kind, a=edges[-1] - 1, b=edges[0] + 1) for kind, edges in runs]
-    for left, right in zip(out, out[1:]):
-        if left.kind == right.kind:
-            raise InvariantError("components must alternate")
-        if left.a != right.b - 1:
-            raise InvariantError("adjacent components must interlock")
+    out = []
+    for kind, run in groupby(quiver.labelled_edges(), key=quiver.label):
+        edges = list(run)
+        out.append(Component(kind, a=edges[-1] - 1, b=edges[0] + 1))
     return out
 
 
@@ -133,34 +125,49 @@ class CornerPoint:
 
 @dataclass(frozen=True)
 class Configuration:
-    """Placed rectangles of one quiver plus derived cell geometry."""
+    """Placed rectangles of one quiver, and the sorted cuts of their sides.
+
+    The boxes form one nested chain, checked when it is made: sorted by u
+    width, widest first, each box shares its left or its right corner with
+    the next, alternating between the two, and the next is strictly
+    narrower in u and strictly wider in w.  So the boxes share a point,
+    each box after the first adds one u cut and one w cut, and two left
+    (or two right) corners differ in both u and w.
+    """
 
     rank: int
     placed: tuple[PlacedRectangle, ...]
-    u_cuts: tuple[int, ...]
-    w_cuts: tuple[int, ...]
-    cells: frozenset[tuple[int, int]]  # (u-band index, w-band index)
+    u_cuts: tuple[int, ...] = field(init=False)
+    w_cuts: tuple[int, ...] = field(init=False)
 
-
-def _configuration_from_placed(rank: int, placed: Sequence[PlacedRectangle]
-                               ) -> Configuration:
-    u_cuts = sorted({v for p in placed for v in (p.u_lo, p.u_hi)})
-    w_cuts = sorted({v for p in placed for v in (p.w_lo, p.w_hi)})
-    cells = set()
-    for ui in range(len(u_cuts) - 1):
-        for wi in range(len(w_cuts) - 1):
-            if any(p.u_lo <= u_cuts[ui] and u_cuts[ui + 1] <= p.u_hi
-                   and p.w_lo <= w_cuts[wi] and w_cuts[wi + 1] <= p.w_hi
-                   for p in placed):
-                cells.add((ui, wi))
-    return Configuration(rank, tuple(placed), tuple(u_cuts), tuple(w_cuts),
-                         frozenset(cells))
+    def __post_init__(self):
+        chain = sorted(self.placed, key=lambda p: -p.rect.u_width)
+        shared = None
+        for wide, narrow in zip(chain, chain[1:]):
+            side = ("left" if (wide.u_lo, wide.w_lo) == (narrow.u_lo, narrow.w_lo)
+                    else "right" if (wide.u_hi, wide.w_hi) == (narrow.u_hi, narrow.w_hi)
+                    else None)
+            if (side is None or side == shared
+                    or narrow.rect.u_width >= wide.rect.u_width
+                    or narrow.rect.w_width <= wide.rect.w_width):
+                raise InvariantError("the boxes are not a nested chain")
+            shared = side
+        object.__setattr__(self, "u_cuts", tuple(sorted(
+            {v for p in self.placed for v in (p.u_lo, p.u_hi)})))
+        object.__setattr__(self, "w_cuts", tuple(sorted(
+            {v for p in self.placed for v in (p.w_lo, p.w_hi)})))
 
 
 def place_configuration(comps: Sequence[Component], rank: int) -> Configuration:
     """Fit the component rectangles together; L-then-R pairs share left
     corners, R-then-L pairs share right corners (levels agree because
-    a(left) = b(right) - 1)."""
+    a(left) = b(right) - 1).
+
+    This is a nested chain in component order: component (a, b) has u
+    width 2a and w width 2(rank + 2 - b), the kinds alternate, every
+    component has an edge, so b >= a + 2, and the next one has b' = a + 1,
+    so a' <= a - 1 and rank + 2 - b' = rank + 1 - a > rank + 2 - b.
+    """
     if not comps:
         raise ValueError("no components to place")
     placed: list[PlacedRectangle] = []
@@ -178,7 +185,7 @@ def place_configuration(comps: Sequence[Component], rank: int) -> Configuration:
                 raise ValueError("shared right corners disagree in level")
             placed.append(PlacedRectangle(rect, prev.u_hi - rect.u_width,
                                           prev.w_hi - rect.w_width))
-    return _configuration_from_placed(rank, placed)
+    return Configuration(rank, tuple(placed))
 
 
 def configuration_for_quiver(quiver: PartialQuiver) -> Configuration:
@@ -189,16 +196,15 @@ def diagonal_counts(config: Configuration) -> tuple[tuple[int, ...], tuple[int, 
     """Cells per u-band and per w-band, in increasing coordinate order.
 
     A u-band is one north-west/south-east diagonal of the unrotated picture,
-    a w-band one north-east/south-west diagonal.
+    a w-band one north-east/south-west diagonal.  In the nested chain the
+    t boxes spanning a u-band cover exactly t w-bands, the t-th box's w
+    side, so a band's cells are counted by its spanning boxes (w mirrors u).
     """
-    nu, nw = len(config.u_cuts) - 1, len(config.w_cuts) - 1
-    u_counts = tuple(sum(1 for wi in range(nw) if (ui, wi) in config.cells)
-                     for ui in range(nu))
-    w_counts = tuple(sum(1 for ui in range(nu) if (ui, wi) in config.cells)
-                     for wi in range(nw))
-    if not all(c > 0 for c in u_counts + w_counts):
-        raise InvariantError("a band of the configuration has no cell")
-    return u_counts, w_counts
+    def spanning(cuts, sides):
+        return tuple(sum(1 for s_lo, s_hi in sides if s_lo <= lo and hi <= s_hi)
+                     for lo, hi in zip(cuts, cuts[1:]))
+    return (spanning(config.u_cuts, [(p.u_lo, p.u_hi) for p in config.placed]),
+            spanning(config.w_cuts, [(p.w_lo, p.w_hi) for p in config.placed]))
 
 
 def parity_boundary(counts: Sequence[int]) -> Optional[int]:
@@ -242,29 +248,19 @@ def corner_points(config: Configuration) -> list[CornerPoint]:
     The maximal rectangle of a corner V extends V's two edges along
     contiguous chains of drawn rectangle edges as far as possible, away from
     V; it may stick out of the drawn union.  It is the hull of the boxes
-    with corner V, given two facts checked here: (i) the boxes share a
-    point (every u- is below every u+, every w- below every w+); (ii) no
-    two left corners share a u or a w, nor do two right corners.  By (i)
-    no box's w+ or u+ edge lies on a left corner V's lines; by (ii) the only
-    w- and u- edges on them belong to the boxes with corner V, and all run
-    from V, so each chain through V ends at the farthest of those boxes.
-    Right corners mirror this.
+    with corner V.  In the nested chain the boxes share a point, so no
+    box's w+ or u+ edge lies on a left corner V's lines, and no two left
+    corners share a u or a w, so the only w- and u- edges on them belong
+    to the boxes with corner V, and all run from V: each chain through V
+    ends at the farthest of those boxes.  Right corners mirror this.
     """
-    placed = config.placed
-    if (max(p.u_lo for p in placed) >= min(p.u_hi for p in placed)
-            or max(p.w_lo for p in placed) >= min(p.w_hi for p in placed)):
-        raise InvariantError("the rectangles share no point")
     left: dict[tuple[int, int], tuple[int, int]] = {}
     right: dict[tuple[int, int], tuple[int, int]] = {}
-    for p in placed:
+    for p in config.placed:
         u_hi, w_hi = left.get((p.u_lo, p.w_lo), (p.u_hi, p.w_hi))
         left[p.u_lo, p.w_lo] = (max(u_hi, p.u_hi), max(w_hi, p.w_hi))
         u_lo, w_lo = right.get((p.u_hi, p.w_hi), (p.u_lo, p.w_lo))
         right[p.u_hi, p.w_hi] = (min(u_lo, p.u_lo), min(w_lo, p.w_lo))
-    for corners in (left, right):
-        us, ws = zip(*corners)
-        if len(set(us)) < len(us) or len(set(ws)) < len(ws):
-            raise InvariantError("two corners on one side share a line")
     out = [CornerPoint(u, w, "left", (u, u_hi, w, w_hi))
            for (u, w), (u_hi, w_hi) in left.items()]
     out += [CornerPoint(u, w, "right", (u_lo, u, w_lo, w))
@@ -301,11 +297,19 @@ def corner_root_sets(quiver: PartialQuiver
     """For each corner point V: the roots of its maximal rectangle strictly
     on V's side of the central line.
 
+    Each corner lies strictly on its own side: a left corner has u <= u0
+    and w <= w0, never both equalities.  The nested chain puts u0 at an
+    end of the narrowest box's u side (its midpoint for a lone box), and
+    w0 at the first box's w+ or at its w-, which only the first box's left
+    corner meets, and that corner lies left of u0.  Right corners mirror
+    this; tests/rectangle_oracles.py checks both at ranks 2 to 13.
+
     Columns exactly on the line are excluded, with one exception: a lone
-    rectangle with an odd column count puts its middle column on the midpoint
-    centre, and that column still belongs to the quiver's root set (dropping
-    it would make the spanned cone degenerate); it is assigned to the left
-    corner.  Columns compare, at 2 doubled_x, with 4 line_x = 2(u0 + w0) in Z.
+    rectangle with an odd column count puts its middle column on the
+    midpoint centre, and that column still belongs to the quiver's root
+    set (dropping it would make the spanned cone degenerate); it is
+    assigned to the left corner.  Columns compare, at 2 doubled_x, with
+    4 line_x = 2(u0 + w0) in Z.
     """
     config = configuration_for_quiver(quiver)
     _, line_x = centre_and_central_line(config)
@@ -313,18 +317,13 @@ def corner_root_sets(quiver: PartialQuiver
         raise InvariantError(f"central line at x = {line_x} is not in Z/4")
     line_4x = int(4 * line_x)
     lone_rectangle = len(config.placed) == 1
-    out = []
-    for corner in corner_points(config):
-        cx4 = 2 * corner.doubled_x
-        if cx4 == line_4x:
-            out.append((corner, ()))
-            continue
-        keep = tuple(
-            root for x2, root in roots_of_box(corner.box)
-            if (2 * x2 != line_4x and (2 * x2 < line_4x) == (cx4 < line_4x))
-            or (2 * x2 == line_4x and lone_rectangle and corner.side == "left"))
-        out.append((corner, keep))
-    return out
+
+    def kept(corner: CornerPoint, x4: int) -> bool:
+        if corner.side == "left":
+            return x4 < line_4x or (x4 == line_4x and lone_rectangle)
+        return x4 > line_4x
+    return [(c, tuple(root for x2, root in roots_of_box(c.box) if kept(c, 2 * x2)))
+            for c in corner_points(config)]
 
 
 def phi_plus(quiver: PartialQuiver) -> frozenset[Root]:

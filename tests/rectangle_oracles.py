@@ -1,15 +1,19 @@
-"""A corner's maximal rectangle by merging the drawn edges on each line, the
-reference for ``rectangles.corner_points``, which takes the hull of the
-boxes sharing the corner.
+"""References for ``rectangles``, each computed the general way, with no
+assumption on how the boxes sit.
 
 ``merged_corner_points`` files every drawn edge by the line it lies on,
 merges each line's intervals and walks the merged chain through each
-corner, the general way, with no assumption on how the boxes sit.
+corner; ``rectangles.corner_points`` takes the hull of the boxes sharing
+the corner.  ``grid_diagonal_counts`` marks each (u-band, w-band) cell
+inside some box and counts cells per band; ``rectangles.diagonal_counts``
+counts the boxes spanning each band.  ``corner_off_side`` tests that each
+left corner has u <= u0 and w <= w0, not both equalities, and each right
+corner the mirror, which ``rectangles.corner_root_sets`` relies on.
 
     PYTHONPATH=src python -O tests/rectangle_oracles.py
 
-compares the two on every partial quiver at ranks 2 to 13 and exits
-non-zero on a mismatch; the check does not rely on ``assert``, so ``-O``
+runs the three checks on every partial quiver at ranks 2 to 13 and exits
+non-zero on a failure; the check does not rely on ``assert``, so ``-O``
 keeps it.
 """
 
@@ -17,8 +21,9 @@ import sys
 
 from wordcones.polyhedra import InvariantError
 from wordcones.quivers import enumerate_partial_quivers
-from wordcones.rectangles import (CornerPoint, configuration_for_quiver,
-                                  corner_points)
+from wordcones.rectangles import (CornerPoint, centre_and_central_line,
+                                  configuration_for_quiver, corner_points,
+                                  diagonal_counts)
 
 
 def _merge_intervals(intervals):
@@ -72,17 +77,51 @@ def merged_corner_points(config):
     return sorted(out, key=lambda c: (c.u, c.w, c.side))
 
 
-def mismatches(rank):
-    """Texts of the rank's quivers whose corners differ from the oracle's."""
+def grid_diagonal_counts(config):
+    """Cells per u-band and per w-band, a cell being a (u-band, w-band)
+    pair inside some box."""
+    u_cuts, w_cuts = config.u_cuts, config.w_cuts
+    nu, nw = len(u_cuts) - 1, len(w_cuts) - 1
+    cells = {(ui, wi) for ui in range(nu) for wi in range(nw)
+             if any(p.u_lo <= u_cuts[ui] and u_cuts[ui + 1] <= p.u_hi
+                    and p.w_lo <= w_cuts[wi] and w_cuts[wi + 1] <= p.w_hi
+                    for p in config.placed)}
+    return (tuple(sum(1 for wi in range(nw) if (ui, wi) in cells)
+                  for ui in range(nu)),
+            tuple(sum(1 for ui in range(nu) if (ui, wi) in cells)
+                  for wi in range(nw)))
+
+
+def corners_differ(config):
+    return corner_points(config) != merged_corner_points(config)
+
+
+def counts_differ(config):
+    return diagonal_counts(config) != grid_diagonal_counts(config)
+
+
+def corner_off_side(config):
+    """Whether a corner sits off its side of the centre (u0, w0)."""
+    (u0, w0), _ = centre_and_central_line(config)
+    for c in corner_points(config):
+        near, far = ((c.u, c.w), (u0, w0)) if c.side == "left" else ((u0, w0), (c.u, c.w))
+        if not (near[0] <= far[0] and near[1] <= far[1] and near != far):
+            return True
+    return False
+
+
+CHECKS = (corners_differ, counts_differ, corner_off_side)
+
+
+def mismatches(rank, checks=CHECKS):
+    """(check, quiver text) for each check a quiver of the rank fails."""
     out = []
     for quiver in enumerate_partial_quivers(rank):
         config = configuration_for_quiver(quiver)
-        if corner_points(config) != merged_corner_points(config):
-            out.append(quiver.text)
+        out += [(check.__name__, quiver.text) for check in checks if check(config)]
     return out
 
 
 if __name__ == "__main__":
-    bad = {rank: m for rank in range(2, 14) if (m := mismatches(rank))}
-    sys.exit(None if not bad
-             else f"corners differ from the interval merge: {bad}")
+    bad = [m for rank in range(2, 14) for m in mismatches(rank)]
+    sys.exit(None if not bad else f"{len(bad)} failures: {bad[:20]}")

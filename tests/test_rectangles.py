@@ -5,13 +5,13 @@ from fractions import Fraction
 import pytest
 
 from lp_oracles import matrix_rank
-from rectangle_oracles import mismatches
+from rectangle_oracles import (corner_off_side, corners_differ,
+                               grid_diagonal_counts, mismatches)
 from wordcones import rectangles
 from wordcones.polyhedra import InvariantError
 from wordcones.quivers import PartialQuiver, enumerate_partial_quivers
 from wordcones.rectangles import (AmbiguousCentreError, Component,
-                                  PlacedRectangle, Rectangle,
-                                  _configuration_from_placed,
+                                  Configuration, PlacedRectangle, Rectangle,
                                   centre_and_central_line, components,
                                   configuration_for_quiver, corner_points,
                                   corner_root_sets, diagonal_counts,
@@ -107,26 +107,11 @@ def test_diagonal_counts_single_rectangle():
     assert diagonal_counts(config) == ((1,), (1,))
 
 
-def rectangle_diagonal_counts(config):
-    """Placed rectangles per band, the count model diagonal_counts is
-    checked against: a band's count is the number of rectangles spanning
-    it, where diagonal_counts counts its cells."""
-    u_counts = tuple(
-        sum(1 for p in config.placed
-            if p.u_lo <= lo and hi <= p.u_hi)
-        for lo, hi in zip(config.u_cuts, config.u_cuts[1:]))
-    w_counts = tuple(
-        sum(1 for p in config.placed
-            if p.w_lo <= lo and hi <= p.w_hi)
-        for lo, hi in zip(config.w_cuts, config.w_cuts[1:]))
-    return u_counts, w_counts
-
-
 def test_cell_and_rectangle_count_models_agree():
     for rank in range(2, 9):
         for quiver in enumerate_partial_quivers(rank):
             config = configuration_for_quiver(quiver)
-            assert diagonal_counts(config) == rectangle_diagonal_counts(config)
+            assert diagonal_counts(config) == grid_diagonal_counts(config)
 
 
 def test_parity_blocks_everywhere():
@@ -175,11 +160,11 @@ def test_mirrored_configuration_has_mirrored_centre():
     for rank in (3, 4, 6, 8):
         for quiver in enumerate_partial_quivers(rank):
             config = configuration_for_quiver(quiver)
-            mirrored = _configuration_from_placed(config.rank, [
+            mirrored = Configuration(config.rank, tuple(
                 PlacedRectangle(Rectangle(p.rect.top, p.rect.right,
                                           p.rect.left, p.rect.bottom),
                                 u_lo=-p.w_hi, w_lo=-p.u_hi)
-                for p in config.placed])
+                for p in config.placed))
             (u0, w0), line_x = centre_and_central_line(config)
             (u0m, w0m), line_m = centre_and_central_line(mirrored)
             assert (u0m, w0m) == (-w0, -u0)
@@ -204,21 +189,34 @@ def test_corner_maximal_rectangles_golden():
 
 def test_corner_points_match_the_interval_merge():
     for rank in range(2, 11):
-        assert mismatches(rank) == [], rank
+        assert mismatches(rank, [corners_differ]) == [], rank
 
 
-@pytest.mark.parametrize("placed, message", [
-    # two boxes that share no point
-    ([(-1, 1), (5, 5)], "share no point"),
-    # two left corners on one u line
-    ([(0, 0), (0, 1)], "share a line"),
+def test_corners_lie_strictly_on_their_side_of_the_centre():
+    """Left corners have u <= u0 and w <= w0, right corners u >= u0 and
+    w >= w0, never both equalities: no corner sits on the central line."""
+    for rank in range(2, 11):
+        assert mismatches(rank, [corner_off_side]) == [], rank
+
+
+@pytest.mark.parametrize("placed, case", [
+    # (u-, w-, j, l) of each box, a (0, j, l - j, l)-rectangle
+    ([(-1, 1, 1, 2), (5, 5, 1, 2)], "share no point"),
+    ([(0, 0, 1, 2), (0, 1, 1, 2)], "share a line"),  # left corners at u = 0
+    # one left corner, the second box wider in u and in w: the boxes share
+    # a point and no two corners on one side share a line, yet it is no chain
+    ([(0, 0, 1, 2), (0, 0, 2, 4)], "wider in u and w"),
+    # narrower in u and wider in w each time, but two steps at one corner
+    ([(0, 0, 3, 4), (0, 0, 2, 4), (0, 0, 1, 4)], "no alternation"),
 ])
-def test_corner_points_reject_configurations_the_hull_misreads(placed, message):
-    rect = Rectangle(0, 1, 1, 2)  # a 2 x 2 box
-    config = _configuration_from_placed(2, [
-        PlacedRectangle(rect, u_lo=u, w_lo=w) for u, w in placed])
-    with pytest.raises(InvariantError, match=message):
-        corner_points(config)
+def test_corner_points_reject_configurations_the_hull_misreads(placed, case):
+    """Boxes that are no nested chain are refused when the configuration is
+    made, with or without -O, before corner_points sees them; the hull of
+    the boxes sharing a corner misreads the first two."""
+    boxes = tuple(PlacedRectangle(Rectangle(0, j, l - j, l), u_lo=u, w_lo=w)
+                  for u, w, j, l in placed)
+    with pytest.raises(InvariantError, match="not a nested chain"):
+        Configuration(2, boxes)
 
 
 def test_roots_of_box_goldens():
