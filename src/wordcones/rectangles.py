@@ -17,20 +17,16 @@ to stay in integer arithmetic they are handled as doubled x throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import groupby
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .chambers import _fmt
 from .polyhedra import InvariantError
 from .quivers import PartialQuiver, quivers_for_word
 from .words import Root, ReducedWord, positive_root_order, standard_words
-
-
-class AmbiguousCentreError(ValueError):
-    """No odd/even boundary in a multi-band diagonal count list."""
 
 
 @dataclass(frozen=True)
@@ -118,14 +114,10 @@ class CornerPoint:
     side: str  # "left" | "right"
     box: tuple[int, int, int, int]  # (u_lo, u_hi, w_lo, w_hi)
 
-    @property
-    def doubled_x(self) -> int:
-        return self.u + self.w
-
 
 @dataclass(frozen=True)
 class Configuration:
-    """Placed rectangles of one quiver, and the sorted cuts of their sides.
+    """Placed rectangles of one quiver.
 
     The boxes form one nested chain, checked when it is made: sorted by u
     width, widest first, each box shares its left or its right corner with
@@ -137,8 +129,6 @@ class Configuration:
 
     rank: int
     placed: tuple[PlacedRectangle, ...]
-    u_cuts: tuple[int, ...] = field(init=False)
-    w_cuts: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         chain = sorted(self.placed, key=lambda p: -p.rect.u_width)
@@ -152,10 +142,6 @@ class Configuration:
                     or narrow.rect.w_width <= wide.rect.w_width):
                 raise InvariantError("the boxes are not a nested chain")
             shared = side
-        object.__setattr__(self, "u_cuts", tuple(sorted(
-            {v for p in self.placed for v in (p.u_lo, p.u_hi)})))
-        object.__setattr__(self, "w_cuts", tuple(sorted(
-            {v for p in self.placed for v in (p.w_lo, p.w_hi)})))
 
 
 def place_configuration(comps: Sequence[Component], rank: int) -> Configuration:
@@ -200,45 +186,34 @@ def diagonal_counts(config: Configuration) -> tuple[tuple[int, ...], tuple[int, 
     t boxes spanning a u-band cover exactly t w-bands, the t-th box's w
     side, so a band's cells are counted by its spanning boxes (w mirrors u).
     """
-    def spanning(cuts, sides):
+    def spanning(sides):
+        cuts = sorted({v for side in sides for v in side})
         return tuple(sum(1 for s_lo, s_hi in sides if s_lo <= lo and hi <= s_hi)
                      for lo, hi in zip(cuts, cuts[1:]))
-    return (spanning(config.u_cuts, [(p.u_lo, p.u_hi) for p in config.placed]),
-            spanning(config.w_cuts, [(p.w_lo, p.w_hi) for p in config.placed]))
-
-
-def parity_boundary(counts: Sequence[int]) -> Optional[int]:
-    """Index b splitting counts into an odd block and an even block.
-
-    Returns None for a single band (degenerate case).  At most one such b
-    exists; its absence for a multi-band list is an error.
-    """
-    if len(counts) == 1:
-        return None
-    for b in range(1, len(counts)):
-        left = {c % 2 for c in counts[:b]}
-        right = {c % 2 for c in counts[b:]}
-        if len(left) == 1 and len(right) == 1 and left != right:
-            return b
-    raise AmbiguousCentreError(f"diagonal counts {tuple(counts)} admit no "
-                               "odd/even boundary")
-
-
-def _centre_cut(counts: Sequence[int], cuts: Sequence[int]) -> Fraction:
-    """centre_and_central_line's u0 or w0, from one axis's counts and cuts."""
-    b = parity_boundary(counts)
-    return Fraction(cuts[0] + cuts[-1], 2) if b is None else Fraction(cuts[b])
+    return (spanning([(p.u_lo, p.u_hi) for p in config.placed]),
+            spanning([(p.w_lo, p.w_hi) for p in config.placed]))
 
 
 def centre_and_central_line(config: Configuration) -> tuple[tuple[Fraction, Fraction], Fraction]:
     """The centre (u0, w0) and the x-coordinate of the vertical central line.
 
-    u0/w0 are the cut lines between the odd and even diagonal blocks; a
-    single-band direction (lone rectangle) falls back to the band midpoint.
+    u0/w0 split the diagonal counts into an odd and an even block; a lone
+    rectangle takes the midpoints of its sides.  In the nested chain B1,
+    ..., Bt (widest in u first) the u sides nest inwards: Bt's is one band
+    counted t, and B(k+1)'s unshared end cuts off a band of Bk counted k.
+    The shared ends alternate, so t - 1, t - 3, ... lie past Bt's unshared
+    end and t - 2, t - 4, ... past its shared one: u0 is the end of Bt it
+    does not share with B(t-1).  The w sides nest outwards, so w0 is
+    likewise the end of B1 it does not share with B2.
     """
-    u_counts, w_counts = diagonal_counts(config)
-    u0 = _centre_cut(u_counts, config.u_cuts)
-    w0 = _centre_cut(w_counts, config.w_cuts)
+    chain = sorted(config.placed, key=lambda p: -p.rect.u_width)
+    first, last = chain[0], chain[-1]
+    if len(chain) == 1:
+        u0 = Fraction(first.u_lo + first.u_hi, 2)
+        w0 = Fraction(first.w_lo + first.w_hi, 2)
+    else:
+        u0 = Fraction(last.u_hi if last.u_lo == chain[-2].u_lo else last.u_lo)
+        w0 = Fraction(first.w_hi if first.w_lo == chain[1].w_lo else first.w_lo)
     return (u0, w0), (u0 + w0) / 2
 
 
@@ -308,8 +283,8 @@ def corner_root_sets(quiver: PartialQuiver
     rectangle with an odd column count puts its middle column on the
     midpoint centre, and that column still belongs to the quiver's root
     set (dropping it would make the spanned cone degenerate); it is
-    assigned to the left corner.  Columns compare, at 2 doubled_x, with
-    4 line_x = 2(u0 + w0) in Z.
+    assigned to the left corner.  Columns compare, at twice their doubled
+    x, with 4 line_x = 2(u0 + w0) in Z.
     """
     config = configuration_for_quiver(quiver)
     _, line_x = centre_and_central_line(config)

@@ -6,18 +6,22 @@ merges each line's intervals and walks the merged chain through each
 corner; ``rectangles.corner_points`` takes the hull of the boxes sharing
 the corner.  ``grid_diagonal_counts`` marks each (u-band, w-band) cell
 inside some box and counts cells per band; ``rectangles.diagonal_counts``
-counts the boxes spanning each band.  ``corner_off_side`` tests that each
-left corner has u <= u0 and w <= w0, not both equalities, and each right
-corner the mirror, which ``rectangles.corner_root_sets`` relies on.
+counts the boxes spanning each band.  ``parity_centre`` searches the
+diagonal counts for their odd/even split, the definition of the centre;
+``rectangles.centre_and_central_line`` reads it off the nested chain.
+``corner_off_side`` tests that each left corner has u <= u0 and w <= w0,
+not both equalities, and each right corner the mirror, which
+``rectangles.corner_root_sets`` relies on.
 
     PYTHONPATH=src python -O tests/rectangle_oracles.py
 
-runs the three checks on every partial quiver at ranks 2 to 13 and exits
+runs the four checks on every partial quiver at ranks 2 to 13 and exits
 non-zero on a failure; the check does not rely on ``assert``, so ``-O``
 keeps it.
 """
 
 import sys
+from fractions import Fraction
 
 from wordcones.polyhedra import InvariantError
 from wordcones.quivers import enumerate_partial_quivers
@@ -77,10 +81,16 @@ def merged_corner_points(config):
     return sorted(out, key=lambda c: (c.u, c.w, c.side))
 
 
+def band_cuts(config):
+    """The sorted u and w values of the box sides."""
+    return (sorted({v for p in config.placed for v in (p.u_lo, p.u_hi)}),
+            sorted({v for p in config.placed for v in (p.w_lo, p.w_hi)}))
+
+
 def grid_diagonal_counts(config):
     """Cells per u-band and per w-band, a cell being a (u-band, w-band)
     pair inside some box."""
-    u_cuts, w_cuts = config.u_cuts, config.w_cuts
+    u_cuts, w_cuts = band_cuts(config)
     nu, nw = len(u_cuts) - 1, len(w_cuts) - 1
     cells = {(ui, wi) for ui in range(nu) for wi in range(nw)
              if any(p.u_lo <= u_cuts[ui] and u_cuts[ui + 1] <= p.u_hi
@@ -92,12 +102,46 @@ def grid_diagonal_counts(config):
                   for wi in range(nw)))
 
 
+def parity_boundary(counts):
+    """Index b splitting counts into an odd block and an even block.
+
+    Returns None for a single band (degenerate case).  At most one such b
+    exists; its absence for a multi-band list raises ValueError.
+    """
+    if len(counts) == 1:
+        return None
+    for b in range(1, len(counts)):
+        left = {c % 2 for c in counts[:b]}
+        right = {c % 2 for c in counts[b:]}
+        if len(left) == 1 and len(right) == 1 and left != right:
+            return b
+    raise ValueError(f"diagonal counts {tuple(counts)} admit no "
+                     "odd/even boundary")
+
+
+def parity_centre(config):
+    """The centre (u0, w0) and the central line's x, as the cuts between
+    the odd and even diagonal blocks; a single-band direction (lone
+    rectangle) falls back to the band midpoint."""
+    def cut(counts, cuts):
+        b = parity_boundary(counts)
+        return Fraction(cuts[0] + cuts[-1], 2) if b is None else Fraction(cuts[b])
+    u_counts, w_counts = diagonal_counts(config)
+    u_cuts, w_cuts = band_cuts(config)
+    u0, w0 = cut(u_counts, u_cuts), cut(w_counts, w_cuts)
+    return (u0, w0), (u0 + w0) / 2
+
+
 def corners_differ(config):
     return corner_points(config) != merged_corner_points(config)
 
 
 def counts_differ(config):
     return diagonal_counts(config) != grid_diagonal_counts(config)
+
+
+def centres_differ(config):
+    return centre_and_central_line(config) != parity_centre(config)
 
 
 def corner_off_side(config):
@@ -110,7 +154,7 @@ def corner_off_side(config):
     return False
 
 
-CHECKS = (corners_differ, counts_differ, corner_off_side)
+CHECKS = (corners_differ, counts_differ, centres_differ, corner_off_side)
 
 
 def mismatches(rank, checks=CHECKS):

@@ -10,6 +10,7 @@ import time
 
 from conftest import BUILD_SECONDS
 from lp_oracles import contains_strictly
+from rectangle_oracles import parity_boundary
 
 from wordcones.chambers import chamber_sets
 from wordcones.lusztig import lusztig_cone
@@ -19,7 +20,7 @@ from wordcones.quivers import (chamber_set_from_quiver,
                                enumerate_partial_quivers,
                                quiver_from_chamber_set)
 from wordcones.rectangles import (components, configuration_for_quiver,
-                                  diagonal_counts, parity_boundary, phi_plus,
+                                  diagonal_counts, phi_plus,
                                   rectangle_for_component)
 from wordcones.regions import (default_move_path, detour_move_path,
                                enumerate_cells, letter_quotient,

@@ -5,18 +5,19 @@ from fractions import Fraction
 import pytest
 
 from lp_oracles import matrix_rank
-from rectangle_oracles import (corner_off_side, corners_differ,
-                               grid_diagonal_counts, mismatches)
+from rectangle_oracles import (centres_differ, corner_off_side,
+                               corners_differ, grid_diagonal_counts,
+                               mismatches, parity_boundary, parity_centre)
 from wordcones import rectangles
 from wordcones.polyhedra import InvariantError
 from wordcones.quivers import PartialQuiver, enumerate_partial_quivers
-from wordcones.rectangles import (AmbiguousCentreError, Component,
-                                  Configuration, PlacedRectangle, Rectangle,
+from wordcones.rectangles import (Component, Configuration,
+                                  PlacedRectangle, Rectangle,
                                   centre_and_central_line, components,
                                   configuration_for_quiver, corner_points,
                                   corner_root_sets, diagonal_counts,
-                                  generator_vector, parity_boundary,
-                                  phi_plus, place_configuration, quiver_vector,
+                                  generator_vector, phi_plus,
+                                  place_configuration, quiver_vector,
                                   rectangle_for_component,
                                   render_configuration_svg, roots_of_box,
                                   spanning_vectors)
@@ -129,7 +130,7 @@ def test_parity_blocks_everywhere():
 
 
 def test_parity_boundary_rejects_mixed():
-    with pytest.raises(AmbiguousCentreError):
+    with pytest.raises(ValueError):
         parity_boundary((1, 2, 1))
 
 
@@ -153,22 +154,40 @@ def test_centre_single_rectangle_midpoint():
     assert line_x == left_x + 2
 
 
+def _mirrored(config):
+    """The configuration reflected through a vertical axis (x -> -x): the
+    left and right corner levels of each rectangle swap, and u and w trade
+    places with a sign flip.  Its boxes keep their order, the reverse of
+    the chain order (widest in u first) of the mirror."""
+    return Configuration(config.rank, tuple(
+        PlacedRectangle(Rectangle(p.rect.top, p.rect.right,
+                                  p.rect.left, p.rect.bottom),
+                        u_lo=-p.w_hi, w_lo=-p.u_hi)
+        for p in config.placed))
+
+
 def test_mirrored_configuration_has_mirrored_centre():
-    """Reflecting a configuration through a vertical axis (x -> -x) swaps
-    the left and right corner levels of each rectangle, and u and w trade
-    places with a sign flip; its centre and central line reflect too."""
+    """A mirrored configuration's centre and central line reflect too."""
     for rank in (3, 4, 6, 8):
         for quiver in enumerate_partial_quivers(rank):
             config = configuration_for_quiver(quiver)
-            mirrored = Configuration(config.rank, tuple(
-                PlacedRectangle(Rectangle(p.rect.top, p.rect.right,
-                                          p.rect.left, p.rect.bottom),
-                                u_lo=-p.w_hi, w_lo=-p.u_hi)
-                for p in config.placed))
+            mirrored = _mirrored(config)
             (u0, w0), line_x = centre_and_central_line(config)
             (u0m, w0m), line_m = centre_and_central_line(mirrored)
             assert (u0m, w0m) == (-w0, -u0)
             assert line_m == -line_x
+
+
+def test_centre_is_the_parity_split():
+    """The centre read off the chain is the odd/even split of the diagonal
+    counts, for every quiver and for its mirror, whose boxes come in the
+    reverse of the chain's order."""
+    for rank in range(2, 11):
+        assert mismatches(rank, [centres_differ]) == [], rank
+    for rank in (3, 4, 6, 8):
+        for quiver in enumerate_partial_quivers(rank):
+            mirrored = _mirrored(configuration_for_quiver(quiver))
+            assert centre_and_central_line(mirrored) == parity_centre(mirrored)
 
 
 def test_corner_maximal_rectangles_golden():
@@ -273,7 +292,7 @@ def _fraction_corner_root_sets(quiver):
     lone_rectangle = len(config.placed) == 1
     out = []
     for corner in corner_points(config):
-        cx2 = Fraction(corner.doubled_x)
+        cx2 = Fraction(corner.u + corner.w)
         if cx2 == line_2x:
             out.append((corner, ()))
             continue
