@@ -1,8 +1,9 @@
 """Command-line interface: every computation as a subcommand, JSON on stdout.
 
 Exit status: 0 on success, 1 on a domain error (bad word, malformed quiver,
-out-of-range rank), 2 on a verification failure.  Output is deterministic;
-diagnostics go to stderr.
+out-of-range rank), 2 on a verification failure or a usage error, 3 when a
+proven invariant fails (an InvariantError, which is a bug).  Output is
+deterministic; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -464,9 +465,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(_glue_dash_values(list(argv)))
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, InvariantError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 1
+        return 3 if isinstance(exc, InvariantError) else 1
 
 
 if __name__ == "__main__":

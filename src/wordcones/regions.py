@@ -174,8 +174,8 @@ class Cell:
     """One full-dimensional leaf of the branch enumeration: its matrix
     ``rows``; its ``bits``, the branch taken at each braid move ('1' for
     a <= c), which RegionAtlas.bits_index maps to its region; and ``state``,
-    in the source's letter_quotient, the double-description state of its
-    guards, taken on the branch in order from dd_whole as its normals."""
+    in the source's letter_quotient, the double-description state of the
+    guards that cut on its branch, in order from dd_whole, as its normals."""
 
     rows: tuple[Vector, ...]
     bits: str
@@ -270,14 +270,14 @@ def enumerate_cells(src: ReducedWord, moves: Sequence[Move]) -> list[Cell]:
     """Depth-first branch enumeration, pruning branches with empty interior.
 
     Each branch carries its cell's double-description state in the quotient
-    by src's letter_quotient, and a leaf hands it to its Cell whole.  A new
-    guard g, pushed to the quotient once, takes one dd_split of it, which
-    gives both sides {g . x >= 0} and {g . x <= 0} and says which of them
-    keeps an interior, so the state stays equal to double description of
-    the guards, its normals, from scratch.  A guard already on the branch,
-    or its negation, decides the branch with no cut (guards are
-    primitive).  The moves are taken to be legal for src; transition_atlas
-    checks them.
+    by src's letter_quotient, and a leaf hands it to its Cell whole.  A
+    guard g, pushed to the quotient once, that holds on the state (as one on
+    the branch does), or whose negation does, takes that branch with the
+    state unchanged: an uncut guard adds nothing (Fukuda-Prodon).  Any other
+    g cuts, and one dd_split gives both of its sides an interior, or raises.
+    So the normals are the guards that cut, and the state is their double
+    description from scratch.  The moves are taken to be legal for src;
+    transition_atlas checks them.
     """
     quotient = letter_quotient(src.letters)
     cells: list[Cell] = []
@@ -291,24 +291,21 @@ def enumerate_cells(src: ReducedWord, moves: Sequence[Move]) -> list[Cell]:
                 rows = rows[:t] + (rows[t + 1], rows[t]) + rows[t + 2:]
                 idx += 1
                 continue
-            a, c = rows[t], rows[t + 2]
-            g = primitive(quotient.push(tuple(map(sub, c, a))))
+            g = primitive(quotient.push(tuple(map(sub, rows[t + 2], rows[t]))))
             if not any(g):
                 raise InvariantError("degenerate braid guard")
             idx += 1
-            low = g in state[0]
-            if low or vneg(g) in state[0]:
+            low = holds_on(g, state)
+            if low or holds_on(vneg(g), state):
                 rows = _braid_rows(rows, t, low)
                 bits += "1" if low else "0"
                 continue
-            sides = [(_braid_rows(rows, t, bit == "1"), side, bits + bit)
-                     for bit, side in zip("10", dd_split(state, g))
-                     if side is not None]
-            if not sides:
-                raise InvariantError("both braid branches are empty")
-            # continue along the first option; push the rest
-            stack += [(idx,) + s for s in sides[1:]]
-            rows, state, bits = sides[0]
+            up, down = dd_split(state, g)
+            if up is None or down is None:
+                raise InvariantError(f"guard {g} left a side with no interior")
+            # continue along the '1' side; push the '0' side
+            stack.append((idx, _braid_rows(rows, t, False), down, bits + "0"))
+            rows, state, bits = _braid_rows(rows, t, True), up, bits + "1"
         cells.append(Cell(rows, bits, state))
     return cells
 
@@ -317,7 +314,8 @@ def _open_siblings(cells: list[Cell], held: set[Vector]
                    ) -> list[tuple[Vector, ...]]:
     """Guard tuples p + (-h,) where p + (h,) is a prefix of a member's guards,
     p + (-h,) is not and h is not held, in first-seen order.  The members'
-    guards are walked as a trie, each edge (p, h) listed when first made."""
+    guards are walked as a trie, the branch tree with uncut guards
+    contracted, each edge (p, h) listed when first made."""
     trie: dict = {}
     edges = []
     for cell in cells:
@@ -342,19 +340,20 @@ def _merge_cells(cells: list[Cell], dim: int) -> DDState:
     inequalities.  C's state is dd_cut of the valid normals from R^dim, the
     cells' space, and every sibling check below cuts from it.
 
-    Coverage comes from the branch tree.  Its leaves tile R^dim with disjoint
-    interiors, and the node with guard prefix p is the union of the leaves
-    below it.  An *off-path sibling* is a child p + (-h,) of a member prefix
-    p, where p + (h,) is a member prefix and p + (-h,) is not.  Every leaf
-    outside the group lies below exactly one of them, and none of the
-    members does.  So C equals the union iff dd_cut of C by each off-path
-    sibling's guards, less the valid normals, finds no interior.  A sibling
-    with a guard whose negation is valid is ruled out for free; any other
-    with an interior raises instead of emitting a non-convex region.  Only
-    its last guard -h can be one: a guard g of p is on a member's path, so
-    g holds on that full-dimensional member, -g fails there, and -g is
-    never valid.  So _open_siblings drops the sibling iff h is valid,
-    before it builds its tuple.
+    Coverage comes from the branch tree with uncut guards contracted, as in
+    the cells.  Its leaves tile R^dim with disjoint interiors, and the node
+    with guard prefix p is the union of the leaves below it, as an uncut
+    guard holds on its whole node.  An *off-path sibling* is a child
+    p + (-h,) of a member prefix p, where p + (h,) is a member prefix and
+    p + (-h,) is not.  Every leaf outside the group lies below exactly one
+    of them, and none of the members does.  So C equals the union iff
+    dd_cut of C by each off-path sibling's guards, less the valid normals,
+    finds no interior.  A sibling with a guard whose negation is valid is
+    ruled out for free; any other with an interior raises instead of
+    emitting a non-convex region.  Only its last guard -h can be one: a
+    guard g of p is on a member's path, so g holds on that full-dimensional
+    member, -g fails there, and -g is never valid.  So _open_siblings drops
+    the sibling iff h is valid, before it builds its tuple.
     """
     if len(cells) == 1:
         return cells[0].state
@@ -401,7 +400,7 @@ def transition_atlas(src: ReducedWord, dst: ReducedWord,
 
     The 144-region standard-word atlas of rank 4 comes from 214 leaf cells.
     Rank 5 is slow: the peel path has 20 braids, and its 18,273 cells,
-    enumerated in 1.6-2.4 s, merge into 6,608 regions in 6.4-8.1 s in all
+    enumerated in 1.4-1.9 s, merge into 6,608 regions in 4.3-5.7 s in all
     under python -O (CPython 3.11, 2 vCPUs).  Both run in src's
     letter_quotient.  A group is popped as it merges, freeing its cells;
     its region keeps only the state _merge_cells returns.  A rank above 5

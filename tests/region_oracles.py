@@ -4,10 +4,13 @@ the lineality space.
 ``enumerate_cells`` is ``regions.enumerate_cells`` as it was before the
 cells moved to the quotient R^k/L of ``regions.letter_quotient``: each
 branch carries its double-description state in R^k from ``dd_whole(k)``,
-whose n lines, spanning L, no guard ever cuts.  ``rk_regions`` merges its
-same-matrix groups with ``regions._merge_cells`` in R^k, the way
-``regions.transition_atlas`` did, and returns each region's matrix, facets
-and state, with the bits_index.  ``point_quotient`` takes a point's quotient
+whose n lines, spanning L, no guard ever cuts.  It splits every guard that
+is new on its branch, so its cells keep every guard, those that do not cut
+too; ``enumerate_cuts`` gives, per cell in the same order, the guards
+whose split kept two sides.  ``rk_regions`` merges its same-matrix groups
+with ``regions._merge_cells`` in R^k, the way ``regions.transition_atlas``
+did, and returns each region's matrix, facets and state, with the
+bits_index.  ``point_quotient`` takes a point's quotient
 coordinates, the consecutive differences along each letter's positions.
 """
 
@@ -20,11 +23,17 @@ from wordcones.words import COMMUTATION
 def enumerate_cells(src, moves):
     """Depth-first branch enumeration in R^k, pruning branches with empty
     interior; each cell keeps the R^k state of its guards."""
+    return [cell for cell, _ in enumerate_cuts(src, moves)]
+
+
+def enumerate_cuts(src, moves):
+    """[(cell, cuts)] of enumerate_cells, cuts the cell's guards whose
+    dd_split kept both sides, in order."""
     k = len(src.letters)
     cells = []
-    stack = [(0, identity(k), dd_whole(k), "")]
+    stack = [(0, identity(k), dd_whole(k), "", ())]
     while stack:
-        idx, rows, state, bits = stack.pop()
+        idx, rows, state, bits, cuts = stack.pop()
         while idx < len(moves):
             mv = moves[idx]
             t = mv.position - 1
@@ -45,15 +54,16 @@ def enumerate_cells(src, moves):
                 rows = _braid_rows(rows, t, low=False)
                 bits += "0"
                 continue
-            sides = [(_braid_rows(rows, t, bit == "1"), side, bits + bit)
-                     for bit, side in zip("10", dd_split(state, g))
-                     if side is not None]
+            split = dd_split(state, g)
+            sides = [(_braid_rows(rows, t, bit == "1"), side, bits + bit,
+                      cuts if None in split else cuts + (side[0][-1],))
+                     for bit, side in zip("10", split) if side is not None]
             if not sides:
                 raise InvariantError("both braid branches are empty")
             # continue along the first option; push the rest
             stack += [(idx,) + s for s in sides[1:]]
-            rows, state, bits = sides[0]
-        cells.append(Cell(rows, bits, state))
+            rows, state, bits, cuts = sides[0]
+        cells.append((Cell(rows, bits, state), cuts))
     return cells
 
 

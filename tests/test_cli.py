@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from wordcones import cli, regions
 from wordcones.lusztig import lusztig_cone, spanning_rays
 from wordcones.words import parse_word
 
@@ -142,6 +143,31 @@ def test_domain_errors_exit_1():
     run_cli("chambers", "--word", "1121", expect=1)
     run_cli("rectangles", "--quiver=L-L", "--rank", "4", expect=1)
     run_cli("words", "list", "--rank", "9", expect=1)
+
+
+def test_invariant_errors_exit_3(monkeypatch, capsys, tmp_path):
+    """A failed invariant is a bug, not bad input: the command prints one
+    error line on stderr, nothing on stdout and writes no artifact, and
+    exits 3, neither a domain error's 1 nor argparse's 2.  A split stubbed
+    to leave no side raises InvariantError in the enumeration; a merge
+    stubbed to refuse raises its subclass RegionConvexityError."""
+    def refuse(cells, dim):
+        raise regions.RegionConvexityError("union is not convex")
+    artifact = tmp_path / "atlas.json"
+    for name, stub, message in (
+            ("dd_split", lambda state, a: (None, None),
+             "left a side with no interior"),
+            ("_merge_cells", refuse, "union is not convex")):
+        with monkeypatch.context() as patch:
+            patch.setattr(regions, name, stub)
+            for args in (["regions", "--rank", "3"],
+                         ["regions", "--rank", "3", "--json", str(artifact)]):
+                assert cli.main(args) == 3, (name, args)
+                out, err = capsys.readouterr()
+                assert out == "" and not artifact.exists()
+                assert err.startswith("error: ") and err.count("\n") == 1
+                assert err.endswith(f"{message}\n"), err
+    assert cli.main(["regions", "--rank", "3", "--histogram"]) == 0
 
 
 @pytest.mark.parametrize("args, flag", [

@@ -22,17 +22,17 @@ from lp_oracles import (_lp_implies, _lp_interior_point, _lp_irredundant_h,
                         level_search_decomposition, matrix_rank,
                         off_path_siblings, positive_somewhere,
                         regions_containing, scanned_region_index)
-from region_oracles import point_quotient, rk_regions
+from region_oracles import enumerate_cuts, point_quotient, rk_regions
 from region_oracles import enumerate_cells as rk_cells
 from wordcones import cli, polyhedra, rectangles, regions
 from wordcones.polyhedra import (DegenerateConeError, HCone, InvariantError,
                                  NonPointedError, cone_equal,
                                  cone_from_rays, dd_cut, dd_split, dd_step,
                                  dd_whole, dot, double_description, hcone,
-                                 identity, interior_point, irredundant_h,
-                                 nonneg_orthant, primitive, ray_sum_witness,
-                                 solve_inequalities, vcone, vneg,
-                                 zero_set_facets)
+                                 holds_on, identity, interior_point,
+                                 irredundant_h, nonneg_orthant, primitive,
+                                 ray_sum_witness, solve_inequalities, vcone,
+                                 vneg, zero_set_facets)
 from wordcones.regions import (RegionConvexityError, _merge_cells,
                                _pulling_simplices, apply_braid_triple,
                                braid_move_count, class_region_isomorphism_report,
@@ -252,10 +252,12 @@ def test_zero_set_facets_match_rank_and_lp_on_cells_and_groups():
 
 
 def _branch_guards(src, moves, bits):
-    """The guards of the cell with these branch bits, walked from the move
-    path alone: at each braid the primitive c - a of the rows, or its
-    negation on a '0' bit, each kept once, in order."""
-    rows, bits, guards = identity(len(src.letters)), iter(bits), {}
+    """The guards that cut on the branch with these bits, walked from the
+    move path alone: at each braid the primitive c - a of the rows, or its
+    negation on a '0' bit, kept unless the guards kept so far imply it (a
+    fold of dd_step from R^k), in order."""
+    k = len(src.letters)
+    rows, bits, guards = identity(k), iter(bits), ()
     for mv in moves:
         t = mv.position - 1
         if mv.kind == COMMUTATION:
@@ -263,14 +265,17 @@ def _branch_guards(src, moves, bits):
             continue
         low = next(bits) == "1"
         g = primitive(tuple(z - x for x, z in zip(rows[t], rows[t + 2])))
-        guards.setdefault(g if low else vneg(g))
+        g = g if low else vneg(g)
+        if not implies(guards, g, k):
+            guards += (g,)
         rows = regions._braid_rows(rows, t, low)
-    return tuple(guards)
+    return guards
 
 
 def test_cell_and_region_states_describe_themselves(atlas2, atlas3, atlas4):
-    """Every rank-2 to rank-4 cell's state has as its normals the guards its
-    branch bits walk to, pushed to the quotient, and every region keeps the
+    """Every rank-2 to rank-4 cell's state has as its normals the guards that
+    cut on the branch its bits walk, in order, pushed to the quotient; a
+    guard the earlier ones imply is not among them.  Every region keeps the
     state of its one cell or the dd_cut fold of its group's valid normals;
     in each state, and in each region's lifted state with those normals
     pulled back, the masks are the rays' zero sets among its normals, and
@@ -294,28 +299,33 @@ def test_cell_and_region_states_describe_themselves(atlas2, atlas3, atlas4):
 
 def test_quotient_build_matches_the_rk_oracle(atlas2, atlas3, atlas4):
     """At ranks 1 to 4 the build in the quotient gives the R^k build's
-    cells, in order, with the same rows and bits and the R^k guards pushed,
-    and the same bits_index; every region has the oracle's matrix and
-    sorted facets, and its lifted state has the oracle state's normals, a
-    basis of the oracle's lines, and its rays up to L."""
+    cells, in order, with the same rows and bits, and the same bits_index.
+    The R^k build keeps every guard; each cell's normals, pulled back, are
+    exactly the oracle guards whose split kept two sides, in order.  Every
+    region has the oracle's matrix and sorted facets, and its lifted state
+    has the oracle state's normals that are such a guard of a member, in
+    order, a basis of the oracle's lines, and its rays up to L."""
     for atlas in (standard_atlas(1), atlas2, atlas3, atlas4):
         quotient, k = letter_quotient(atlas.src.letters), atlas.dim
         cells = enumerate_cells(atlas.src, atlas.moves)
-        oracle = rk_cells(atlas.src, atlas.moves)
+        oracle = enumerate_cuts(atlas.src, atlas.moves)
         assert [(c.rows, c.bits) for c in cells] == \
-            [(c.rows, c.bits) for c in oracle]
-        for cell, rk in zip(cells, oracle):
-            assert tuple(map(quotient.pull, cell.state[0])) == rk.state[0]
+            [(c.rows, c.bits) for c, _ in oracle]
+        cut_by_matrix = {}
+        for cell, (rk, cuts) in zip(cells, oracle):
+            assert tuple(map(quotient.pull, cell.state[0])) == cuts
             assert tuple(sorted(map(quotient.pull, zero_set_facets(
                 cell.state, quotient.dim).ineqs))) == \
                 zero_set_facets(rk.state, k).ineqs
+            cut_by_matrix.setdefault(cell.rows, set()).update(cuts)
         rk_list, rk_index = rk_regions(atlas.src, atlas.moves)
         assert atlas.bits_index == rk_index
         assert [(r.matrix, r.cone) for r in atlas.regions] == \
             [(m, cone) for m, cone, _ in rk_list]
         for region, (_, _, rk) in zip(atlas.regions, rk_list):
             normals, lines, zeros = region.lifted_state
-            assert normals == rk[0]
+            assert normals == tuple(g for g in rk[0]
+                                    if g in cut_by_matrix[region.matrix])
             assert matrix_rank(lines) == matrix_rank(lines + rk[1]) == \
                 len(rk[1])
             assert {primitive(point_quotient(quotient, r)) for r in zeros} \
@@ -431,13 +441,13 @@ def test_sibling_walk_skips_exactly_the_opposed_siblings():
     trie walk yields the prefix-set oracle's off-path siblings, in its
     order, less those whose last guard is opposed (the negation of a valid
     normal), and no guard of a member's path is opposed, so the last guard
-    is the only one the merge needs to test.  The rank-4 groups list 790
-    siblings, and 36 of them are cut."""
+    is the only one the merge needs to test.  The rank-4 groups list 698
+    siblings, and 12 of them are cut."""
     cells3, d3 = _standard_cells(3)
     cells4, d4 = _standard_cells(4)
     for groups, d, expected in (
-            ([list(pair) for pair in combinations(cells3, 2)], d3, (269, 156)),
-            (_multi_cell_groups(cells4), d4, (790, 36))):
+            ([list(pair) for pair in combinations(cells3, 2)], d3, (239, 129)),
+            (_multi_cell_groups(cells4), d4, (698, 12))):
         listed = walked = 0
         for group in groups:
             valid = _valid_normals(group, d)
@@ -454,7 +464,7 @@ def test_sibling_walk_skips_exactly_the_opposed_siblings():
 def test_atlas_build_counts_cuts_and_steps(monkeypatch):
     """One standard_atlas build makes one dd_cut per multi-cell fold and one
     per sibling the walk does not rule out (rank 3: 1 fold; rank 4: 48
-    folds and 36 sibling cuts) and 977 DD steps at rank 4."""
+    folds and 12 sibling cuts) and 695 DD steps at rank 4."""
     calls = {"cut": 0, "step": 0}
     cut, step = regions.dd_cut, polyhedra._step
 
@@ -467,7 +477,7 @@ def test_atlas_build_counts_cuts_and_steps(monkeypatch):
         return step(state, a, split)
     monkeypatch.setattr(regions, "dd_cut", counted_cut)
     monkeypatch.setattr(polyhedra, "_step", counted_step)
-    for rank, expected in ((3, (1, 17)), (4, (84, 977))):
+    for rank, expected in ((3, (1, 14)), (4, (60, 695))):
         calls.update(cut=0, step=0)
         standard_atlas(rank)
         assert (calls["cut"], calls["step"]) == expected, rank
@@ -676,9 +686,10 @@ def test_lp_counts(monkeypatch, atlas4):
 
 def test_cell_predicates_match_lp_oracles():
     """The questions the build asks about every rank-3 and rank-4 cell: its
-    interior point, its facets, the merge validity of each other normal of
-    its same-matrix group, and whether the other side of its last guard has
-    an interior (the branch test)."""
+    interior point, its facets, and the merge validity of each other normal
+    of its same-matrix group, where both answers occur.  The other side of
+    its last guard always has an interior, by DD and by LP, for a cell
+    keeps only the guards that cut."""
     for rank in (3, 4):
         cells, d = _standard_cells(rank)
         groups = {}
@@ -697,10 +708,9 @@ def test_cell_predicates_match_lp_oracles():
                 answers.add(("implies", got))
             if guards:
                 other = guards[:-1] + (vneg(guards[-1]),)
-                got = interior_point(other, d) is not None
-                assert got == (_lp_interior_point(other, d) is not None)
-                answers.add(("interior", got))
-        assert len(answers) == 4  # both answers occur for both questions
+                assert interior_point(other, d) is not None
+                assert _lp_interior_point(other, d) is not None
+        assert answers == {("implies", True), ("implies", False)}
 
 
 def _lp_region_edges(atlas):
@@ -734,10 +744,10 @@ def test_region_graph_matches_lp_face_test(atlas3):
 def test_carried_generators_match_double_description():
     """Every rank-2 to rank-4 cell carries the state a dd_step fold of its
     guards gives: its guards as the normals, its lines, its rays in order
-    and their masks.  Its facets from them are those of its guards.  On
-    every branch of the rank-3 and rank-4 trees the side test on the
-    parent's generators, and dd_cut of the parent's state by the side,
-    agree with the LP, and both answers occur."""
+    and their masks.  Its facets from them are those of its guards.  Every
+    branch recorded in a rank-3 or rank-4 cell's guards has an interior on
+    both sides: by the side test on the parent's generators, by dd_cut of
+    the parent's state by the side, and by the LP."""
     for rank in (2, 3, 4):
         cells, d = _standard_cells(rank)
         for cell in cells:
@@ -753,23 +763,23 @@ def test_carried_generators_match_double_description():
         branches = dict.fromkeys((c.state[0][:j], c.state[0][j])
                                  for c in cells
                                  for j in range(len(c.state[0])))
-        answers = set()
+        assert len(branches) == 2 * {3: 10, 4: 213}[rank]  # two per split
         for prefix, g in branches:
             gens = double_description(prefix, d)
             parent = dd_cut(dd_whole(d), prefix)
             for side in (g, vneg(g)):
-                got = positive_somewhere(side, *gens)
-                assert got == (dd_cut(parent, (side,)) is not None) == \
-                    (_lp_interior_point(prefix + (side,), d) is not None)
-                answers.add(got)
-        assert answers == {True, False}, rank
+                assert positive_somewhere(side, *gens), (prefix, side)
+                assert dd_cut(parent, (side,)) is not None, (prefix, side)
+                assert _lp_interior_point(prefix + (side,), d) is not None, \
+                    (prefix, side)
 
 
 def test_enumeration_cuts_each_new_guard_once(monkeypatch):
-    """The enumeration splits each guard that is new on its branch once,
-    into both sides, and decides a repeated guard, or its negation, without
-    a cut: the dd_split calls and the empty sides are pinned at ranks 3 and
-    4, and no dd_cut is made."""
+    """The enumeration splits each guard that cuts its cell once, into two
+    sides that both keep an interior, and decides a guard that holds on the
+    cell, or whose negation does, without a cut: the dd_split calls (10 at
+    rank 3, 213 at rank 4) are one fewer than the cells, no side is empty,
+    and no dd_cut is made."""
     calls = {"split": 0, "empty": 0, "cut": 0}
 
     def counted(state, a):
@@ -783,20 +793,48 @@ def test_enumeration_cuts_each_new_guard_once(monkeypatch):
         return dd_cut(state, ineqs)
     monkeypatch.setattr(regions, "dd_split", counted)
     monkeypatch.setattr(regions, "dd_cut", cut)
-    for rank, expected in ((3, (13, 3)), (4, (397, 184))):
+    for rank, expected in ((3, (10, 0)), (4, (213, 0))):
         calls.update(split=0, empty=0, cut=0)
         cells, _ = _standard_cells(rank)
         assert (calls["split"], calls["empty"], calls["cut"]) == \
             expected + (0,), rank
         assert len(cells) == {3: 11, 4: 214}[rank]
+        assert calls["split"] == len(cells) - 1
+
+
+def test_guard_decisions_match_the_lp(monkeypatch):
+    """On every braid of every branch at ranks 2 to 4 the enumeration asks
+    holds_on of the guard, and of its negation when the guard fails; each
+    answer is yes exactly when the LP finds no interior point of the cell
+    on the opposite side.  Both answers occur at ranks 3 and 4."""
+    asked = []
+
+    def spied(a, state):
+        got = holds_on(a, state)
+        asked.append((a, state[0], got))
+        return got
+    monkeypatch.setattr(regions, "holds_on", spied)
+    for rank in (2, 3, 4):
+        asked.clear()
+        _, d = _standard_cells(rank)
+        for a, normals, got in asked:
+            assert got == (_lp_interior_point(normals + (vneg(a),), d)
+                           is None), (normals, a)
+        answers = Counter(got for _, _, got in asked)
+        assert answers == {2: {False: 2}, 3: {True: 5, False: 24},
+                           4: {True: 290, False: 598}}[rank], (rank, answers)
 
 
 def test_both_branches_empty_raises_typed_error(monkeypatch):
-    # a split that finds no interior on either side leaves no branch
-    monkeypatch.setattr(regions, "dd_split", lambda state, a: (None, None))
+    """A guard that cuts the cell must leave an interior on both sides; a
+    split with an empty side, either one or both, raises the typed error."""
     j, jp = standard_words(3)
-    with pytest.raises(InvariantError, match="both braid branches"):
-        enumerate_cells(j, default_move_path(j, jp))
+    for kept in ((False, False), (True, False), (False, True)):
+        monkeypatch.setattr(regions, "dd_split", lambda state, a: tuple(
+            state if keep else None for keep in kept))
+        with pytest.raises(InvariantError,
+                           match="left a side with no interior"):
+            enumerate_cells(j, default_move_path(j, jp))
     assert not issubclass(InvariantError, AssertionError)
     assert issubclass(RegionConvexityError, InvariantError)
 
