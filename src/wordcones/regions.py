@@ -25,9 +25,8 @@ from typing import Iterable, Optional, Sequence
 
 from .polyhedra import (DDState, HCone, InvariantError, NonPointedError,
                         Vector, VCone, _gauss_jordan, dd_cut, dd_simplex,
-                        dd_split, dd_step, dd_whole, dot, full_cut, holds_on,
-                        identity, primitive, ray_sum_witness, vneg,
-                        zero_set_facets)
+                        dd_split, dd_whole, dot, full_cut, holds_on, identity,
+                        primitive, ray_sum_witness, vneg, zero_set_facets)
 from .rectangles import spanning_vectors
 from .words import (BRAID, COMMUTATION, Letters, Move, ReducedWord,
                     apply_move_path, braids, class_graph, commutes,
@@ -184,9 +183,9 @@ class Cell:
 
 @dataclass(frozen=True)
 class Region:
-    """A maximal cone of linearity: its matrix, its facets and one interior
-    witness, read off its double-description state in its quotient and
-    pulled back, which it keeps for later cuts, outside ==, hash and repr."""
+    """A maximal cone of linearity: matrix, facets (pulled back) and interior
+    witness, read off its quotient double-description state, which it keeps
+    for region_graph and lifted_state, outside ==, hash and repr."""
 
     matrix: tuple[Vector, ...]
     cone: HCone
@@ -653,55 +652,56 @@ def simplicial_decomposition(cone: HCone) -> Decomposition:
 # Graphs on regions and the class-region comparison
 # ---------------------------------------------------------------------------
 
-def region_graph(atlas: RegionAtlas, minimal_only: bool = False
-                 ) -> dict[int, frozenset[int]]:
+def region_graph(atlas: RegionAtlas) -> dict[int, frozenset[int]]:
     """Facet-adjacency graph: edge when two regions share a (k-1)-dim face.
 
-    Such a face lies on the hyperplane of a facet g of one region where -g
-    is a facet of the other, pushed to the quotient: the first region's face
-    there, dd_step of its kept state by -g, keeps a relative interior under
-    dd_cut by the other's remaining facets.  None of those is parallel to g,
-    or the other region would lie in the hyperplane, so none vanishes on it,
-    as dd_cut needs.
+    A join, no DD: region i is filed, per facet g pushed to the quotient,
+    under (g, F), F the rays of its kept state whose masks have g's bit
+    (unique primitive extreme rays: regions are pointed in the quotient).
+    j filed under (-g, F) holds the (k-1)-dim face F too, so is adjacent.
+    Conversely a region sharing a (k-1)-dim piece of i's facet g lies on
+    the -g side and has interior points just across the piece, as j does:
+    region interiors are disjoint, so it is j.  That needs each key filed
+    once, with a partner (a facet-to-facet fan; Ziegler, Lectures on
+    Polytopes, ch. 2 and 7), or InvariantError, never a wrong graph.
     """
-    minimal = min(r.facet_count for r in atlas.regions)
-    push = letter_quotient(atlas.src.letters).push
-    facets = {i: tuple(map(push, r.cone.ineqs))
-              for i, r in enumerate(atlas.regions)
-              if not minimal_only or r.facet_count == minimal}
-    by_facet: dict[Vector, list[int]] = {}
-    for i, gs in facets.items():
-        for g in gs:
-            by_facet.setdefault(g, []).append(i)
-    adj: dict[int, set[int]] = {i: set() for i in facets}
-    for i, gs in facets.items():
-        for g in gs:
-            face = dd_step(atlas.regions[i].state, vneg(g))
-            for jdx in by_facet.get(vneg(g), ()):
-                if jdx <= i or jdx in adj[i]:
-                    continue
-                if dd_cut(face, (h for h in facets[jdx]
-                                 if h != vneg(g))) is not None:
-                    adj[i].add(jdx)
-                    adj[jdx].add(i)
+    quotient = letter_quotient(atlas.src.letters)
+    filed: dict[tuple[Vector, frozenset[Vector]], int] = {}
+    for i, region in enumerate(atlas.regions):
+        bits = {g: 1 << b for b, g in enumerate(region.state[0])}
+        for a in region.cone.ineqs:
+            g = quotient.push(a)
+            key = (g, frozenset(r for r, m in region.state[2].items()
+                                if m & bits[g]))
+            if filed.setdefault(key, i) != i:
+                raise InvariantError(f"regions {filed[key]} and {i} both "
+                                     f"have the face of facet {a}")
+    adj: dict[int, set[int]] = {i: set() for i in range(len(atlas.regions))}
+    for (g, face), i in filed.items():
+        if (j := filed.get((vneg(g), face))) is None:
+            raise InvariantError(f"no region across facet "
+                                 f"{quotient.pull(g)} of region {i}")
+        adj[i].add(j)
     return {i: frozenset(nb) for i, nb in adj.items()}
 
 
 def class_region_isomorphism_report(atlas: RegionAtlas,
                                     match: MatchReport) -> dict:
-    """Compare the class graph and the minimal-region adjacency graph under
-    the spanned-cone matching, match_spanned_regions(atlas), whose class
-    graph it reads; its edges map to region pairs only if the match is ok.
-    Exploratory: both edge notions are stated interpretations, so the
-    result is reported, not asserted."""
-    rank = atlas.src.rank
+    """Compare the class graph with region_graph induced on the minimal
+    regions, under the spanned-cone match, match_spanned_regions(atlas),
+    whose class graph it reads; its edges map to region pairs only if the
+    match is ok.  Exploratory: both edge notions are stated
+    interpretations, so the result is reported, not asserted."""
     mapping = {m.canonical: m.region_index for m in match.matches}
     cgraph = match.class_graph
-    rgraph = region_graph(atlas, minimal_only=True)
+    minimal = {i for i, r in enumerate(atlas.regions)
+               if r.facet_count == match.minimal_facets}
+    rgraph = {i: nb & minimal for i, nb in region_graph(atlas).items()
+              if i in minimal}
     class_edges = {frozenset((a, b)) for a, nbs in cgraph.items() for b in nbs}
     region_edges = {frozenset((a, b)) for a, nbs in rgraph.items() for b in nbs}
     return {
-        "rank": rank,
+        "rank": atlas.src.rank,
         "class_vertices": len(cgraph),
         "region_vertices": len(rgraph),
         "class_edges": len(class_edges),

@@ -12,11 +12,16 @@ with ``regions._merge_cells`` in R^k, the way ``regions.transition_atlas``
 did, and returns each region's matrix, facets and state, with the
 bits_index.  ``point_quotient`` takes a point's quotient
 coordinates, the consecutive differences along each letter's positions.
+
+``cut_region_graph`` is ``regions.region_graph`` as it was before the join
+of facet faces: a pairwise cut loop, one ``dd_step`` per facet and one
+``dd_cut`` per candidate region across, with its ``minimal_only`` mode.
 """
 
-from wordcones.polyhedra import (InvariantError, dd_split, dd_whole,
-                                 identity, primitive, vneg, zero_set_facets)
-from wordcones.regions import Cell, _braid_rows, _merge_cells
+from wordcones.polyhedra import (InvariantError, dd_cut, dd_split, dd_step,
+                                 dd_whole, identity, primitive, vneg,
+                                 zero_set_facets)
+from wordcones.regions import Cell, _braid_rows, _merge_cells, letter_quotient
 from wordcones.words import COMMUTATION
 
 
@@ -88,3 +93,36 @@ def point_quotient(quotient, x):
     along its positions."""
     return tuple(x[q] - x[p] for chain in quotient.chains
                  for p, q in zip(chain, chain[1:]))
+
+
+def cut_region_graph(atlas, minimal_only):
+    """Facet-adjacency graph: edge when two regions share a (k-1)-dim face.
+
+    Such a face lies on the hyperplane of a facet g of one region where -g
+    is a facet of the other, pushed to the quotient: the first region's face
+    there, dd_step of its kept state by -g, keeps a relative interior under
+    dd_cut by the other's remaining facets.  None of those is parallel to g,
+    or the other region would lie in the hyperplane, so none vanishes on it,
+    as dd_cut needs.
+    """
+    minimal = min(r.facet_count for r in atlas.regions)
+    push = letter_quotient(atlas.src.letters).push
+    facets = {i: tuple(map(push, r.cone.ineqs))
+              for i, r in enumerate(atlas.regions)
+              if not minimal_only or r.facet_count == minimal}
+    by_facet = {}
+    for i, gs in facets.items():
+        for g in gs:
+            by_facet.setdefault(g, []).append(i)
+    adj = {i: set() for i in facets}
+    for i, gs in facets.items():
+        for g in gs:
+            face = dd_step(atlas.regions[i].state, vneg(g))
+            for jdx in by_facet.get(vneg(g), ()):
+                if jdx <= i or jdx in adj[i]:
+                    continue
+                if dd_cut(face, (h for h in facets[jdx]
+                                 if h != vneg(g))) is not None:
+                    adj[i].add(jdx)
+                    adj[jdx].add(i)
+    return {i: frozenset(nb) for i, nb in adj.items()}

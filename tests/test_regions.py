@@ -1,8 +1,10 @@
 import hashlib
 import json
 import random
+import re
 import subprocess
 import sys
+from ast import literal_eval
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -22,7 +24,8 @@ from lp_oracles import (_lp_implies, _lp_interior_point, _lp_irredundant_h,
                         level_search_decomposition, matrix_rank,
                         off_path_siblings, positive_somewhere,
                         regions_containing, scanned_region_index)
-from region_oracles import enumerate_cuts, point_quotient, rk_regions
+from region_oracles import (cut_region_graph, enumerate_cuts, point_quotient,
+                            rk_regions)
 from region_oracles import enumerate_cells as rk_cells
 from wordcones import cli, polyhedra, rectangles, regions
 from wordcones.polyhedra import (DegenerateConeError, HCone, InvariantError,
@@ -399,14 +402,27 @@ def test_region_graph_and_orthant_restriction_cut_from_kept_states(
         monkeypatch, atlas3, atlas4):
     """On prebuilt atlases neither facet adjacency nor orthant restriction
     rebuilds a state from the whole space: with dd_whole refused they give
-    the pinned edge counts and restriction shapes."""
+    the pinned edge counts and restriction shapes.  Facet adjacency, and
+    the isomorphism report on it, run no double description at all."""
     def refuse(dim):
         raise AssertionError("a state rebuilt from the whole space")
     monkeypatch.setattr(regions, "dd_whole", refuse)
     monkeypatch.setattr(polyhedra, "dd_whole", refuse)
-    for minimal_only, expected in ((False, 482), (True, 100)):
-        graph = region_graph(atlas4, minimal_only)
-        assert sum(map(len, graph.values())) == 2 * expected
+    match = match_spanned_regions(atlas4)
+
+    def refuse_dd(*args):
+        raise AssertionError("double description in the region graph")
+    with monkeypatch.context() as m:
+        for name, module in list(sys.modules.items()):
+            if name.startswith("wordcones"):
+                for fn in ("dd_step", "dd_cut", "dd_split"):
+                    if hasattr(module, fn):
+                        m.setattr(module, fn, refuse_dd)
+        graph = region_graph(atlas4)
+        report = class_region_isomorphism_report(atlas4, match)
+    assert sum(map(len, graph.values())) == 2 * 482
+    assert report["region_edges"] == 100
+    assert sum(map(len, _minimal_subgraph(atlas4, graph).values())) == 2 * 100
     restricted = sorted((r.region_facets, r.restricted_facets)
                         for r in orthant_restriction_analysis(atlas3))
     assert restricted == [(3, 6)] * 8 + [(4, 8), (4, 9)]
@@ -736,7 +752,7 @@ def test_region_graph_matches_lp_face_test(atlas3):
     graph = region_graph(atlas3)
     assert {frozenset((a, b)) for a, nbs in graph.items() for b in nbs} == expected
     assert len(expected) < candidates  # some opposite facets share no face
-    minimal = region_graph(atlas3, minimal_only=True)
+    minimal = _minimal_subgraph(atlas3, graph)
     assert {frozenset((a, b)) for a, nbs in minimal.items() for b in nbs} == \
         {e for e in expected if e <= set(minimal)}
 
@@ -1120,6 +1136,54 @@ def test_pulling_simplices_match_rank_reference():
     assert several > 200
 
 
+def _minimal_subgraph(atlas, graph):
+    """The subgraph of a region graph induced on the minimal-facet regions."""
+    least = min(r.facet_count for r in atlas.regions)
+    keep = {i for i, r in enumerate(atlas.regions) if r.facet_count == least}
+    return {i: nb & keep for i, nb in graph.items() if i in keep}
+
+
+def test_region_graph_matches_the_cut_loop(atlas2, atlas3, atlas4):
+    """The join of facet faces gives the cut loop's graph, the full one and
+    the one on the minimal-facet regions, at ranks 1-4 and on six seeded
+    random-pair rank-4 atlases."""
+    pairs = [transition_atlas(random_reduced_word(4, rng),
+                              random_reduced_word(4, rng))
+             for rng in map(random.Random, range(6))]
+    assert [len(a.regions) for a in pairs] == [8, 104, 64, 4, 118, 8]
+    for atlas in [standard_atlas(1), atlas2, atlas3, atlas4] + pairs:
+        graph = region_graph(atlas)
+        assert graph == cut_region_graph(atlas, False)
+        assert _minimal_subgraph(atlas, graph) == cut_region_graph(atlas, True)
+
+
+def _raised_region_and_facet(atlas):
+    """The region and the R^k facet that region_graph's raise names."""
+    with pytest.raises(InvariantError) as err:
+        region_graph(atlas)
+    found = re.fullmatch(r"regions \d+ and (\d+) both have the face of "
+                         r"facet (\(.*\))|no region across facet "
+                         r"(\(.*\)) of region (\d+)", str(err.value))
+    assert found, str(err.value)
+    i, a, b, j = found.groups()
+    return (int(i), literal_eval(a)) if i else (int(j), literal_eval(b))
+
+
+def test_region_graph_raises_on_a_corrupted_atlas(atlas3):
+    """A region dropped or duplicated, or a ray dropped from one region's
+    state, raises InvariantError naming a region and one of its R^k facets,
+    instead of returning a wrong graph."""
+    dropped = replace(atlas3, regions=atlas3.regions[1:])
+    doubled = replace(atlas3, regions=atlas3.regions + atlas3.regions[:1])
+    region = atlas3.regions[0]
+    normals, lines, zeros = region.state
+    lost = replace(region, state=(normals, lines, dict(list(zeros.items())[1:])))
+    for atlas in (dropped, doubled,
+                  replace(atlas3, regions=(lost,) + atlas3.regions[1:])):
+        i, facet = _raised_region_and_facet(atlas)
+        assert facet in atlas.regions[i].cone.ineqs
+
+
 def test_region_graph_rank2(atlas2):
     graph = region_graph(atlas2)
     assert len(graph) == 2
@@ -1127,7 +1191,7 @@ def test_region_graph_rank2(atlas2):
 
 
 def test_region_graph_rank3_minimal(atlas3):
-    graph = region_graph(atlas3, minimal_only=True)
+    graph = _minimal_subgraph(atlas3, region_graph(atlas3))
     assert len(graph) == 8
     assert is_connected(graph)
 
@@ -1136,7 +1200,7 @@ def test_region_graph_rank4(atlas4):
     graph = region_graph(atlas4)
     edges = {frozenset((a, b)) for a, nbs in graph.items() for b in nbs}
     assert len(graph) == 144 and len(edges) == 482
-    minimal = region_graph(atlas4, minimal_only=True)
+    minimal = _minimal_subgraph(atlas4, graph)
     assert {frozenset((a, b)) for a, nbs in minimal.items() for b in nbs} == \
         {e for e in edges if e <= set(minimal)}
 
