@@ -20,8 +20,8 @@ from fractions import Fraction
 from functools import cache, cached_property
 from itertools import accumulate, combinations
 from math import lcm, prod
-from operator import add, mul, sub
-from typing import Iterable, Optional, Sequence
+from operator import add, itemgetter, mul, sub
+from typing import Callable, Iterable, Optional, Sequence
 
 from .polyhedra import (DDState, HCone, InvariantError, NonPointedError,
                         Vector, VCone, _gauss_jordan, dd_cut, dd_simplex,
@@ -30,7 +30,8 @@ from .polyhedra import (DDState, HCone, InvariantError, NonPointedError,
 from .rectangles import spanning_vectors
 from .words import (BRAID, COMMUTATION, Letters, Move, ReducedWord,
                     apply_move_path, braids, class_graph, commutes,
-                    find_move_path, legal_moves, standard_words)
+                    find_move_path, legal_moves, standard_words,
+                    transition_automorphism)
 
 
 class RegionConvexityError(InvariantError):
@@ -185,7 +186,9 @@ class Cell:
 class Region:
     """A maximal cone of linearity: matrix, facets (pulled back) and interior
     witness, read off its quotient double-description state, which it keeps
-    for region_graph and lifted_state, outside ==, hash and repr."""
+    for region_graph and lifted_state, outside ==, hash and repr: its one
+    cell's, a merge's, or for a region transition_atlas maps, the earlier
+    region's under a signed permutation, with the same masks."""
 
     matrix: tuple[Vector, ...]
     cone: HCone
@@ -378,6 +381,40 @@ def _merge_cells(cells: list[Cell], dim: int) -> DDState:
     return state
 
 
+def _mapped_region(cells: list[Cell], rep: Region,
+                   image: Callable[[Vector], Vector]) -> DDState:
+    """The state of the union of these same-matrix cells, certified to be
+    the image of rep's pointed cone under a signed permutation, else
+    RegionConvexityError.  A lone pointed cell is the image iff their rays
+    agree, each the unique primitive extreme rays of a pointed cone; its own
+    state is returned.  Else the image's state, masks kept, an exact double
+    description as the image of one, is the union iff every cell holds on
+    every mapped facet (a cell's own guard does, its negation fails), so the
+    image contains the union, and every off-path sibling cut from the image
+    has no interior, so the image meets no other cell's interior (as in
+    _merge_cells; a cell's guard that holds on the image rules out its
+    sibling).  Nothing here assumes that the symmetry holds."""
+    normals, lines, zeros = rep.state
+    if len(cells) == 1 and not cells[0].state[1]:
+        if set(map(image, zeros)) == cells[0].state[2].keys():
+            return cells[0].state
+    else:
+        state = (tuple(map(image, normals)), tuple(map(image, lines)),
+                 {image(r): m for r, m in zeros.items()})
+        facets = [(f, vneg(f)) for f in map(image, map(rep.quotient.push,
+                                                       rep.cone.ineqs))]
+        if all(f in g or n not in g and holds_on(f, c.state)
+               for c in cells for g in [set(c.state[0])] for f, n in facets):
+            held = {h for h in {h for c in cells for h in c.state[0]}
+                    if h in state[0] or holds_on(h, state)}
+            if all(dd_cut(state, [h for h in sib if h not in held]) is None
+                   for sib in _open_siblings(cells, held)):
+                return state
+    raise RegionConvexityError(f"the image of region {rep.matrix} is not the "
+                               f"union of the {len(cells)} cells of matrix "
+                               f"{cells[0].rows}")
+
+
 def _checked_path(src: ReducedWord, dst: ReducedWord,
                   moves: Optional[Sequence[Move]]) -> list[Move]:
     """The peel path when moves is None, else the given moves once they are
@@ -399,11 +436,16 @@ def transition_atlas(src: ReducedWord, dst: ReducedWord,
 
     The 144-region standard-word atlas of rank 4 comes from 214 leaf cells.
     Rank 5 is slow: the peel path has 20 braids, and its 18,273 cells,
-    enumerated in 1.4-1.9 s, merge into 6,608 regions in 4.3-5.7 s in all
-    under python -O (CPython 3.11, 2 vCPUs).  Both run in src's
-    letter_quotient.  A group is popped as it merges, freeing its cells;
-    its region keeps only the state _merge_cells returns.  A rank above 5
-    raises before any cell is enumerated.
+    enumerated in 1.4-1.9 s, give 6,608 regions in 3.9-4.3 s in all under
+    python -O (CPython 3.11, 2 vCPUs).  Both run in src's letter_quotient.
+    Groups are popped in matrix order.  X times the region of matrix Y M X
+    is M's, (X, Y) of transition_automorphism, so a group whose Y M X sorts
+    first is mapped, not merged: its region's state is that one's under the
+    signed permutation X induces on the quotient (a lone cell keeps its
+    own), and its facets and witness follow, all as a merge gives them, as
+    regions are pointed there.  _mapped_region certifies the image against
+    the group's own cells; an image matrix with no group raises
+    InvariantError.  A rank above 5 raises before any cell is enumerated.
     """
     if src.rank > 5:
         raise ValueError("regions supports ranks 1 to 5")
@@ -412,17 +454,40 @@ def transition_atlas(src: ReducedWord, dst: ReducedWord,
     groups: dict[tuple[Vector, ...], list[Cell]] = {}
     for cell in enumerate_cells(src, moves):
         groups.setdefault(cell.rows, []).append(cell)
-    regions = []
+    symmetry = transition_automorphism(src, dst) if src.rank > 1 else None
+    if symmetry:  # rank 1 has one region, and itemgetter wants two indices
+        xs, ys = symmetry
+        cols, rows = itemgetter(*xs), itemgetter(*ys)
+        # X on the quotient: pair (p, q) of a letter to pair j, or (q, p) to ~j
+        spots = {pq[::s]: j if s > 0 else ~j
+                 for j, pq in enumerate(quotient.pairs) for s in (1, -1)}
+        signed = [spots.get((xs[p], xs[q])) for p, q in quotient.pairs]
+        if None in signed:
+            raise InvariantError(f"{xs} moves a pair off its letter")
+        image = lambda v: tuple([v[j] if j >= 0 else -v[~j] for j in signed])
+    regions: list[Region] = []
+    index: dict[tuple[Vector, ...], int] = {}
     bits_index: dict[str, int] = {}
     for matrix in sorted(groups):
         group = groups.pop(matrix)
-        state = _merge_cells(group, quotient.dim)
+        twin = symmetry and tuple(map(cols, rows(matrix)))
+        if twin and twin not in index and twin not in groups and twin != matrix:
+            raise InvariantError(f"the image {twin} of matrix {matrix} "
+                                 f"has no cell")
+        rep = regions[index[twin]] if twin and twin < matrix else None
+        if rep is None or rep.state[1]:  # with lines, rays are not unique
+            state = _merge_cells(group, quotient.dim)
+            ineqs = map(quotient.pull,
+                        zero_set_facets(state, quotient.dim).ineqs)
+        else:  # pull(image(c)) = X pull(c)
+            state = _mapped_region(group, rep, image)
+            ineqs = map(cols, rep.cone.ineqs)
+        index[matrix] = len(regions)
         for cell in group:
             bits_index[cell.bits] = len(regions)
-        facets = map(quotient.pull, zero_set_facets(state, quotient.dim).ineqs)
+        cone = HCone(quotient.k, tuple(sorted(ineqs)))
         witness = quotient.lift(ray_sum_witness(state, quotient.dim))
-        regions.append(Region(matrix, HCone(quotient.k, tuple(sorted(facets))),
-                              witness, state, quotient))
+        regions.append(Region(matrix, cone, witness, state, quotient))
     return RegionAtlas(src, dst, tuple(moves), tuple(regions), bits_index)
 
 

@@ -395,6 +395,31 @@ def find_move_path(src: ReducedWord, dst: ReducedWord) -> list[Move]:
     return moves
 
 
+@cache
+def transition_automorphism(src: ReducedWord, dst: ReducedWord
+                            ) -> Optional[tuple[tuple[int, ...], ...]]:
+    """Involutions (X, Y) of positions with R(Xa) = Y R(a), (Xa)_p = a_X[p],
+    R the src-to-dst transition map, or None.  Take tau the first of sigma:
+    g -> n+1-g (it keeps each move's formula), reversal (it reverses each
+    triple and its image) and sigma rev that sends each word to one
+    commutation-equivalent to it.  By path independence (Lusztig) R = Q T R
+    T P, T reversing coordinates for rev, P and Q the commutation maps src
+    -> tau(src) and tau(dst) -> dst, which match the i-th occurrence of each
+    letter: X = T P, Y = Q T."""
+    for flip, turn in ((1, 0), (0, 1), (1, 1)):
+        perms = []
+        for w in (src.letters, dst.letters):
+            image = [src.rank + 1 - g if flip else g for g in w][::1 - 2 * turn]
+            if _canonical(tuple(image), src.rank) != _canonical(w, src.rank):
+                break
+            spots = {g: iter([p for p, h in enumerate(w) if h == g])
+                     for g in set(w)}
+            perms.append(tuple([next(spots[g]) for g in image][::1 - 2 * turn]))
+        else:
+            return tuple(perms)
+    return None
+
+
 def apply_move_path(word: ReducedWord, moves: Sequence[Move]) -> ReducedWord:
     letters = word.letters
     for m in moves:

@@ -13,15 +13,21 @@ did, and returns each region's matrix, facets and state, with the
 bits_index.  ``point_quotient`` takes a point's quotient
 coordinates, the consecutive differences along each letter's positions.
 
+``merged_atlas`` is ``regions.transition_atlas`` as it was before the
+automorphism of the transition map built half of the regions as images:
+every same-matrix group is merged by ``regions._merge_cells``.
+
 ``cut_region_graph`` is ``regions.region_graph`` as it was before the join
 of facet faces: a pairwise cut loop, one ``dd_step`` per facet and one
 ``dd_cut`` per candidate region across, with its ``minimal_only`` mode.
 """
 
-from wordcones.polyhedra import (InvariantError, dd_cut, dd_split, dd_step,
-                                 dd_whole, identity, primitive, vneg,
-                                 zero_set_facets)
-from wordcones.regions import Cell, _braid_rows, _merge_cells, letter_quotient
+from wordcones.polyhedra import (HCone, InvariantError, dd_cut, dd_split,
+                                 dd_step, dd_whole, identity, primitive,
+                                 ray_sum_witness, vneg, zero_set_facets)
+from wordcones.regions import (Cell, Region, RegionAtlas, _braid_rows,
+                               _checked_path, _merge_cells, letter_quotient)
+from wordcones.regions import enumerate_cells as quotient_cells
 from wordcones.words import COMMUTATION
 
 
@@ -86,6 +92,26 @@ def rk_regions(src, moves):
             bits_index[cell.bits] = len(regions)
         regions.append((matrix, zero_set_facets(state, k), state))
     return regions, bits_index
+
+
+def merged_atlas(src, dst, moves=None):
+    """The atlas with every same-matrix group merged, in matrix order."""
+    moves = _checked_path(src, dst, moves)
+    quotient = letter_quotient(src.letters)
+    groups = {}
+    for cell in quotient_cells(src, moves):
+        groups.setdefault(cell.rows, []).append(cell)
+    regions, bits_index = [], {}
+    for matrix in sorted(groups):
+        group = groups.pop(matrix)
+        state = _merge_cells(group, quotient.dim)
+        for cell in group:
+            bits_index[cell.bits] = len(regions)
+        facets = map(quotient.pull, zero_set_facets(state, quotient.dim).ineqs)
+        witness = quotient.lift(ray_sum_witness(state, quotient.dim))
+        regions.append(Region(matrix, HCone(quotient.k, tuple(sorted(facets))),
+                              witness, state, quotient))
+    return RegionAtlas(src, dst, tuple(moves), tuple(regions), bits_index)
 
 
 def point_quotient(quotient, x):

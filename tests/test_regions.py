@@ -24,8 +24,8 @@ from lp_oracles import (_lp_implies, _lp_interior_point, _lp_irredundant_h,
                         level_search_decomposition, matrix_rank,
                         off_path_siblings, positive_somewhere,
                         regions_containing, scanned_region_index)
-from region_oracles import (cut_region_graph, enumerate_cuts, point_quotient,
-                            rk_regions)
+from region_oracles import (cut_region_graph, enumerate_cuts, merged_atlas,
+                            point_quotient, rk_regions)
 from region_oracles import enumerate_cells as rk_cells
 from wordcones import cli, polyhedra, rectangles, regions
 from wordcones.polyhedra import (DegenerateConeError, HCone, InvariantError,
@@ -47,7 +47,8 @@ from wordcones.regions import (RegionConvexityError, _merge_cells,
                                transition_atlas)
 from wordcones.words import (BRAID, COMMUTATION, Move, ReducedWord,
                              commutation_classes, find_move_path,
-                             random_reduced_word, standard_words)
+                             parse_word, random_reduced_word,
+                             standard_words, transition_automorphism)
 
 
 def test_braid_triple_examples():
@@ -275,26 +276,54 @@ def _branch_guards(src, moves, bits):
     return guards
 
 
+def _mapped_groups(atlas):
+    """{i: j} for each region i of a multi-cell group that the build maps:
+    its matrix's image under transition_automorphism is region j's, which
+    sorts first."""
+    symmetry = transition_automorphism(atlas.src, atlas.dst)
+    if atlas.src.rank == 1 or symmetry is None:
+        return {}
+    index = {r.matrix: i for i, r in enumerate(atlas.regions)}
+    sizes = Counter(atlas.bits_index.values())
+    return {i: index[_twin(r.matrix, symmetry)]
+            for i, r in enumerate(atlas.regions)
+            if sizes[i] > 1 and _twin(r.matrix, symmetry) < r.matrix}
+
+
+def _twin(matrix, symmetry):
+    """Y M X, for X and Y of transition_automorphism."""
+    xs, ys = symmetry
+    return tuple(tuple(matrix[y][x] for x in xs) for y in ys)
+
+
 def test_cell_and_region_states_describe_themselves(atlas2, atlas3, atlas4):
     """Every rank-2 to rank-4 cell's state has as its normals the guards that
     cut on the branch its bits walk, in order, pushed to the quotient; a
     guard the earlier ones imply is not among them.  Every region keeps the
-    state of its one cell or the dd_cut fold of its group's valid normals;
+    state of its one cell, the dd_cut fold of its group's valid normals, or
+    for a mapped multi-cell group the image of its representative's state,
+    whose normals are those of the representative's mapped by X, in order;
     in each state, and in each region's lifted state with those normals
     pulled back, the masks are the rays' zero sets among its normals, and
     the lines vanish on every normal."""
     for atlas in (atlas2, atlas3, atlas4):
         quotient = letter_quotient(atlas.src.letters)
+        xs = transition_automorphism(atlas.src, atlas.dst)[0]
+        mapped, cuts = _mapped_groups(atlas), []
         groups = {}
         for cell in enumerate_cells(atlas.src, atlas.moves):
             guards = tuple(map(quotient.push, _branch_guards(
                 atlas.src, atlas.moves, cell.bits)))
             assert_state_invariants(cell.state, guards)
             groups.setdefault(cell.rows, []).append((cell, guards))
-        for region in atlas.regions:
+        for i, region in enumerate(atlas.regions):
             group = groups[region.matrix]
             cut = group[0][1] if len(group) == 1 else \
                 _valid_normals([c for c, _ in group], quotient.dim)
+            if i in mapped:
+                cut = tuple(quotient.push(tuple(a[x] for x in xs))
+                            for a in map(quotient.pull, cuts[mapped[i]]))
+            cuts.append(cut)
             assert_state_invariants(region.state, cut)
             assert_state_invariants(region.lifted_state,
                                     tuple(map(quotient.pull, cut)))
@@ -306,9 +335,13 @@ def test_quotient_build_matches_the_rk_oracle(atlas2, atlas3, atlas4):
     The R^k build keeps every guard; each cell's normals, pulled back, are
     exactly the oracle guards whose split kept two sides, in order.  Every
     region has the oracle's matrix and sorted facets, and its lifted state
-    has the oracle state's normals that are such a guard of a member, in
-    order, a basis of the oracle's lines, and its rays up to L."""
+    has a basis of the oracle's lines and its rays up to L.  Its normals
+    are the oracle state's normals that are such a guard of a member, in
+    order, except in a mapped multi-cell group: there they are the images
+    under X of its representative's, in order."""
     for atlas in (standard_atlas(1), atlas2, atlas3, atlas4):
+        mapped = _mapped_groups(atlas)
+        xs = transition_automorphism(atlas.src, atlas.dst)[0]
         quotient, k = letter_quotient(atlas.src.letters), atlas.dim
         cells = enumerate_cells(atlas.src, atlas.moves)
         oracle = enumerate_cuts(atlas.src, atlas.moves)
@@ -325,10 +358,14 @@ def test_quotient_build_matches_the_rk_oracle(atlas2, atlas3, atlas4):
         assert atlas.bits_index == rk_index
         assert [(r.matrix, r.cone) for r in atlas.regions] == \
             [(m, cone) for m, cone, _ in rk_list]
-        for region, (_, _, rk) in zip(atlas.regions, rk_list):
+        for i, (region, (_, _, rk)) in enumerate(zip(atlas.regions, rk_list)):
             normals, lines, zeros = region.lifted_state
-            assert normals == tuple(g for g in rk[0]
-                                    if g in cut_by_matrix[region.matrix])
+            if i in mapped:
+                assert normals == tuple(tuple(g[x] for x in xs) for g in
+                                        atlas.regions[mapped[i]].lifted_state[0])
+            else:
+                assert normals == tuple(g for g in rk[0]
+                                        if g in cut_by_matrix[region.matrix])
             assert matrix_rank(lines) == matrix_rank(lines + rk[1]) == \
                 len(rk[1])
             assert {primitive(point_quotient(quotient, r)) for r in zeros} \
@@ -478,9 +515,11 @@ def test_sibling_walk_skips_exactly_the_opposed_siblings():
 
 
 def test_atlas_build_counts_cuts_and_steps(monkeypatch):
-    """One standard_atlas build makes one dd_cut per multi-cell fold and one
-    per sibling the walk does not rule out (rank 3: 1 fold; rank 4: 48
-    folds and 12 sibling cuts) and 695 DD steps at rank 4."""
+    """One standard_atlas build makes one dd_cut per fold of a merged
+    multi-cell group and one per sibling the walk does not rule out (rank
+    3: 1 fold; rank 4: 24 folds and 12 sibling cuts, 3 of them certifying
+    mapped groups) and 468 DD steps at rank 4; a mapped group makes no
+    fold."""
     calls = {"cut": 0, "step": 0}
     cut, step = regions.dd_cut, polyhedra._step
 
@@ -493,10 +532,178 @@ def test_atlas_build_counts_cuts_and_steps(monkeypatch):
         return step(state, a, split)
     monkeypatch.setattr(regions, "dd_cut", counted_cut)
     monkeypatch.setattr(polyhedra, "_step", counted_step)
-    for rank, expected in ((3, (1, 14)), (4, (60, 695))):
+    for rank, expected in ((3, (1, 14)), (4, (36, 468))):
         calls.update(cut=0, step=0)
         standard_atlas(rank)
         assert (calls["cut"], calls["step"]) == expected, rank
+
+
+def _counted_mapped_groups(monkeypatch):
+    """[cells per group] of each group the orbit build maps, as it goes."""
+    sizes, real = [], regions._mapped_region
+
+    def counted(cells, rep, image):
+        sizes.append(len(cells))
+        return real(cells, rep, image)
+    monkeypatch.setattr(regions, "_mapped_region", counted)
+    return sizes
+
+
+def test_orbit_build_matches_the_full_merge(monkeypatch, atlas4):
+    """The orbit build gives the full merge's regions (matrix, facets and
+    witness) and bits_index: at ranks 1 to 4, for (j', j) at ranks 3 and 4,
+    along detour_move_path at rank 3, on the six seeded random rank-4 pairs
+    of test_region_graph_matches_the_cut_loop, which have no symmetry, and
+    on three rank-4 pairs of class words that have one.  The groups it maps,
+    and those of them with several cells, are pinned."""
+    j3, j4 = standard_words(3), standard_words(4)
+    cases = [(standard_words(1), None, (0, 0)),
+             (standard_words(2), None, (1, 0)),
+             (j3, None, (3, 0)), (j3[::-1], None, (3, 0)),
+             (j3, detour_move_path(*j3), (3, 0)), (j4[::-1], None, (72, 24))]
+    cases += [((random_reduced_word(4, rng), random_reduced_word(4, rng)),
+               None, (0, 0)) for rng in map(random.Random, range(6))]
+    cases += [((parse_word(a), parse_word(b)), None, counts)
+              for a, b, counts in (
+                   ("3432132343", "2143214324", (32, 20)),
+                   ("4321343234", "1321343213", (60, 27)),
+                   ("1232124321", "2143214324", (44, 4)))]
+    sizes = _counted_mapped_groups(monkeypatch)
+    assert transition_atlas(*j4) == atlas4 == merged_atlas(*j4)
+    assert (len(sizes), sum(n > 1 for n in sizes)) == (72, 24)
+    for (src, dst), moves, counts in cases:
+        sizes.clear()
+        assert transition_atlas(src, dst, moves) == merged_atlas(src, dst, moves)
+        assert (len(sizes), sum(n > 1 for n in sizes)) == counts, (src, dst)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+def test_transition_automorphism_commutes_with_the_map(rank):
+    """R(Xa) = Y R(a) on seeded points for the standard words, X and Y are
+    involutions, and tau is reversal at ranks 2 and 4 and the flip
+    g -> n+1-g at ranks 3 and 5."""
+    src, dst = standard_words(rank)
+    xs, ys = transition_automorphism(src, dst)
+    k = len(src.letters)
+    for perm in (xs, ys):
+        assert sorted(perm) == list(range(k))
+        assert all(perm[perm[p]] == p for p in range(k))
+    flip = [rank + 1 - g if rank % 2 else g for g in src.letters]
+    assert [src.letters[x] for x in xs] == flip
+    rng = random.Random(rank)
+    for _ in range(25):
+        a = tuple(rng.randrange(-9, 10) for _ in range(k))
+        image = evaluate(src, dst, a)
+        assert evaluate(src, dst, tuple(a[x] for x in xs)) == \
+            tuple(image[y] for y in ys)
+
+
+def test_a_pair_with_no_symmetry_builds_as_before(monkeypatch):
+    """transition_automorphism is None for the seeded random pair of seed 0,
+    and its build maps no group."""
+    rng = random.Random(0)
+    src, dst = random_reduced_word(4, rng), random_reduced_word(4, rng)
+    assert transition_automorphism(src, dst) is None
+    sizes = _counted_mapped_groups(monkeypatch)
+    assert len(transition_atlas(src, dst).regions) == 8 and sizes == []
+
+
+def test_orbit_build_raises_on_a_wrong_permutation(monkeypatch):
+    """X or Y of the rank-4 automorphism with two adjacent positions
+    swapped, or X of the rank-3 one with two positions of one letter
+    swapped, raises InvariantError, and no atlas comes back: a swapped X at
+    rank 4 moves a pair of one letter's positions off the letter, and each
+    other one sends some matrix to one that has no cell."""
+    cases = []
+    for rank in (3, 4):
+        src, dst = standard_words(rank)
+        xs, ys = transition_automorphism(src, dst)
+        for p, q in combinations(range(len(xs)), 2):
+            if rank == 4 and q == p + 1:
+                cases += [(src, dst, _swapped(xs, p, q), ys, "off its letter"),
+                          (src, dst, xs, _swapped(ys, p, q), "has no cell")]
+            elif rank == 3 and src.letters[p] == src.letters[q]:
+                cases.append((src, dst, _swapped(xs, p, q), ys, "has no cell"))
+    assert len(cases) == 21
+    for src, dst, xs, ys, message in cases:
+        monkeypatch.setattr(regions, "transition_automorphism",
+                            lambda s, d, xs=xs, ys=ys: (xs, ys))
+        with pytest.raises(InvariantError, match=message):
+            transition_atlas(src, dst)
+
+
+def _swapped(perm, p, q):
+    out = list(perm)
+    out[p], out[q] = out[q], out[p]
+    return tuple(out)
+
+
+def test_orbit_build_raises_on_a_dropped_ray(monkeypatch):
+    """A ray dropped from the state a group's region is mapped from raises
+    RegionConvexityError naming both matrices: at rank 3 every mapped group
+    has one cell, whose rays are compared."""
+    real = regions._mapped_region
+
+    def dropped(cells, rep, image):
+        normals, lines, zeros = rep.state
+        return real(cells, replace(rep, state=(
+            normals, lines, dict(list(zeros.items())[1:]))), image)
+    monkeypatch.setattr(regions, "_mapped_region", dropped)
+    with pytest.raises(RegionConvexityError, match=r"image of region .* "
+                       r"not the union of the 1 cells of matrix"):
+        standard_atlas(3)
+
+
+def test_orbit_build_raises_on_a_mapped_cone_larger_than_its_group(
+        monkeypatch):
+    """A multi-cell group mapped from its representative with one facet
+    dropped (a larger cone, its state cut from its remaining facets) holds
+    every member on its facets, but an off-path sibling cut from it keeps
+    an interior: the rank-4 build raises RegionConvexityError."""
+    real, walked = regions._mapped_region, []
+
+    def larger(cells, rep, image):
+        if len(cells) > 1:
+            quotient = rep.quotient
+            kept = rep.cone.ineqs[1:]
+            state = dd_cut(dd_whole(quotient.dim), map(quotient.push, kept))
+            rep = replace(rep, cone=HCone(quotient.k, kept), state=state)
+            walked.append(cells)
+        return real(cells, rep, image)
+    monkeypatch.setattr(regions, "_mapped_region", larger)
+    sibling_walks, siblings = [], regions._open_siblings
+    monkeypatch.setattr(regions, "_open_siblings", lambda group, held: (
+        sibling_walks.append(group) or siblings(group, held)))
+    with pytest.raises(RegionConvexityError, match="is not the union"):
+        standard_atlas(4)
+    assert sibling_walks[-1] is walked[-1]
+
+
+def test_orbit_build_raises_on_a_member_outside_its_facets(monkeypatch,
+                                                           atlas4):
+    """A cell of the last multi-cell group relabelled into the first mapped
+    multi-cell group lies outside that group's mapped facets: the build
+    raises RegionConvexityError naming both matrices, before any sibling
+    cut of the group and before the last group is reached."""
+    target = min(_mapped_groups(atlas4))
+    sizes = Counter(atlas4.bits_index.values())
+    last = max(i for i, n in sizes.items() if n > 1)
+    assert last > target
+    cells = enumerate_cells(atlas4.src, atlas4.moves)
+    foreign = next(c for c in cells if atlas4.bits_index[c.bits] == last)
+    matrix = atlas4.regions[target].matrix
+    stray = replace(foreign, rows=matrix)
+    moved = [stray if c is foreign else c for c in cells]
+    monkeypatch.setattr(regions, "enumerate_cells", lambda src, moves: moved)
+    walked, real = [], regions._open_siblings
+    monkeypatch.setattr(regions, "_open_siblings", lambda group, held: (
+        walked.append(group) or real(group, held)))
+    with pytest.raises(RegionConvexityError) as err:
+        standard_atlas(4)
+    twin = _twin(matrix, transition_automorphism(atlas4.src, atlas4.dst))
+    assert f"region {twin} " in str(err.value)
+    assert f"matrix {matrix}" in str(err.value)
+    assert walked and not any(c is stray for group in walked for c in group)
 
 
 def test_region_witnesses_are_the_ray_sums(atlas2, atlas3, atlas4):
