@@ -504,13 +504,13 @@ def full_cut(cone: HCone) -> DDState:
 def irredundant_h(cone: HCone) -> HCone:
     """Facet list of a full-dimensional cone, primitive and sorted, read
     off its full_cut (dd_step makes the normals primitive, skips zero ones)."""
-    return zero_set_facets(full_cut(cone), cone.dim)
+    return HCone(cone.dim, facet_state(full_cut(cone))[0])
 
 
-def zero_set_facets(state: DDState, dim: int) -> HCone:
-    """Facet list, primitive and sorted, of a full-dimensional cone, read
-    off the zero-set masks of the rays in its double-description state:
-    bit i of a mask is the state's normals[i].
+def facet_state(state: DDState) -> DDState:
+    """The state of the same full-dimensional cone with its facets alone as
+    normals, primitive and sorted, its lines and rays kept, and each ray's
+    mask over those facets, all read off the masks of the given state.
 
     The face a cuts out is spanned by the lines, on which every normal
     vanishes, and the rays a vanishes on.  So faces compare by zero sets,
@@ -518,9 +518,9 @@ def zero_set_facets(state: DDState, dim: int) -> HCone:
     normal's strictly contains (Ziegler, Lectures on Polytopes, ch. 2).
     The faces (bit j: ray j) take one pass over the masks' set bits; the
     distinct ones, largest first, are maximal iff no earlier maximal one
-    contains them.
+    contains them.  The kept facets' faces, transposed, are the new masks.
     """
-    normals, _, zeros = state
+    normals, lines, zeros = state
     faces = [0] * len(normals)
     for j, m in enumerate(zeros.values()):
         while m:
@@ -530,8 +530,10 @@ def zero_set_facets(state: DDState, dim: int) -> HCone:
     for f in sorted(set(faces), key=int.bit_count, reverse=True):
         if not any(o & f == f for o in top):
             top.append(f)
-    return HCone(dim, tuple(sorted(
-        {a for a, f in zip(normals, faces) if f in top})))
+    facets = sorted({a: f for a, f in zip(normals, faces) if f in top}.items())
+    return tuple([a for a, _ in facets]), lines, {r: sum(
+        1 << i for i, (_, f) in enumerate(facets) if f >> j & 1)
+        for j, r in enumerate(zeros)}
 
 
 def cone_from_rays(rays: VCone) -> HCone:

@@ -25,8 +25,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .polyhedra import (DDState, HCone, InvariantError, NonPointedError,
                         Vector, VCone, _gauss_jordan, dd_cut, dd_simplex,
-                        dd_split, dd_whole, dot, full_cut, holds_on, identity,
-                        primitive, ray_sum_witness, vneg, zero_set_facets)
+                        dd_split, dd_whole, dot, facet_state, full_cut,
+                        holds_on, identity, primitive, ray_sum_witness, vneg)
 from .rectangles import spanning_vectors
 from .words import (BRAID, COMMUTATION, Letters, Move, ReducedWord,
                     apply_move_path, braids, class_graph, commutes,
@@ -186,9 +186,8 @@ class Cell:
 class Region:
     """A maximal cone of linearity: matrix, facets (pulled back) and interior
     witness, read off its quotient double-description state, which it keeps
-    for region_graph and lifted_state, outside ==, hash and repr: its one
-    cell's, a merge's, or for a region transition_atlas maps, the earlier
-    region's under a signed permutation, with the same masks."""
+    for region_graph and lifted_state, outside ==, hash and repr: a
+    facet_state, its facets pushed to the quotient, sorted, as normals."""
 
     matrix: tuple[Vector, ...]
     cone: HCone
@@ -332,8 +331,8 @@ def _open_siblings(cells: list[Cell], held: set[Vector]
 
 
 def _merge_cells(cells: list[Cell], dim: int) -> DDState:
-    """Certified-convex union of same-matrix cells, as a double-description
-    state: a single cell's own, or for several cells that of the candidate
+    """Certified-convex union of same-matrix cells, as the facet_state of a
+    single cell's own state, or for several cells of that of the candidate
     cone C, raising if C is not the union.  C is cut out by the
     member-cell inequalities valid on every member's state (a member's own
     guard holds on it, and the negation of one fails on the full-dimensional
@@ -358,7 +357,7 @@ def _merge_cells(cells: list[Cell], dim: int) -> DDState:
     the sibling iff h is valid, before it builds its tuple.
     """
     if len(cells) == 1:
-        return cells[0].state
+        return facet_state(cells[0].state)
     normals = dict.fromkeys(g for c in cells for g in c.state[0])
     guards = [set(c.state[0]) for c in cells]
     valid = [g for g, ng in zip(normals, map(vneg, normals)) if all(
@@ -378,31 +377,32 @@ def _merge_cells(cells: list[Cell], dim: int) -> DDState:
                 f"convex cone cut out by its {len(valid)} shared-valid "
                 f"inequalities: {ray_sum_witness(cut, dim)} is "
                 f"interior to it and to an off-path sibling")
-    return state
+    return facet_state(state)
 
 
 def _mapped_region(cells: list[Cell], rep: Region,
                    image: Callable[[Vector], Vector]) -> DDState:
-    """The state of the union of these same-matrix cells, certified to be
-    the image of rep's pointed cone under a signed permutation, else
-    RegionConvexityError.  A lone pointed cell is the image iff their rays
-    agree, each the unique primitive extreme rays of a pointed cone; its own
-    state is returned.  Else the image's state, masks kept, an exact double
-    description as the image of one, is the union iff every cell holds on
-    every mapped facet (a cell's own guard does, its negation fails), so the
-    image contains the union, and every off-path sibling cut from the image
-    has no interior, so the image meets no other cell's interior (as in
-    _merge_cells; a cell's guard that holds on the image rules out its
-    sibling).  Nothing here assumes that the symmetry holds."""
+    """The facet_state of the union of these same-matrix cells, certified to
+    be the image of rep's pointed cone under a signed permutation, else
+    RegionConvexityError: the image of rep's facet state, an exact double
+    description as the image of one, its facets re-sorted.  A lone pointed
+    cell is the image iff their rays agree, each the unique primitive
+    extreme rays of a pointed cone.  Several cells are the image iff every
+    cell holds on every mapped facet (a cell's own guard does, its negation
+    fails), so the image contains the union, and every off-path sibling cut
+    from the image has no interior, so the image meets no other cell's
+    interior (as in _merge_cells; a cell's guard that holds on the image
+    rules out its sibling).  Nothing here assumes that the symmetry holds."""
     normals, lines, zeros = rep.state
+    order = sorted((image(a), 1 << i) for i, a in enumerate(normals))
+    state = (tuple(a for a, _ in order), lines, {image(r): sum(
+        1 << k for k, (_, b) in enumerate(order) if m & b)
+        for r, m in zeros.items()})
     if len(cells) == 1 and not cells[0].state[1]:
-        if set(map(image, zeros)) == cells[0].state[2].keys():
-            return cells[0].state
+        if state[2].keys() == cells[0].state[2].keys():
+            return state
     else:
-        state = (tuple(map(image, normals)), tuple(map(image, lines)),
-                 {image(r): m for r, m in zeros.items()})
-        facets = [(f, vneg(f)) for f in map(image, map(rep.quotient.push,
-                                                       rep.cone.ineqs))]
+        facets = [(f, vneg(f)) for f in state[0]]
         if all(f in g or n not in g and holds_on(f, c.state)
                for c in cells for g in [set(c.state[0])] for f, n in facets):
             held = {h for h in {h for c in cells for h in c.state[0]}
@@ -441,11 +441,11 @@ def transition_atlas(src: ReducedWord, dst: ReducedWord,
     Groups are popped in matrix order.  X times the region of matrix Y M X
     is M's, (X, Y) of transition_automorphism, so a group whose Y M X sorts
     first is mapped, not merged: its region's state is that one's under the
-    signed permutation X induces on the quotient (a lone cell keeps its
-    own), and its facets and witness follow, all as a merge gives them, as
-    regions are pointed there.  _mapped_region certifies the image against
-    the group's own cells; an image matrix with no group raises
-    InvariantError.  A rank above 5 raises before any cell is enumerated.
+    signed permutation X induces on the quotient, and its facets and
+    witness follow, all as a merge gives them, as regions are pointed
+    there.  _mapped_region certifies the image against the group's own
+    cells; an image matrix with no group raises InvariantError.  A rank
+    above 5 raises before any cell is enumerated.
     """
     if src.rank > 5:
         raise ValueError("regions supports ranks 1 to 5")
@@ -477,8 +477,7 @@ def transition_atlas(src: ReducedWord, dst: ReducedWord,
         rep = regions[index[twin]] if twin and twin < matrix else None
         if rep is None or rep.state[1]:  # with lines, rays are not unique
             state = _merge_cells(group, quotient.dim)
-            ineqs = map(quotient.pull,
-                        zero_set_facets(state, quotient.dim).ineqs)
+            ineqs = map(quotient.pull, state[0])
         else:  # pull(image(c)) = X pull(c)
             state = _mapped_region(group, rep, image)
             ineqs = map(cols, rep.cone.ineqs)
@@ -608,7 +607,7 @@ def orthant_restriction_analysis(atlas: RegionAtlas) -> list[OrthantRestriction]
         cut = dd_cut(region.lifted_state, orth)
         if cut is None:
             continue
-        reduced = zero_set_facets(cut, atlas.dim)
+        reduced = HCone(atlas.dim, facet_state(cut)[0])
         out.append(OrthantRestriction(idx, region.facet_count,
                                       len(reduced.ineqs), reduced))
     return out
@@ -720,9 +719,9 @@ def simplicial_decomposition(cone: HCone) -> Decomposition:
 def region_graph(atlas: RegionAtlas) -> dict[int, frozenset[int]]:
     """Facet-adjacency graph: edge when two regions share a (k-1)-dim face.
 
-    A join, no DD: region i is filed, per facet g pushed to the quotient,
-    under (g, F), F the rays of its kept state whose masks have g's bit
-    (unique primitive extreme rays: regions are pointed in the quotient).
+    A join, no DD: region i is filed, per facet g of its kept state, under
+    (g, F), F the rays whose masks have g's bit (unique primitive extreme
+    rays: regions are pointed in the quotient).
     j filed under (-g, F) holds the (k-1)-dim face F too, so is adjacent.
     Conversely a region sharing a (k-1)-dim piece of i's facet g lies on
     the -g side and has interior points just across the piece, as j does:
@@ -733,14 +732,12 @@ def region_graph(atlas: RegionAtlas) -> dict[int, frozenset[int]]:
     quotient = letter_quotient(atlas.src.letters)
     filed: dict[tuple[Vector, frozenset[Vector]], int] = {}
     for i, region in enumerate(atlas.regions):
-        bits = {g: 1 << b for b, g in enumerate(region.state[0])}
-        for a in region.cone.ineqs:
-            g = quotient.push(a)
-            key = (g, frozenset(r for r, m in region.state[2].items()
-                                if m & bits[g]))
+        normals, _, zeros = region.state
+        for b, g in enumerate(normals):
+            key = (g, frozenset(r for r, m in zeros.items() if m >> b & 1))
             if filed.setdefault(key, i) != i:
-                raise InvariantError(f"regions {filed[key]} and {i} both "
-                                     f"have the face of facet {a}")
+                raise InvariantError(f"regions {filed[key]} and {i} both have "
+                                     f"the face of facet {quotient.pull(g)}")
     adj: dict[int, set[int]] = {i: set() for i in range(len(atlas.regions))}
     for (g, face), i in filed.items():
         if (j := filed.get((vneg(g), face))) is None:

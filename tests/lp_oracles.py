@@ -10,7 +10,7 @@ by LP subtraction, without its volume certificate.  ``_rank_facets`` and
 ``facets_from_generators`` and ``regions._pulling_simplices`` replaced with
 maximal zero sets.  ``facets_from_generators`` takes each zero set by dot
 products, as the library did before it read them off the double-description
-masks (``polyhedra.zero_set_facets``), and ``positive_somewhere`` is the
+masks (``polyhedra.facet_state``), and ``positive_somewhere`` is the
 scan ``polyhedra.dd_cut`` ran before it read emptiness off the cut state.
 
 ``assert_state_invariants`` checks that a double-description state

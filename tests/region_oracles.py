@@ -9,7 +9,7 @@ is new on its branch, so its cells keep every guard, those that do not cut
 too; ``enumerate_cuts`` gives, per cell in the same order, the guards
 whose split kept two sides.  ``rk_regions`` merges its same-matrix groups
 with ``regions._merge_cells`` in R^k, the way ``regions.transition_atlas``
-did, and returns each region's matrix, facets and state, with the
+did, and returns each region's matrix, facets and facet state, with the
 bits_index.  ``point_quotient`` takes a point's quotient
 coordinates, the consecutive differences along each letter's positions.
 
@@ -24,7 +24,7 @@ of facet faces: a pairwise cut loop, one ``dd_step`` per facet and one
 
 from wordcones.polyhedra import (HCone, InvariantError, dd_cut, dd_split,
                                  dd_step, dd_whole, identity, primitive,
-                                 ray_sum_witness, vneg, zero_set_facets)
+                                 ray_sum_witness, vneg)
 from wordcones.regions import (Cell, Region, RegionAtlas, _braid_rows,
                                _checked_path, _merge_cells, letter_quotient)
 from wordcones.regions import enumerate_cells as quotient_cells
@@ -90,7 +90,7 @@ def rk_regions(src, moves):
         state = _merge_cells(groups[matrix], k)
         for cell in groups[matrix]:
             bits_index[cell.bits] = len(regions)
-        regions.append((matrix, zero_set_facets(state, k), state))
+        regions.append((matrix, HCone(k, state[0]), state))
     return regions, bits_index
 
 
@@ -107,7 +107,7 @@ def merged_atlas(src, dst, moves=None):
         state = _merge_cells(group, quotient.dim)
         for cell in group:
             bits_index[cell.bits] = len(regions)
-        facets = map(quotient.pull, zero_set_facets(state, quotient.dim).ineqs)
+        facets = map(quotient.pull, state[0])
         witness = quotient.lift(ray_sum_witness(state, quotient.dim))
         regions.append(Region(matrix, HCone(quotient.k, tuple(sorted(facets))),
                               witness, state, quotient))

@@ -19,8 +19,9 @@ from wordcones.polyhedra import (DegenerateConeError, HCone, NonPointedError,
                                  VCone, _gauss_jordan, cone_equal,
                                  cone_from_rays, dd_cut, dd_simplex, dd_split,
                                  dd_step, dd_whole, dot, double_description,
-                                 hcone, identity, interior_point,
-                                 irredundant_h, nonneg_orthant, primitive,
+                                 facet_state, full_cut, hcone, identity,
+                                 interior_point, irredundant_h,
+                                 nonneg_orthant, primitive,
                                  solve_inequalities, subtract_full_dim, vcone,
                                  vneg)
 from wordcones.rectangles import spanning_vectors
@@ -329,7 +330,9 @@ def _checked_facets(normals, dim, rng):
     irredundant_h, given the normals as they are, checked against the
     dot-product zero sets, the rank rule and the LP on its DD generators, and
     again on those rays shuffled with redundant generators mixed in; None
-    unless the cone is full-dimensional."""
+    unless the cone is full-dimensional.  The facet_state of the full_cut
+    has them as normals, the cut's lines and rays, in order, and as masks
+    the rays' zero sets among them."""
     lines, rays = double_description(normals, dim)
     if matrix_rank(lines + rays) != dim:
         with pytest.raises(DegenerateConeError):
@@ -339,6 +342,11 @@ def _checked_facets(normals, dim, rng):
     assert got == facets_from_generators(normals, rays, dim) == \
         _rank_facets(normals, lines, rays, dim) == \
         _lp_irredundant_h(hcone(normals, dim)), normals
+    cut = full_cut(HCone(dim, tuple(normals)))
+    state = facet_state(cut)
+    assert state[0] == got.ineqs and state[1] == cut[1]
+    assert list(state[2]) == list(cut[2])
+    assert_state_invariants(state, got.ineqs)
     extra = [tuple(map(sum, zip(r, s))) for r, s in zip(rays, rays[1:])]
     extra += [tuple(map(sum, zip(r, l))) for r in rays[:1] for l in lines]
     gens = rays + extra
@@ -347,7 +355,7 @@ def _checked_facets(normals, dim, rng):
     return got
 
 
-def test_zero_set_facets_match_rank_and_lp_on_seeded_cones():
+def test_facet_state_matches_rank_and_lp_on_seeded_cones():
     """Seeded systems, some with lines and some with duplicate, scaled
     (non-primitive) and zero normals, and half-spaces (one ray plus dim - 1
     lines)."""

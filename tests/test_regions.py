@@ -31,11 +31,11 @@ from wordcones import cli, polyhedra, rectangles, regions
 from wordcones.polyhedra import (DegenerateConeError, HCone, InvariantError,
                                  NonPointedError, cone_equal,
                                  cone_from_rays, dd_cut, dd_split, dd_step,
-                                 dd_whole, dot, double_description, hcone,
-                                 holds_on, identity, interior_point,
-                                 irredundant_h, nonneg_orthant, primitive,
-                                 ray_sum_witness, solve_inequalities, vcone,
-                                 vneg, zero_set_facets)
+                                 dd_whole, dot, double_description,
+                                 facet_state, hcone, holds_on, identity,
+                                 interior_point, irredundant_h, nonneg_orthant,
+                                 primitive, ray_sum_witness,
+                                 solve_inequalities, vcone, vneg)
 from wordcones.regions import (RegionConvexityError, _merge_cells,
                                _pulling_simplices, apply_braid_triple,
                                braid_move_count, class_region_isomorphism_report,
@@ -179,7 +179,7 @@ def test_merge_certificate_agrees_with_subtraction_on_rank3_pairs():
         if expected is None:
             assert got is None
         else:
-            assert got is not None and zero_set_facets(got, d) == expected
+            assert got is not None and HCone(d, got[0]) == expected
             accepted += 1
     assert len(cells) == 11 and accepted == 13
 
@@ -194,7 +194,7 @@ def test_merge_certificate_accepts_every_rank4_group(atlas4):
     merged = [g for g in groups.values() if len(g) > 1]
     assert len(groups) == 144 and len(merged) == 48
     for group in merged:
-        cone = zero_set_facets(_merge_cells(group, d), d)
+        cone = HCone(d, _merge_cells(group, d)[0])
         assert cone == _subtraction_merge(group, d)
         assert tuple(sorted(map(pull, cone.ineqs))) == \
             cones[group[0].rows].ineqs
@@ -232,11 +232,13 @@ def _zero_sets(normals, rays):
                  for r in rays)
 
 
-def test_zero_set_facets_match_rank_and_lp_on_cells_and_groups():
+def test_facet_state_matches_rank_and_lp_on_cells_and_groups():
     """Every rank-3 and rank-4 cell carries its rays' zero sets as masks, and
     so does the dd_cut fold of every multi-cell group's valid normals, which
-    are that fold's normals; the facets read off those masks are those of
-    the dot-product, rank and LP rules."""
+    are that fold's normals.  facet_state keeps the lines and the rays, in
+    order; its normals, read off those masks, are the facets of the
+    dot-product, rank and LP rules, and its masks are the rays' zero sets
+    among them."""
     for rank in (3, 4):
         cells, d = _standard_cells(rank)
         states = [c.state for c in cells]
@@ -249,10 +251,13 @@ def test_zero_set_facets_match_rank_and_lp_on_cells_and_groups():
             normals, lines, rays = state[0], state[1], tuple(state[2])
             assert tuple(state[2].values()) == _zero_sets(normals, rays), \
                 normals
-            assert zero_set_facets(state, d) == \
+            facets, kept, zeros = facet_state(state)
+            assert HCone(d, facets) == \
                 facets_from_generators(normals, rays, d) == \
                 _rank_facets(normals, lines, rays, d) == \
                 _lp_irredundant_h(HCone(d, normals)), normals
+            assert kept == lines and tuple(zeros) == rays
+            assert tuple(zeros.values()) == _zero_sets(facets, rays), facets
 
 
 def _branch_guards(src, moves, bits):
@@ -299,34 +304,22 @@ def _twin(matrix, symmetry):
 def test_cell_and_region_states_describe_themselves(atlas2, atlas3, atlas4):
     """Every rank-2 to rank-4 cell's state has as its normals the guards that
     cut on the branch its bits walk, in order, pushed to the quotient; a
-    guard the earlier ones imply is not among them.  Every region keeps the
-    state of its one cell, the dd_cut fold of its group's valid normals, or
-    for a mapped multi-cell group the image of its representative's state,
-    whose normals are those of the representative's mapped by X, in order;
-    in each state, and in each region's lifted state with those normals
-    pulled back, the masks are the rays' zero sets among its normals, and
-    the lines vanish on every normal."""
+    guard the earlier ones imply is not among them.  Every region's state,
+    merged or mapped, has as its normals its facets pushed to the quotient,
+    sorted, and its lifted state those pulled back; in each state the masks
+    are the rays' zero sets among its normals, and the lines vanish on every
+    normal."""
     for atlas in (atlas2, atlas3, atlas4):
         quotient = letter_quotient(atlas.src.letters)
-        xs = transition_automorphism(atlas.src, atlas.dst)[0]
-        mapped, cuts = _mapped_groups(atlas), []
-        groups = {}
         for cell in enumerate_cells(atlas.src, atlas.moves):
             guards = tuple(map(quotient.push, _branch_guards(
                 atlas.src, atlas.moves, cell.bits)))
             assert_state_invariants(cell.state, guards)
-            groups.setdefault(cell.rows, []).append((cell, guards))
-        for i, region in enumerate(atlas.regions):
-            group = groups[region.matrix]
-            cut = group[0][1] if len(group) == 1 else \
-                _valid_normals([c for c, _ in group], quotient.dim)
-            if i in mapped:
-                cut = tuple(quotient.push(tuple(a[x] for x in xs))
-                            for a in map(quotient.pull, cuts[mapped[i]]))
-            cuts.append(cut)
-            assert_state_invariants(region.state, cut)
+        for region in atlas.regions:
+            facets = tuple(sorted(map(quotient.push, region.cone.ineqs)))
+            assert_state_invariants(region.state, facets)
             assert_state_invariants(region.lifted_state,
-                                    tuple(map(quotient.pull, cut)))
+                                    tuple(map(quotient.pull, facets)))
 
 
 def test_quotient_build_matches_the_rk_oracle(atlas2, atlas3, atlas4):
@@ -336,36 +329,27 @@ def test_quotient_build_matches_the_rk_oracle(atlas2, atlas3, atlas4):
     exactly the oracle guards whose split kept two sides, in order.  Every
     region has the oracle's matrix and sorted facets, and its lifted state
     has a basis of the oracle's lines and its rays up to L.  Its normals
-    are the oracle state's normals that are such a guard of a member, in
-    order, except in a mapped multi-cell group: there they are the images
-    under X of its representative's, in order."""
+    are the oracle facet state's pushed to the quotient, sorted, and its
+    lifted normals are those pulled back, the oracle's once sorted."""
     for atlas in (standard_atlas(1), atlas2, atlas3, atlas4):
-        mapped = _mapped_groups(atlas)
-        xs = transition_automorphism(atlas.src, atlas.dst)[0]
         quotient, k = letter_quotient(atlas.src.letters), atlas.dim
         cells = enumerate_cells(atlas.src, atlas.moves)
         oracle = enumerate_cuts(atlas.src, atlas.moves)
         assert [(c.rows, c.bits) for c in cells] == \
             [(c.rows, c.bits) for c, _ in oracle]
-        cut_by_matrix = {}
         for cell, (rk, cuts) in zip(cells, oracle):
             assert tuple(map(quotient.pull, cell.state[0])) == cuts
-            assert tuple(sorted(map(quotient.pull, zero_set_facets(
-                cell.state, quotient.dim).ineqs))) == \
-                zero_set_facets(rk.state, k).ineqs
-            cut_by_matrix.setdefault(cell.rows, set()).update(cuts)
+            assert tuple(sorted(map(quotient.pull, facet_state(
+                cell.state)[0]))) == facet_state(rk.state)[0]
         rk_list, rk_index = rk_regions(atlas.src, atlas.moves)
         assert atlas.bits_index == rk_index
         assert [(r.matrix, r.cone) for r in atlas.regions] == \
             [(m, cone) for m, cone, _ in rk_list]
-        for i, (region, (_, _, rk)) in enumerate(zip(atlas.regions, rk_list)):
+        for region, (_, _, rk) in zip(atlas.regions, rk_list):
             normals, lines, zeros = region.lifted_state
-            if i in mapped:
-                assert normals == tuple(tuple(g[x] for x in xs) for g in
-                                        atlas.regions[mapped[i]].lifted_state[0])
-            else:
-                assert normals == tuple(g for g in rk[0]
-                                        if g in cut_by_matrix[region.matrix])
+            assert region.state[0] == tuple(sorted(map(quotient.push, rk[0])))
+            assert normals == tuple(map(quotient.pull, region.state[0]))
+            assert tuple(sorted(normals)) == rk[0]
             assert matrix_rank(lines) == matrix_rank(lines + rk[1]) == \
                 len(rk[1])
             assert {primitive(point_quotient(quotient, r)) for r in zeros} \
@@ -554,8 +538,9 @@ def test_orbit_build_matches_the_full_merge(monkeypatch, atlas4):
     witness) and bits_index: at ranks 1 to 4, for (j', j) at ranks 3 and 4,
     along detour_move_path at rank 3, on the six seeded random rank-4 pairs
     of test_region_graph_matches_the_cut_loop, which have no symmetry, and
-    on three rank-4 pairs of class words that have one.  The groups it maps,
-    and those of them with several cells, are pinned."""
+    on three rank-4 pairs of class words that have one.  Each region's
+    state, mapped or merged, equals the full merge's facet_state.  The
+    groups it maps, and those of them with several cells, are pinned."""
     j3, j4 = standard_words(3), standard_words(4)
     cases = [(standard_words(1), None, (0, 0)),
              (standard_words(2), None, (1, 0)),
@@ -569,12 +554,16 @@ def test_orbit_build_matches_the_full_merge(monkeypatch, atlas4):
                    ("4321343234", "1321343213", (60, 27)),
                    ("1232124321", "2143214324", (44, 4)))]
     sizes = _counted_mapped_groups(monkeypatch)
-    assert transition_atlas(*j4) == atlas4 == merged_atlas(*j4)
-    assert (len(sizes), sum(n > 1 for n in sizes)) == (72, 24)
+    cases.append((j4, None, (72, 24)))
     for (src, dst), moves, counts in cases:
         sizes.clear()
-        assert transition_atlas(src, dst, moves) == merged_atlas(src, dst, moves)
+        built, merged = (transition_atlas(src, dst, moves),
+                         merged_atlas(src, dst, moves))
+        assert built == merged
+        assert [r.state for r in built.regions] == \
+            [facet_state(r.state) for r in merged.regions], (src, dst)
         assert (len(sizes), sum(n > 1 for n in sizes)) == counts, (src, dst)
+    assert built == atlas4  # the last case, j4
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4, 5])
@@ -1172,7 +1161,7 @@ def test_region_witnesses_are_interior(atlas2, atlas3, atlas4):
     for atlas in (atlas2, atlas3, atlas4):
         for region in atlas.regions:
             assert contains_strictly(region.cone, region.witness)
-            assert zero_set_facets(region.lifted_state, atlas.dim) == region.cone
+            assert facet_state(region.lifted_state)[0] == region.cone.ineqs
             bare = replace(region, state=None)
             assert bare == region and hash(bare) == hash(region)
             assert repr(bare) == repr(region)
