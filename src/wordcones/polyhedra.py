@@ -346,7 +346,8 @@ def dd_split(state: DDState, a: Sequence
     same projected lines and rays, and the ray z or -z.  Otherwise the rays
     an adjacent pair makes on a . x = 0 are the same for both sides, so each
     pair takes one adjacency test.  A side is None exactly when dd_cut's
-    would be: no line meets a and no ray lies strictly on that side.
+    would be: no line meets a and no ray lies strictly on that side.  The
+    enumeration reads one None side as a guard that does not cut its cell.
     """
     return _step(state, a, True)
 
@@ -465,19 +466,6 @@ def holds_on(a: Sequence, state: DDState) -> bool:
     does a vanish on its lines and stay non-negative on its rays?"""
     return (not any(sum(map(mul, a, l)) for l in state[1])
             and all(sum(map(mul, a, r)) >= 0 for r in state[2]))
-
-
-def interior_point(ineqs: Sequence[Vector], dim: int) -> Optional[Vector]:
-    """An integer point satisfying every inequality strictly, or None.
-
-    None if a normal is zero or dd_cut finds the cone's interior empty;
-    otherwise the primitive sum of the rays, which a non-zero normal can
-    only vanish on if it vanishes on the whole cone.
-    """
-    if not all(map(any, ineqs)):  # 0 . x > 0 has no solution
-        return None
-    cut = dd_cut(dd_whole(dim), ineqs)
-    return None if cut is None else ray_sum_witness(cut, dim)
 
 
 def ray_sum_witness(state: DDState, dim: int) -> Vector:
@@ -602,14 +590,15 @@ def subtract_full_dim(pieces: list[tuple[Vector, ...]],
     Each piece is an inequality tuple.  The difference against one convex
     piece P is the union over j of {g_1 >= 0, ..., g_{j-1} >= 0, g_j < 0};
     only full-dimensional parts are kept (interiors are what matter for
-    coverage arguments over closed cones).
+    coverage arguments over closed cones).  A part with a zero normal has
+    none, as 0 . x > 0 has no solution; dd_cut decides the rest.
     """
     out = []
     for piece in pieces:
         acc = list(piece)
         for g in ineqs:
             cand = acc + [vneg(g)]
-            if interior_point(cand, dim) is not None:
+            if all(map(any, cand)) and dd_cut(dd_whole(dim), cand) is not None:
                 out.append(tuple(cand))
             acc.append(g)
     return out

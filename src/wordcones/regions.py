@@ -271,14 +271,14 @@ def enumerate_cells(src: ReducedWord, moves: Sequence[Move]) -> list[Cell]:
     """Depth-first branch enumeration, pruning branches with empty interior.
 
     Each branch carries its cell's double-description state in the quotient
-    by src's letter_quotient, and a leaf hands it to its Cell whole.  A
-    guard g, pushed to the quotient once, that holds on the state (as one on
-    the branch does), or whose negation does, takes that branch with the
-    state unchanged: an uncut guard adds nothing (Fukuda-Prodon).  Any other
-    g cuts, and one dd_split gives both of its sides an interior, or raises.
-    So the normals are the guards that cut, and the state is their double
-    description from scratch.  The moves are taken to be legal for src;
-    transition_atlas checks them.
+    by src's letter_quotient, and a leaf hands it to its Cell whole.  Each
+    guard g, pushed to the quotient once, takes one dd_split of the state.
+    A None side means g, or -g, holds on the cell (as a guard on the branch
+    does), so the branch takes the other side with the state unchanged: an
+    uncut guard adds nothing (Fukuda-Prodon).  Two sides fork the branch; no
+    side raises.  So the normals are the guards that cut, and the state is
+    their double description from scratch.  The moves are taken to be legal
+    for src; transition_atlas checks them.
     """
     quotient = letter_quotient(src.letters)
     cells: list[Cell] = []
@@ -296,14 +296,13 @@ def enumerate_cells(src: ReducedWord, moves: Sequence[Move]) -> list[Cell]:
             if not any(g):
                 raise InvariantError("degenerate braid guard")
             idx += 1
-            low = holds_on(g, state)
-            if low or holds_on(vneg(g), state):
-                rows = _braid_rows(rows, t, low)
-                bits += "1" if low else "0"
-                continue
             up, down = dd_split(state, g)
-            if up is None or down is None:
-                raise InvariantError(f"guard {g} left a side with no interior")
+            if up is None and down is None:
+                raise InvariantError(f"guard {g} leaves no side an interior")
+            if up is None or down is None:  # g or -g holds: g does not cut
+                rows = _braid_rows(rows, t, down is None)
+                bits += "1" if down is None else "0"
+                continue
             # continue along the '1' side; push the '0' side
             stack.append((idx, _braid_rows(rows, t, False), down, bits + "0"))
             rows, state, bits = _braid_rows(rows, t, True), up, bits + "1"

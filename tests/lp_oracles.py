@@ -35,7 +35,10 @@ tests still use them: ``matrix_rank`` and ``bareiss_det`` read the Bareiss
 elimination that the library's determinant rested on before it read its one
 Gauss-Jordan pass, and ``implies`` and ``lp_feasible`` answer from double
 description generators what ``_lp_implies`` and ``_lp_feasible`` answer
-by LP.  ``extreme_rays`` is double description from the whole space,
+by LP, and ``interior_point`` answers from ``polyhedra.dd_cut`` what
+``_lp_interior_point`` answers by LP; ``polyhedra.subtract_full_dim``,
+its one library caller until then, asks ``dd_cut`` itself.
+``extreme_rays`` is double description from the whole space,
 sorted, the reference for the rays the library cuts from written-down
 states (``lusztig.spanning_rays``, ``regions.simplicial_decomposition``).
 """
@@ -48,7 +51,7 @@ from wordcones.polyhedra import (DegenerateConeError, HCone, InvariantError,
                                  cone_equal, cone_from_rays, dd_cut,
                                  dd_simplex, dd_step, dd_whole, dot,
                                  double_description, hcone, holds_on,
-                                 nonneg_orthant, primitive,
+                                 nonneg_orthant, primitive, ray_sum_witness,
                                  solve_inequalities, vcone, vneg)
 from wordcones.regions import Decomposition, _pulling_simplices, _volume
 
@@ -150,6 +153,19 @@ def contains_strictly(cone, point):
 
 def regions_containing(atlas, point):
     return [r for r in atlas.regions if r.cone.contains(point)]
+
+
+def interior_point(ineqs, dim):
+    """An integer point satisfying every inequality strictly, or None.
+
+    None if a normal is zero or dd_cut finds the cone's interior empty;
+    otherwise the primitive sum of the rays, which a non-zero normal can
+    only vanish on if it vanishes on the whole cone.
+    """
+    if not all(map(any, ineqs)):  # 0 . x > 0 has no solution
+        return None
+    cut = dd_cut(dd_whole(dim), ineqs)
+    return None if cut is None else ray_sum_witness(cut, dim)
 
 
 def _lp_interior_point(ineqs, dim):

@@ -156,7 +156,7 @@ def test_invariant_errors_exit_3(monkeypatch, capsys, tmp_path):
     artifact = tmp_path / "atlas.json"
     for name, stub, message in (
             ("dd_split", lambda state, a: (None, None),
-             "left a side with no interior"),
+             "leaves no side an interior"),
             ("_merge_cells", refuse, "union is not convex")):
         with monkeypatch.context() as patch:
             patch.setattr(regions, name, stub)

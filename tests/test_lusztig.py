@@ -1,8 +1,8 @@
 import random
 
-from lp_oracles import extreme_rays
+from lp_oracles import extreme_rays, interior_point
 from wordcones.lusztig import lusztig_cone, spanning_rays
-from wordcones.polyhedra import cone_equal, hcone, identity, interior_point
+from wordcones.polyhedra import cone_equal, hcone, identity
 from wordcones.words import (COMMUTATION, ReducedWord, apply_move,
                              commutation_classes, iter_reduced_words,
                              legal_moves, parse_word, random_reduced_word)

@@ -11,8 +11,8 @@ import pytest
 from lp_oracles import (_lp_feasible, _lp_implies, _lp_interior_point,
                         _lp_irredundant_h, _rank_facets,
                         assert_state_invariants, bareiss_det, extreme_rays,
-                        facets_from_generators, implies, lp_feasible,
-                        matrix_rank)
+                        facets_from_generators, implies, interior_point,
+                        lp_feasible, matrix_rank)
 from wordcones import polyhedra
 from wordcones.lusztig import lusztig_cone
 from wordcones.polyhedra import (DegenerateConeError, HCone, NonPointedError,
@@ -20,8 +20,7 @@ from wordcones.polyhedra import (DegenerateConeError, HCone, NonPointedError,
                                  cone_from_rays, dd_cut, dd_simplex, dd_split,
                                  dd_step, dd_whole, dot, double_description,
                                  facet_state, full_cut, hcone, identity,
-                                 interior_point, irredundant_h,
-                                 nonneg_orthant, primitive,
+                                 irredundant_h, nonneg_orthant, primitive,
                                  solve_inequalities, subtract_full_dim, vcone,
                                  vneg)
 from wordcones.rectangles import spanning_vectors
@@ -701,6 +700,8 @@ def test_subtract_full_dim_covers():
     assert interior_point(remainder[0], 2) is not None
     gone = subtract_full_dim(remainder, ((-1, 1),), 2)
     assert gone == []
+    # a zero normal leaves no interior, though dd_cut skips it
+    assert subtract_full_dim([((0, 0),)], ((1, 0),), 2) == []
 
 
 def _fraction_rank(rows):

@@ -21,8 +21,8 @@ from lp_oracles import (_lp_implies, _lp_interior_point, _lp_irredundant_h,
                         _rank_pulling_simplices, assert_state_invariants,
                         bareiss_det, contains_strictly, eliminated_spans,
                         extreme_rays, facets_from_generators, implies,
-                        level_search_decomposition, matrix_rank,
-                        off_path_siblings, positive_somewhere,
+                        interior_point, level_search_decomposition,
+                        matrix_rank, off_path_siblings, positive_somewhere,
                         regions_containing, scanned_region_index)
 from region_oracles import (cut_region_graph, enumerate_cuts, merged_atlas,
                             point_quotient, rk_regions)
@@ -32,9 +32,8 @@ from wordcones.polyhedra import (DegenerateConeError, HCone, InvariantError,
                                  NonPointedError, cone_equal,
                                  cone_from_rays, dd_cut, dd_split, dd_step,
                                  dd_whole, dot, double_description,
-                                 facet_state, hcone, holds_on, identity,
-                                 interior_point, irredundant_h, nonneg_orthant,
-                                 primitive, ray_sum_witness,
+                                 facet_state, hcone, identity, irredundant_h,
+                                 nonneg_orthant, primitive, ray_sum_witness,
                                  solve_inequalities, vcone, vneg)
 from wordcones.regions import (RegionConvexityError, _merge_cells,
                                _pulling_simplices, apply_braid_triple,
@@ -502,8 +501,8 @@ def test_atlas_build_counts_cuts_and_steps(monkeypatch):
     """One standard_atlas build makes one dd_cut per fold of a merged
     multi-cell group and one per sibling the walk does not rule out (rank
     3: 1 fold; rank 4: 24 folds and 12 sibling cuts, 3 of them certifying
-    mapped groups) and 468 DD steps at rank 4; a mapped group makes no
-    fold."""
+    mapped groups) and 758 DD steps at rank 4, one per braid decision
+    among them; a mapped group makes no fold."""
     calls = {"cut": 0, "step": 0}
     cut, step = regions.dd_cut, polyhedra._step
 
@@ -516,7 +515,7 @@ def test_atlas_build_counts_cuts_and_steps(monkeypatch):
         return step(state, a, split)
     monkeypatch.setattr(regions, "dd_cut", counted_cut)
     monkeypatch.setattr(polyhedra, "_step", counted_step)
-    for rank, expected in ((3, (1, 14)), (4, (36, 468))):
+    for rank, expected in ((3, (1, 19)), (4, (36, 758))):
         calls.update(cut=0, step=0)
         standard_atlas(rank)
         assert (calls["cut"], calls["step"]) == expected, rank
@@ -987,66 +986,79 @@ def test_carried_generators_match_double_description():
 
 
 def test_enumeration_cuts_each_new_guard_once(monkeypatch):
-    """The enumeration splits each guard that cuts its cell once, into two
-    sides that both keep an interior, and decides a guard that holds on the
-    cell, or whose negation does, without a cut: the dd_split calls (10 at
-    rank 3, 213 at rank 4) are one fewer than the cells, no side is empty,
-    and no dd_cut is made."""
-    calls = {"split": 0, "empty": 0, "cut": 0}
+    """The enumeration makes one dd_split per braid decision and no other
+    cone query: a guard that cuts its cell keeps both sides, once per cell
+    but one, and a guard that holds on the cell, or whose negation does,
+    keeps one side (15 calls at rank 3, 5 with one side; 503 at rank 4,
+    290 with one side).  No call keeps neither side, and no dd_cut or
+    holds_on is made."""
+    calls = Counter()
 
     def counted(state, a):
         sides = dd_split(state, a)
         calls["split"] += 1
-        calls["empty"] += sides.count(None)
+        calls[sides.count(None)] += 1
         return sides
 
     def cut(state, ineqs):
         calls["cut"] += 1
         return dd_cut(state, ineqs)
+
+    def refuse(a, state):
+        raise AssertionError("holds_on in the enumeration")
     monkeypatch.setattr(regions, "dd_split", counted)
     monkeypatch.setattr(regions, "dd_cut", cut)
-    for rank, expected in ((3, (10, 0)), (4, (213, 0))):
-        calls.update(split=0, empty=0, cut=0)
+    monkeypatch.setattr(regions, "holds_on", refuse)
+    for rank, expected in ((3, (15, 5, 0)), (4, (503, 290, 0))):
+        calls.clear()
         cells, _ = _standard_cells(rank)
-        assert (calls["split"], calls["empty"], calls["cut"]) == \
+        assert (calls["split"], calls[1], calls[2], calls["cut"]) == \
             expected + (0,), rank
         assert len(cells) == {3: 11, 4: 214}[rank]
-        assert calls["split"] == len(cells) - 1
+        assert calls[0] == len(cells) - 1
 
 
 def test_guard_decisions_match_the_lp(monkeypatch):
-    """On every braid of every branch at ranks 2 to 4 the enumeration asks
-    holds_on of the guard, and of its negation when the guard fails; each
-    answer is yes exactly when the LP finds no interior point of the cell
-    on the opposite side.  Both answers occur at ranks 3 and 4."""
+    """On every braid of every branch at ranks 2 to 4 the enumeration makes
+    one dd_split of the cell by the guard; each side is None exactly when
+    the LP finds no interior point of the cell on that side.  Both
+    outcomes, one side and two, occur at ranks 3 and 4."""
     asked = []
 
-    def spied(a, state):
-        got = holds_on(a, state)
-        asked.append((a, state[0], got))
-        return got
-    monkeypatch.setattr(regions, "holds_on", spied)
+    def spied(state, a):
+        sides = dd_split(state, a)
+        asked.append((a, state[0], sides))
+        return sides
+    monkeypatch.setattr(regions, "dd_split", spied)
     for rank in (2, 3, 4):
         asked.clear()
         _, d = _standard_cells(rank)
-        for a, normals, got in asked:
-            assert got == (_lp_interior_point(normals + (vneg(a),), d)
-                           is None), (normals, a)
-        answers = Counter(got for _, _, got in asked)
-        assert answers == {2: {False: 2}, 3: {True: 5, False: 24},
-                           4: {True: 290, False: 598}}[rank], (rank, answers)
+        for a, normals, sides in asked:
+            for side, s in zip((a, vneg(a)), sides):
+                assert (s is None) == (_lp_interior_point(
+                    normals + (side,), d) is None), (normals, side)
+        answers = Counter(sides.count(None) for _, _, sides in asked)
+        assert answers == {2: {0: 1}, 3: {1: 5, 0: 10},
+                           4: {1: 290, 0: 213}}[rank], (rank, answers)
 
 
 def test_both_branches_empty_raises_typed_error(monkeypatch):
-    """A guard that cuts the cell must leave an interior on both sides; a
-    split with an empty side, either one or both, raises the typed error."""
+    """A guard leaves an interior on at least one side of the cell: a split
+    with no side raises the typed error.  A split with one side takes that
+    side's bit, and the cell keeps the state it had before the guard."""
     j, jp = standard_words(3)
-    for kept in ((False, False), (True, False), (False, True)):
+    path = default_move_path(j, jp)
+    monkeypatch.setattr(regions, "dd_split", lambda state, a: (None, None))
+    with pytest.raises(InvariantError, match="leaves no side an interior"):
+        enumerate_cells(j, path)
+    braids = braid_move_count(path)
+    for kept, bit in (((True, False), "1"), ((False, True), "0")):
         monkeypatch.setattr(regions, "dd_split", lambda state, a: tuple(
             state if keep else None for keep in kept))
-        with pytest.raises(InvariantError,
-                           match="left a side with no interior"):
-            enumerate_cells(j, default_move_path(j, jp))
+        whole = dd_whole(letter_quotient(j.letters).dim)
+        monkeypatch.setattr(regions, "dd_whole", lambda dim: whole)
+        [cell] = enumerate_cells(j, path)
+        assert cell.bits == bit * braids and cell.state is whole
     assert not issubclass(InvariantError, AssertionError)
     assert issubclass(RegionConvexityError, InvariantError)
 
