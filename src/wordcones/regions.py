@@ -329,53 +329,63 @@ def _open_siblings(cells: list[Cell], held: set[Vector]
             if path[j] not in held and vneg(path[j]) not in node]
 
 
+def _holds_on_cells(g: Vector, cells: list[Cell]) -> bool:
+    """Does g . x >= 0 hold on every cell?  On a cell's own guard it does, on
+    a negated one it fails (the cell is full-dimensional), else holds_on."""
+    ng = vneg(g)
+    return all(g in c.state[0] or ng not in c.state[0] and holds_on(g, c.state)
+               for c in cells)
+
+
+def _sibling_interior(cells: list[Cell], state: DDState) -> Optional[DDState]:
+    """None iff the cone C of this state, which contains these cells, all
+    full-dimensional, is their union; else the first off-path sibling cut
+    from C that keeps an interior.  The branch tree with uncut guards
+    contracted, as in the cells, has leaves that tile the space with
+    disjoint interiors, and the node with guard prefix p is the union of
+    the leaves below it, as an uncut guard holds on its whole node.  An
+    *off-path sibling* is a child p + (-h,) of a member prefix p, where
+    p + (h,) is a member prefix and p + (-h,) is not.  Every leaf outside
+    the group lies below exactly one of them, and no member does.  So C is
+    the union iff dd_cut of C by each sibling's guards, less those held on
+    C, finds no interior (Fukuda-Prodon).  One with a held h is ruled out
+    for free, and _open_siblings drops it; no guard g of p can be so: g
+    holds on a member, inside C, so -g is never held.  h is held iff it is
+    a normal of C or holds_on C; a member's guard -h rules it out untested."""
+    guards = {h for c in cells for h in c.state[0]}
+    normals = set(state[0])
+    held = {h for h in guards if h in normals
+            or vneg(h) not in guards and holds_on(h, state)}
+    for sib in _open_siblings(cells, held):
+        cut = dd_cut(state, [h for h in sib if h not in held])
+        if cut is not None:
+            return cut
+    return None
+
+
 def _merge_cells(cells: list[Cell], dim: int) -> DDState:
     """Certified-convex union of same-matrix cells, as the facet_state of a
     single cell's own state, or for several cells of that of the candidate
-    cone C, raising if C is not the union.  C is cut out by the
-    member-cell inequalities valid on every member's state (a member's own
-    guard holds on it, and the negation of one fails on the full-dimensional
-    member), so C contains the union.  If the union is convex, C is exactly
-    the union, since every facet of a convex union shows up among member
-    inequalities.  C's state is dd_cut of the valid normals from R^dim, the
-    cells' space, and every sibling check below cuts from it.
-
-    Coverage comes from the branch tree with uncut guards contracted, as in
-    the cells.  Its leaves tile R^dim with disjoint interiors, and the node
-    with guard prefix p is the union of the leaves below it, as an uncut
-    guard holds on its whole node.  An *off-path sibling* is a child
-    p + (-h,) of a member prefix p, where p + (h,) is a member prefix and
-    p + (-h,) is not.  Every leaf outside the group lies below exactly one
-    of them, and none of the members does.  So C equals the union iff
-    dd_cut of C by each off-path sibling's guards, less the valid normals,
-    finds no interior.  A sibling with a guard whose negation is valid is
-    ruled out for free; any other with an interior raises instead of
-    emitting a non-convex region.  Only its last guard -h can be one: a
-    guard g of p is on a member's path, so g holds on that full-dimensional
-    member, -g fails there, and -g is never valid.  So _open_siblings drops
-    the sibling iff h is valid, before it builds its tuple.
-    """
+    cone C: dd_cut from R^dim, the cells' space, by the member inequalities
+    valid on every member (_holds_on_cells), so C contains the union, and
+    equals it if the union is convex, as each of its facets is among them.
+    _sibling_interior certifies that C is the union, else this raises."""
     if len(cells) == 1:
         return facet_state(cells[0].state)
-    normals = dict.fromkeys(g for c in cells for g in c.state[0])
-    guards = [set(c.state[0]) for c in cells]
-    valid = [g for g, ng in zip(normals, map(vneg, normals)) if all(
-        g in s or ng not in s and holds_on(g, c.state)
-        for s, c in zip(guards, cells))]
+    valid = [g for g in dict.fromkeys(g for c in cells for g in c.state[0])
+             if _holds_on_cells(g, cells)]
     state = dd_cut(dd_whole(dim), valid)
     if state is None:
         raise InvariantError(f"the {len(valid)} shared-valid inequalities "
                              f"of {len(cells)} full-dimensional cells cut "
                              f"out a cone with empty interior")
-    held = set(valid)
-    for sib in _open_siblings(cells, held):
-        cut = dd_cut(state, (h for h in sib if h not in held))
-        if cut is not None:
-            raise RegionConvexityError(
-                f"union of {len(cells)} same-matrix cells is not the "
-                f"convex cone cut out by its {len(valid)} shared-valid "
-                f"inequalities: {ray_sum_witness(cut, dim)} is "
-                f"interior to it and to an off-path sibling")
+    cut = _sibling_interior(cells, state)
+    if cut is not None:
+        raise RegionConvexityError(
+            f"union of {len(cells)} same-matrix cells is not the "
+            f"convex cone cut out by its {len(valid)} shared-valid "
+            f"inequalities: {ray_sum_witness(cut, dim)} is "
+            f"interior to it and to an off-path sibling")
     return facet_state(state)
 
 
@@ -386,12 +396,9 @@ def _mapped_region(cells: list[Cell], rep: Region,
     RegionConvexityError: the image of rep's facet state, an exact double
     description as the image of one, its facets re-sorted.  A lone pointed
     cell is the image iff their rays agree, each the unique primitive
-    extreme rays of a pointed cone.  Several cells are the image iff every
-    cell holds on every mapped facet (a cell's own guard does, its negation
-    fails), so the image contains the union, and every off-path sibling cut
-    from the image has no interior, so the image meets no other cell's
-    interior (as in _merge_cells; a cell's guard that holds on the image
-    rules out its sibling).  Nothing here assumes that the symmetry holds."""
+    extreme rays of a pointed cone; several cells iff _holds_on_cells holds
+    each mapped facet on them and _sibling_interior finds no interior.
+    Nothing here assumes that the symmetry holds."""
     normals, lines, zeros = rep.state
     order = sorted((image(a), 1 << i) for i, a in enumerate(normals))
     state = (tuple(a for a, _ in order), lines, {image(r): sum(
@@ -400,15 +407,9 @@ def _mapped_region(cells: list[Cell], rep: Region,
     if len(cells) == 1 and not cells[0].state[1]:
         if state[2].keys() == cells[0].state[2].keys():
             return state
-    else:
-        facets = [(f, vneg(f)) for f in state[0]]
-        if all(f in g or n not in g and holds_on(f, c.state)
-               for c in cells for g in [set(c.state[0])] for f, n in facets):
-            held = {h for h in {h for c in cells for h in c.state[0]}
-                    if h in state[0] or holds_on(h, state)}
-            if all(dd_cut(state, [h for h in sib if h not in held]) is None
-                   for sib in _open_siblings(cells, held)):
-                return state
+    elif (all(_holds_on_cells(f, cells) for f in state[0])
+          and _sibling_interior(cells, state) is None):
+        return state
     raise RegionConvexityError(f"the image of region {rep.matrix} is not the "
                                f"union of the {len(cells)} cells of matrix "
                                f"{cells[0].rows}")
@@ -435,16 +436,16 @@ def transition_atlas(src: ReducedWord, dst: ReducedWord,
 
     The 144-region standard-word atlas of rank 4 comes from 214 leaf cells.
     Rank 5 is slow: the peel path has 20 braids, and its 18,273 cells,
-    enumerated in 1.4-1.9 s, give 6,608 regions in 3.9-4.3 s in all under
+    enumerated in 1.3-1.4 s, give 6,608 regions in 3.8-4.4 s in all under
     python -O (CPython 3.11, 2 vCPUs).  Both run in src's letter_quotient.
     Groups are popped in matrix order.  X times the region of matrix Y M X
     is M's, (X, Y) of transition_automorphism, so a group whose Y M X sorts
     first is mapped, not merged: its region's state is that one's under the
-    signed permutation X induces on the quotient, and its facets and
-    witness follow, all as a merge gives them, as regions are pointed
-    there.  _mapped_region certifies the image against the group's own
-    cells; an image matrix with no group raises InvariantError.  A rank
-    above 5 raises before any cell is enumerated.
+    signed permutation X induces on the quotient, as a merge gives it, as
+    regions are pointed there, and _mapped_region certifies it against the
+    group's own cells.  Every region pulls its state's facets back to R^k.
+    An image matrix with no group raises InvariantError, and a rank above
+    5 before any cell is enumerated.
     """
     if src.rank > 5:
         raise ValueError("regions supports ranks 1 to 5")
@@ -476,14 +477,12 @@ def transition_atlas(src: ReducedWord, dst: ReducedWord,
         rep = regions[index[twin]] if twin and twin < matrix else None
         if rep is None or rep.state[1]:  # with lines, rays are not unique
             state = _merge_cells(group, quotient.dim)
-            ineqs = map(quotient.pull, state[0])
-        else:  # pull(image(c)) = X pull(c)
+        else:
             state = _mapped_region(group, rep, image)
-            ineqs = map(cols, rep.cone.ineqs)
         index[matrix] = len(regions)
         for cell in group:
             bits_index[cell.bits] = len(regions)
-        cone = HCone(quotient.k, tuple(sorted(ineqs)))
+        cone = HCone(quotient.k, tuple(sorted(map(quotient.pull, state[0]))))
         witness = quotient.lift(ray_sum_witness(state, quotient.dim))
         regions.append(Region(matrix, cone, witness, state, quotient))
     return RegionAtlas(src, dst, tuple(moves), tuple(regions), bits_index)

@@ -32,9 +32,10 @@ from wordcones.polyhedra import (DegenerateConeError, HCone, InvariantError,
                                  NonPointedError, cone_equal,
                                  cone_from_rays, dd_cut, dd_split, dd_step,
                                  dd_whole, dot, double_description,
-                                 facet_state, hcone, identity, irredundant_h,
-                                 nonneg_orthant, primitive, ray_sum_witness,
-                                 solve_inequalities, vcone, vneg)
+                                 facet_state, hcone, holds_on, identity,
+                                 irredundant_h, nonneg_orthant, primitive,
+                                 ray_sum_witness, solve_inequalities, vcone,
+                                 vneg)
 from wordcones.regions import (RegionConvexityError, _merge_cells,
                                _pulling_simplices, apply_braid_triple,
                                braid_move_count, class_region_isomorphism_report,
@@ -502,9 +503,11 @@ def test_atlas_build_counts_cuts_and_steps(monkeypatch):
     multi-cell group and one per sibling the walk does not rule out (rank
     3: 1 fold; rank 4: 24 folds and 12 sibling cuts, 3 of them certifying
     mapped groups) and 758 DD steps at rank 4, one per braid decision
-    among them; a mapped group makes no fold."""
-    calls = {"cut": 0, "step": 0}
-    cut, step = regions.dd_cut, polyhedra._step
+    among them; a mapped group makes no fold.  It calls regions.holds_on 4
+    times at rank 3 and 415 at rank 4, for the member checks and the held
+    sets of the sibling certificate."""
+    calls = {"cut": 0, "step": 0, "holds": 0}
+    cut, step, holds = regions.dd_cut, polyhedra._step, regions.holds_on
 
     def counted_cut(state, ineqs):
         calls["cut"] += 1
@@ -513,12 +516,88 @@ def test_atlas_build_counts_cuts_and_steps(monkeypatch):
     def counted_step(state, a, split):
         calls["step"] += 1
         return step(state, a, split)
+
+    def counted_holds(a, state):
+        calls["holds"] += 1
+        return holds(a, state)
     monkeypatch.setattr(regions, "dd_cut", counted_cut)
     monkeypatch.setattr(polyhedra, "_step", counted_step)
-    for rank, expected in ((3, (1, 19)), (4, (36, 758))):
-        calls.update(cut=0, step=0)
+    monkeypatch.setattr(regions, "holds_on", counted_holds)
+    for rank, expected in ((3, (1, 19, 4)), (4, (36, 758, 415))):
+        calls.update(cut=0, step=0, holds=0)
         standard_atlas(rank)
-        assert (calls["cut"], calls["step"]) == expected, rank
+        assert (calls["cut"], calls["step"], calls["holds"]) == expected, rank
+
+
+def test_sibling_certificate_holds_the_guards_that_hold_on_its_cone(
+        monkeypatch):
+    """Over the rank-3 and rank-4 standard builds, every merged and every
+    mapped multi-cell group hands _open_siblings, through
+    _sibling_interior, the held set {h : holds_on(h, state)} over its
+    members' guards, though it skips holds_on where -h is a member's
+    guard; for a merged group that is its valid normals, from scratch.  The
+    builds certify 1 merged group at rank 3, and 24 merged and 24 mapped
+    groups at rank 4."""
+    seen, kind = [], []
+    real_open, real_interior = regions._open_siblings, regions._sibling_interior
+
+    def spied_open(cells, held):
+        seen[-1]["held"] = set(held)
+        return real_open(cells, held)
+
+    def spied_interior(cells, state):
+        seen.append({"cells": cells, "state": state, "kind": kind[-1]})
+        return real_interior(cells, state)
+
+    def tagged(name):
+        real = getattr(regions, name)
+
+        def run(*args):
+            kind.append(name)
+            try:
+                return real(*args)
+            finally:
+                kind.pop()
+        return run
+    for name in ("_merge_cells", "_mapped_region"):
+        monkeypatch.setattr(regions, name, tagged(name))
+    monkeypatch.setattr(regions, "_open_siblings", spied_open)
+    monkeypatch.setattr(regions, "_sibling_interior", spied_interior)
+    for rank, expected in ((3, (1, 0)), (4, (24, 24))):
+        seen.clear()
+        standard_atlas(rank)
+        d = letter_quotient(standard_words(rank)[0].letters).dim
+        for call in seen:
+            cells, state = call["cells"], call["state"]
+            guards = {h for c in cells for h in c.state[0]}
+            assert call["held"] == {h for h in guards if holds_on(h, state)}
+            if call["kind"] == "_merge_cells":
+                assert call["held"] == set(_valid_normals(cells, d))
+        kinds = Counter(call["kind"] for call in seen)
+        assert (kinds["_merge_cells"], kinds["_mapped_region"]) == expected
+
+
+def test_sibling_interior_certifies_groups_and_finds_a_point_outside():
+    """On every rank-4 multi-cell group, _sibling_interior of the group and
+    its merged state is None.  With any one facet dropped from that state
+    (the rest cut from dd_whole) it returns a cut, whose ray sum lies
+    strictly outside some guard of every member: a point of the larger
+    cone off the union.  The 48 groups have 352 facets in all."""
+    cells, d = _standard_cells(4)
+    checked = 0
+    for group in _multi_cell_groups(cells):
+        merged = _merge_cells(group, d)
+        assert regions._sibling_interior(group, merged) is None
+        facets = merged[0]
+        for i in range(len(facets)):
+            larger = dd_cut(dd_whole(d), facets[:i] + facets[i + 1:])
+            cut = regions._sibling_interior(group, larger)
+            assert cut is not None
+            point = ray_sum_witness(cut, d)
+            assert all(any(dot(g, point) < 0 for g in c.state[0])
+                       for c in group)
+            checked += 1
+    assert checked == 352
 
 
 def _counted_mapped_groups(monkeypatch):
